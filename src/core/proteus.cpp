@@ -1,10 +1,11 @@
 #include "core/proteus.hpp"
 
-#include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "core/report.hpp"
+#include "kernels/codec.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "vl/check.hpp"
@@ -20,15 +21,122 @@ using lang::TypePtr;
 /// a run_* call.
 using RunScope = obs::MaybeTracerScope;
 
-/// One engine attempt of the degradation ladder (docs/ROBUSTNESS.md).
-/// `run` does everything for a standalone execution — argument
-/// conversion, stats reset, the run span, and metric publication — so a
-/// fallback attempt starts from a clean slate and an injected fault
-/// striking during conversion is absorbed by the same ladder.
-struct Session::Rung {
-  const char* engine;  ///< "vm", "vm-o0", "exec", or "interp"
-  std::function<Value()> run;
+namespace detail {
+
+/// A run's arguments, converted afresh for every attempt of the ladder
+/// (docs/ROBUSTNESS.md): the VM gets buffers it alone owns, the conversion
+/// is charged to the run's budget, and an injected fault striking during
+/// it is absorbed by the same ladder. Boxed arguments (the public boxed
+/// API) convert through from_boxed; literal text (the daemon) through the
+/// signature-driven codec, with parse_value for text outside its subset.
+class ArgSource {
+ public:
+  ArgSource(const std::string& fn, std::vector<TypePtr> params,
+            const ValueList& boxed)
+      : fn_(fn), params_(std::move(params)), boxed_(&boxed) {
+    require_count(boxed.size());
+  }
+
+  ArgSource(const std::string& fn, std::vector<TypePtr> params,
+            std::span<const std::string_view> text, std::uint64_t* fallbacks)
+      : fn_(fn), params_(std::move(params)), text_(text),
+        fallbacks_(fallbacks) {
+    require_count(text.size());
+  }
+
+  /// Flat arguments for the vector engines.
+  std::vector<exec::VValue> flat() {
+    if (fallbacks_ != nullptr) *fallbacks_ = 0;
+    std::vector<exec::VValue> out;
+    out.reserve(params_.size());
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      out.push_back(flat_arg(i));
+    }
+    return out;
+  }
+
+  /// Boxed arguments for the reference interpreter.
+  ValueList boxed() {
+    if (boxed_ != nullptr) return *boxed_;
+    if (fallbacks_ != nullptr) *fallbacks_ = 0;
+    ValueList out;
+    out.reserve(params_.size());
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      out.push_back(kernels::to_boxed(flat_arg(i), params_[i]));
+    }
+    return out;
+  }
+
+ private:
+  void require_count(std::size_t n) const {
+    if (n == params_.size()) return;
+    std::string msg = "'";
+    msg += fn_;
+    msg += "' called with wrong argument count: expected ";
+    msg += std::to_string(params_.size());
+    msg += ", got ";
+    msg += std::to_string(n);
+    throw SignatureError(msg);
+  }
+
+  exec::VValue flat_arg(std::size_t i) {
+    if (boxed_ != nullptr) return convert((*boxed_)[i], i);
+    if (std::optional<exec::VValue> v = kernels::decode(text_[i], params_[i])) {
+      return std::move(*v);
+    }
+    if (fallbacks_ != nullptr) *fallbacks_ += 1;
+    return convert(parse_value(text_[i]), i);
+  }
+
+  exec::VValue convert(const Value& v, std::size_t i) const {
+    try {
+      return kernels::from_boxed(v, params_[i]);
+    } catch (const EvalError&) {
+      std::string msg = "argument ";
+      msg += std::to_string(i + 1);
+      msg += " of '";
+      msg += fn_;
+      msg += "' must have type ";
+      msg += lang::to_string(params_[i]);
+      throw SignatureError(msg);
+    }
+  }
+
+  const std::string& fn_;
+  std::vector<TypePtr> params_;
+  const ValueList* boxed_ = nullptr;
+  std::span<const std::string_view> text_;
+  std::uint64_t* fallbacks_ = nullptr;
 };
+
+}  // namespace detail
+
+namespace {
+
+std::vector<TypePtr> param_types(const FunDef& f) {
+  std::vector<TypePtr> out;
+  out.reserve(f.params.size());
+  for (const auto& p : f.params) out.push_back(p.type);
+  return out;
+}
+
+/// The boxed form of an attempt's result.
+template <class Outcome>
+Value boxed(Outcome out, const TypePtr& type) {
+  if (Value* v = std::get_if<Value>(&out)) return std::move(*v);
+  return kernels::to_boxed(std::get<exec::VValue>(out), type);
+}
+
+/// The literal text of an attempt's result.
+template <class Outcome>
+std::string text(const Outcome& out, const TypePtr& type) {
+  if (const Value* v = std::get_if<Value>(&out)) return interp::to_text(*v);
+  std::string s;
+  kernels::encode(std::get<exec::VValue>(out), type, s);
+  return s;
+}
+
+}  // namespace
 
 Session::Session(std::string_view program_source,
                  std::string_view entry_source,
@@ -50,8 +158,9 @@ Session::Session(std::shared_ptr<const xform::Compiled> compiled,
 
 const FunDef& Session::checked_fun(const std::string& name) const {
   const FunDef* f = compiled_->checked.find(name);
-  PROTEUS_REQUIRE(EvalError, f != nullptr,
-                  "session has no function named '" + name + "'");
+  if (f == nullptr) {
+    throw SignatureError("session has no function named '" + name + "'");
+  }
   return *f;
 }
 
@@ -59,7 +168,23 @@ TypePtr Session::result_type(const std::string& name) const {
   return checked_fun(name).result;
 }
 
-Value Session::run_ladder(std::vector<Rung> rungs) {
+const char* Session::engine_name(Engine engine) {
+  switch (engine) {
+    case Engine::kVm:
+      return "vm";
+    case Engine::kVmO0:
+      return "vm-o0";
+    case Engine::kExec:
+      return "exec";
+    case Engine::kInterp:
+      break;
+  }
+  return "interp";
+}
+
+Session::Outcome Session::run_ladder(std::span<const Engine> rungs,
+                                     const std::string* name,
+                                     detail::ArgSource* args) {
   cost_ = RunCost{};
   degradations_.clear();
   RunScope tracing(tracer_);
@@ -70,12 +195,12 @@ Value Session::run_ladder(std::vector<Rung> rungs) {
   // clears the registry) so they survive into last_cost().metrics.
   std::map<std::string, std::uint64_t> rt_events;
   auto merge_events = [&] {
-    for (const auto& [name, count] : rt_events) cost_.metrics.add(name, count);
+    for (const auto& [event, count] : rt_events) cost_.metrics.add(event, count);
   };
   for (std::size_t i = 0;; ++i) {
-    const Rung& rung = rungs[i];
+    const char* engine = engine_name(rungs[i]);
     try {
-      Value result = rung.run();
+      Outcome result = attempt(rungs[i], name, args);
       merge_events();
       return result;
     } catch (const rt::RuntimeTrap& trap) {
@@ -83,292 +208,165 @@ Value Session::run_ladder(std::vector<Rung> rungs) {
       const bool can_retry = fallback_ && i + 1 < rungs.size() &&
                              rt::retryable(trap.trap());
       if (!can_retry) {
-        degradations_.push_back(std::string("trap in ") + rung.engine + ": " +
+        degradations_.push_back(std::string("trap in ") + engine + ": " +
                                 trap.what());
         merge_events();
         throw;
       }
-      const Rung& next = rungs[i + 1];
-      rt_events[std::string("rt.fallback.") + rung.engine] += 1;
-      degradations_.push_back(std::string(rung.engine) + " -> " + next.engine +
+      const char* next = engine_name(rungs[i + 1]);
+      rt_events[std::string("rt.fallback.") + engine] += 1;
+      degradations_.push_back(std::string(engine) + " -> " + next +
                               " after " + trap.what());
       if (obs::Tracer* t = obs::tracer()) {
-        t->instant("run", std::string("rt.fallback.") + rung.engine,
-                   trap.what());
+        t->instant("run", std::string("rt.fallback.") + engine, trap.what());
       }
     }
   }
 }
 
+Session::Outcome Session::attempt(Engine engine, const std::string* name,
+                                  detail::ArgSource* args) {
+  cost_ = RunCost{};
+  switch (engine) {
+    case Engine::kVm:
+    case Engine::kVmO0: {
+      std::vector<exec::VValue> vargs;
+      if (name != nullptr) vargs = args->flat();
+      // The pipeline already bytecode-verified the module at assembly
+      // time; re-verifying on every run would tax the dispatch benches.
+      vm::VM machine(engine == Engine::kVm ? compiled_->module
+                                           : compiled_->module_o0,
+                     {prim_options_, vm_profile_, /*verify=*/false, vm_arena_,
+                      vm_admission_});
+      vl::reset_stats();
+      exec::VValue result;
+      {
+        obs::Span span("run", "run.vm");
+        result = name != nullptr
+                     ? machine.call_function(*name, std::move(vargs))
+                     : machine.eval_entry();
+        cost_.vm_ops = machine.stats();
+        cost_.vector_work = vl::stats();
+        span.counter("elements", cost_.vector_work.element_work);
+        span.counter("segments", cost_.vector_work.segment_work);
+        span.counter("instructions", cost_.vm_ops.instructions);
+        span.counter("calls", cost_.vm_ops.calls);
+      }
+      publish_metrics(cost_, "vm");
+      return result;
+    }
+    case Engine::kExec: {
+      std::vector<exec::VValue> vargs;
+      if (name != nullptr) vargs = args->flat();
+      exec::Executor ex(compiled_->vec, prim_options_);
+      vl::reset_stats();
+      exec::VValue result;
+      {
+        obs::Span span("run", "run.vector");
+        result = name != nullptr ? ex.call_function(*name, vargs)
+                                 : ex.eval(compiled_->entry_vec);
+        cost_.vector_ops = ex.stats();
+        cost_.vector_work = vl::stats();
+        span.counter("elements", cost_.vector_work.element_work);
+        span.counter("segments", cost_.vector_work.segment_work);
+        span.counter("prims", cost_.vector_work.primitive_calls);
+        span.counter("calls", cost_.vector_ops.calls);
+      }
+      publish_metrics(cost_, "vec");
+      return result;
+    }
+    case Engine::kInterp:
+      break;
+  }
+  ValueList boxed_args;
+  if (name != nullptr) boxed_args = args->boxed();
+  interp::Interpreter interp(compiled_->checked);
+  Value result;
+  {
+    obs::Span span("run", "run.reference");
+    result = name != nullptr ? interp.call_function(*name, boxed_args)
+                             : interp.eval(compiled_->entry_checked);
+    cost_.reference = interp.stats();
+    span.counter("iterations", cost_.reference.iterations);
+    span.counter("scalar_ops", cost_.reference.scalar_ops);
+    span.counter("calls", cost_.reference.calls);
+  }
+  publish_metrics(cost_, "ref");
+  return result;
+}
+
+Session::Outcome Session::run_vm_ladder(const std::string* name,
+                                        detail::ArgSource* args) {
+  // vm -O1 -> vm -O0 (when the optimizer changed the module) -> tree
+  // executor -> reference interpreter.
+  static constexpr Engine kFull[] = {Engine::kVm, Engine::kVmO0,
+                                     Engine::kExec, Engine::kInterp};
+  static constexpr Engine kNoO0[] = {Engine::kVm, Engine::kExec,
+                                     Engine::kInterp};
+  const bool has_o0 = compiled_->module_o0 != nullptr &&
+                      compiled_->module_o0 != compiled_->module;
+  return has_o0 ? run_ladder(kFull, name, args)
+                : run_ladder(kNoO0, name, args);
+}
+
 Value Session::run_reference(const std::string& name,
                              const ValueList& args) {
-  Rung rung{"interp", [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-      span.counter("iterations", cost_.reference.iterations);
-      span.counter("scalar_ops", cost_.reference.scalar_ops);
-      span.counter("calls", cost_.reference.calls);
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  }};
-  std::vector<Rung> rungs;
-  rungs.push_back(std::move(rung));
-  return run_ladder(std::move(rungs));
+  const FunDef& f = checked_fun(name);
+  detail::ArgSource source(name, param_types(f), args);
+  static constexpr Engine kRungs[] = {Engine::kInterp};
+  return boxed(run_ladder(kRungs, &name, &source), f.result);
 }
 
 Value Session::run_vector(const std::string& name, const ValueList& args) {
   const FunDef& f = checked_fun(name);
-  PROTEUS_REQUIRE(EvalError, f.params.size() == args.size(),
-                  "'" + name + "' called with wrong argument count");
-  auto exec_attempt = [this, &f, &name, &args] {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.call_function(name, vargs);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("prims", cost_.vector_work.primitive_calls);
-      span.counter("calls", cost_.vector_ops.calls);
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, f.result);
-  };
-  auto interp_attempt = [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  detail::ArgSource source(name, param_types(f), args);
+  static constexpr Engine kRungs[] = {Engine::kExec, Engine::kInterp};
+  return boxed(run_ladder(kRungs, &name, &source), f.result);
 }
 
 Value Session::run_vm(const std::string& name, const ValueList& args) {
   const FunDef& f = checked_fun(name);
-  PROTEUS_REQUIRE(EvalError, f.params.size() == args.size(),
-                  "'" + name + "' called with wrong argument count");
-  auto vm_attempt = [this, &f, &name, &args](
-                        const std::shared_ptr<const vm::Module>& module) {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    // The pipeline already bytecode-verified the module at assembly
-    // time; re-verifying on every run would tax the dispatch benches.
-    vm::VM machine(module, {prim_options_, vm_profile_, /*verify=*/false,
-                            vm_arena_, vm_admission_});
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vm");
-      result = machine.call_function(name, std::move(vargs));
-      cost_.vm_ops = machine.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("instructions", cost_.vm_ops.instructions);
-      span.counter("calls", cost_.vm_ops.calls);
-    }
-    publish_metrics(cost_, "vm");
-    return exec::to_boxed(result, f.result);
-  };
-  auto exec_attempt = [this, &f, &name, &args] {
-    cost_ = RunCost{};
-    std::vector<exec::VValue> vargs;
-    vargs.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      vargs.push_back(exec::from_boxed(args[i], f.params[i].type));
-    }
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.call_function(name, vargs);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, f.result);
-  };
-  auto interp_attempt = [this, &name, &args] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.call_function(name, args);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"vm", [vm_attempt, this] {
-    return vm_attempt(compiled_->module);
-  }});
-  if (compiled_->module_o0 != nullptr &&
-      compiled_->module_o0 != compiled_->module) {
-    rungs.push_back({"vm-o0", [vm_attempt, this] {
-      return vm_attempt(compiled_->module_o0);
-    }});
-  }
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  detail::ArgSource source(name, param_types(f), args);
+  return boxed(run_vm_ladder(&name, &source), f.result);
+}
+
+std::string Session::run_vm_text(const std::string& name,
+                                 std::span<const std::string_view> args) {
+  decode_fallbacks_ = 0;
+  const FunDef& f = checked_fun(name);
+  detail::ArgSource source(name, param_types(f), args, &decode_fallbacks_);
+  return text(run_vm_ladder(&name, &source), f.result);
 }
 
 Value Session::run_entry_reference() {
   PROTEUS_REQUIRE(EvalError, compiled_->entry_checked != nullptr,
                   "session was created without an entry expression");
-  Rung rung{"interp", [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-      span.counter("iterations", cost_.reference.iterations);
-      span.counter("scalar_ops", cost_.reference.scalar_ops);
-      span.counter("calls", cost_.reference.calls);
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  }};
-  std::vector<Rung> rungs;
-  rungs.push_back(std::move(rung));
-  return run_ladder(std::move(rungs));
+  static constexpr Engine kRungs[] = {Engine::kInterp};
+  return boxed(run_ladder(kRungs, nullptr, nullptr),
+               compiled_->entry_checked->type);
 }
 
 Value Session::run_entry_vector() {
   PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
                   "session was created without an entry expression");
-  auto exec_attempt = [this] {
-    cost_ = RunCost{};
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.eval(compiled_->entry_vec);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("prims", cost_.vector_work.primitive_calls);
-      span.counter("calls", cost_.vector_ops.calls);
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto interp_attempt = [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  static constexpr Engine kRungs[] = {Engine::kExec, Engine::kInterp};
+  return boxed(run_ladder(kRungs, nullptr, nullptr),
+               compiled_->entry_checked->type);
 }
 
 Value Session::run_entry_vm() {
   PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
                   "session was created without an entry expression");
-  auto vm_attempt = [this](const std::shared_ptr<const vm::Module>& module) {
-    cost_ = RunCost{};
-    // The pipeline already bytecode-verified the module at assembly
-    // time; re-verifying on every run would tax the dispatch benches.
-    vm::VM machine(module, {prim_options_, vm_profile_, /*verify=*/false,
-                            vm_arena_, vm_admission_});
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vm");
-      result = machine.eval_entry();
-      cost_.vm_ops = machine.stats();
-      cost_.vector_work = vl::stats();
-      span.counter("elements", cost_.vector_work.element_work);
-      span.counter("segments", cost_.vector_work.segment_work);
-      span.counter("instructions", cost_.vm_ops.instructions);
-      span.counter("calls", cost_.vm_ops.calls);
-    }
-    publish_metrics(cost_, "vm");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto exec_attempt = [this] {
-    cost_ = RunCost{};
-    exec::Executor ex(compiled_->vec, prim_options_);
-    vl::reset_stats();
-    exec::VValue result;
-    {
-      obs::Span span("run", "run.vector");
-      result = ex.eval(compiled_->entry_vec);
-      cost_.vector_ops = ex.stats();
-      cost_.vector_work = vl::stats();
-    }
-    publish_metrics(cost_, "vec");
-    return exec::to_boxed(result, compiled_->entry_checked->type);
-  };
-  auto interp_attempt = [this] {
-    cost_ = RunCost{};
-    interp::Interpreter interp(compiled_->checked);
-    Value result;
-    {
-      obs::Span span("run", "run.reference");
-      result = interp.eval(compiled_->entry_checked);
-      cost_.reference = interp.stats();
-    }
-    publish_metrics(cost_, "ref");
-    return result;
-  };
-  std::vector<Rung> rungs;
-  rungs.push_back({"vm", [vm_attempt, this] {
-    return vm_attempt(compiled_->module);
-  }});
-  if (compiled_->module_o0 != nullptr &&
-      compiled_->module_o0 != compiled_->module) {
-    rungs.push_back({"vm-o0", [vm_attempt, this] {
-      return vm_attempt(compiled_->module_o0);
-    }});
-  }
-  rungs.push_back({"exec", exec_attempt});
-  rungs.push_back({"interp", interp_attempt});
-  return run_ladder(std::move(rungs));
+  return boxed(run_vm_ladder(nullptr, nullptr),
+               compiled_->entry_checked->type);
+}
+
+std::string Session::run_entry_vm_text() {
+  decode_fallbacks_ = 0;
+  PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
+                  "session was created without an entry expression");
+  return text(run_vm_ladder(nullptr, nullptr),
+              compiled_->entry_checked->type);
 }
 
 ModuleRunner::ModuleRunner(std::shared_ptr<const vm::Module> module)
@@ -377,35 +375,67 @@ ModuleRunner::ModuleRunner(std::shared_ptr<const vm::Module> module)
                   "ModuleRunner requires a non-null module");
 }
 
-Value ModuleRunner::run(const std::string& name, const ValueList& args) {
+std::uint32_t ModuleRunner::callable(const std::string& name) const {
   auto it = module_->fn_index.find(name);
-  PROTEUS_REQUIRE(EvalError, it != module_->fn_index.end(),
-                  "module has no function named '" + name + "'");
-  return run_at(it->second, args);
+  if (it == module_->fn_index.end()) {
+    throw SignatureError("module has no function named '" + name + "'");
+  }
+  return it->second;
+}
+
+const vm::Signature& ModuleRunner::signature(std::uint32_t index) const {
+  const vm::Signature* sig = module_->signature(index);
+  if (sig == nullptr) {
+    throw SignatureError("module carries no calling convention for '" +
+                         module_->functions[index].name +
+                         "' (internal functions are not callable)");
+  }
+  return *sig;
+}
+
+Value ModuleRunner::run(const std::string& name, const ValueList& args) {
+  const std::uint32_t index = callable(name);
+  const vm::Signature& sig = signature(index);
+  detail::ArgSource source(name, sig.params, args);
+  return kernels::to_boxed(run_at(index, &source), sig.result);
 }
 
 Value ModuleRunner::run_entry() {
   PROTEUS_REQUIRE(EvalError, module_->entry >= 0,
                   "module was compiled without an entry expression");
-  return run_at(static_cast<std::uint32_t>(module_->entry), {});
+  const auto index = static_cast<std::uint32_t>(module_->entry);
+  return kernels::to_boxed(run_at(index, nullptr), signature(index).result);
 }
 
-Value ModuleRunner::run_at(std::uint32_t index, const ValueList& args) {
-  const vm::Signature* sig = module_->signature(index);
+std::string ModuleRunner::run_text(const std::string& name,
+                                   std::span<const std::string_view> args) {
+  decode_fallbacks_ = 0;
+  const std::uint32_t index = callable(name);
+  const vm::Signature& sig = signature(index);
+  detail::ArgSource source(name, sig.params, args, &decode_fallbacks_);
+  std::string out;
+  kernels::encode(run_at(index, &source), sig.result, out);
+  return out;
+}
+
+std::string ModuleRunner::run_entry_text() {
+  decode_fallbacks_ = 0;
+  PROTEUS_REQUIRE(EvalError, module_->entry >= 0,
+                  "module was compiled without an entry expression");
+  const auto index = static_cast<std::uint32_t>(module_->entry);
+  std::string out;
+  kernels::encode(run_at(index, nullptr), signature(index).result, out);
+  return out;
+}
+
+exec::VValue ModuleRunner::run_at(std::uint32_t index,
+                                  detail::ArgSource* args) {
   const std::string& name = module_->functions[index].name;
-  PROTEUS_REQUIRE(EvalError, sig != nullptr,
-                  "module carries no calling convention for '" + name +
-                      "' (internal functions are not callable)");
-  PROTEUS_REQUIRE(EvalError, sig->params.size() == args.size(),
-                  "'" + name + "' called with wrong argument count");
   cost_ = RunCost{};
   RunScope tracing(tracer_);
   rt::GovernorScope governor(budget_);
   std::vector<exec::VValue> vargs;
-  vargs.reserve(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    vargs.push_back(exec::from_boxed(args[i], sig->params[i]));
-  }
+  if (args != nullptr) vargs = args->flat();
   // Verification happened at load (vm::load_module); re-verifying per run
   // would defeat the point of caching the module.
   vm::VM machine(module_, {prim_options_, /*profile=*/false,
@@ -423,7 +453,7 @@ Value ModuleRunner::run_at(std::uint32_t index, const ValueList& args) {
     span.counter("calls", cost_.vm_ops.calls);
   }
   publish_metrics(cost_, "vm");
-  return exec::to_boxed(result, sig->result);
+  return result;
 }
 
 Value parse_value(std::string_view literal) {

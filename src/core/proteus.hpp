@@ -14,6 +14,9 @@
 // All engines take and return boxed interp::Values so results are
 // directly comparable; cost counters for each engine are exposed for the
 // machine-independent measurements the Proteus methodology prescribes.
+// run_vm_text is the serving form of run_vm: literal text in, literal
+// text out, converted straight to and from the flat representation by
+// the function's signature (kernels/codec.hpp).
 //
 // Quickstart:
 //
@@ -24,8 +27,11 @@
 //   // v == [1,4,9,16,25]
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -37,6 +43,19 @@
 #include "xform/pipeline.hpp"
 
 namespace proteus {
+
+/// A call that does not fit the callee's signature: an unknown function,
+/// a wrong argument count, or an argument that does not have its
+/// parameter's type. The serving daemon reports it as a bad request.
+/// Derives from EvalError, which these failures raised before.
+class SignatureError : public EvalError {
+ public:
+  using EvalError::EvalError;
+};
+
+namespace detail {
+class ArgSource;  // a run's arguments, converted afresh per attempt
+}  // namespace detail
 
 /// Cost counters from the most recent run_* call on a Session. Reset at
 /// the start of every run_* call, so it never mixes two runs.
@@ -82,6 +101,25 @@ class Session {
   /// result as run_vector; per-opcode profile lands in last_cost().vm_ops).
   [[nodiscard]] interp::Value run_vm(const std::string& name,
                                      const interp::ValueList& args);
+
+  /// Text-in/text-out form of run_vm, the one the serving daemon uses.
+  /// Each argument is a P literal that kernels::decode reads straight
+  /// into the flat representation, driven by the function's signature;
+  /// text outside its literal subset goes through parse_value instead
+  /// (counted by last_decode_fallbacks()). The result is rendered straight
+  /// from the flat value by kernels::encode. Same ladder, budget, metrics
+  /// and result text as interp::to_text(run_vm(name, parsed arguments)).
+  [[nodiscard]] std::string run_vm_text(
+      const std::string& name, std::span<const std::string_view> args);
+
+  /// Text form of run_entry_vm.
+  [[nodiscard]] std::string run_entry_vm_text();
+
+  /// Arguments of the most recent run_vm_text call that the literal codec
+  /// left to the general evaluator.
+  [[nodiscard]] std::uint64_t last_decode_fallbacks() const {
+    return decode_fallbacks_;
+  }
 
   /// Runs the entry expression on the reference interpreter.
   [[nodiscard]] interp::Value run_entry_reference();
@@ -151,10 +189,21 @@ class Session {
   [[nodiscard]] lang::TypePtr result_type(const std::string& name) const;
 
  private:
-  struct Rung;  // one engine attempt of the degradation ladder
+  /// One rung of the degradation ladder.
+  enum class Engine : std::uint8_t { kVm, kVmO0, kExec, kInterp };
+  static const char* engine_name(Engine engine);
+  /// What an attempt produced: the vector engines' flat value or the
+  /// interpreter's boxed one.
+  using Outcome = std::variant<exec::VValue, interp::Value>;
 
   const lang::FunDef& checked_fun(const std::string& name) const;
-  interp::Value run_ladder(std::vector<Rung> rungs);
+  /// Runs function `*name` (or the entry when `name` is null) down the
+  /// given rungs, taking the arguments of each attempt from `args`.
+  Outcome run_ladder(std::span<const Engine> rungs, const std::string* name,
+                     detail::ArgSource* args);
+  Outcome attempt(Engine engine, const std::string* name,
+                  detail::ArgSource* args);
+  Outcome run_vm_ladder(const std::string* name, detail::ArgSource* args);
 
   std::shared_ptr<const xform::Compiled> compiled_;
   exec::PrimOptions prim_options_;
@@ -166,6 +215,7 @@ class Session {
   rt::ExecBudget budget_;
   bool fallback_ = true;
   std::vector<std::string> degradations_;
+  std::uint64_t decode_fallbacks_ = 0;
 };
 
 /// Runs a deserialized VCODE module (vm/module_io.hpp) on the bytecode VM
@@ -190,6 +240,17 @@ class ModuleRunner {
   /// Runs the module's entry expression.
   [[nodiscard]] interp::Value run_entry();
 
+  /// Text-in/text-out forms of run and run_entry, as Session::run_vm_text.
+  [[nodiscard]] std::string run_text(const std::string& name,
+                                     std::span<const std::string_view> args);
+  [[nodiscard]] std::string run_entry_text();
+
+  /// Arguments of the most recent run_text call that the literal codec
+  /// left to the general evaluator.
+  [[nodiscard]] std::uint64_t last_decode_fallbacks() const {
+    return decode_fallbacks_;
+  }
+
   void set_budget(const rt::ExecBudget& budget) { budget_ = budget; }
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   /// Same plan-backed arena / admission knobs as Session (run_vm path).
@@ -200,8 +261,11 @@ class ModuleRunner {
   [[nodiscard]] const RunCost& last_cost() const { return cost_; }
 
  private:
-  [[nodiscard]] interp::Value run_at(std::uint32_t index,
-                                     const interp::ValueList& args);
+  /// The callable function `name` and its calling convention.
+  [[nodiscard]] std::uint32_t callable(const std::string& name) const;
+  [[nodiscard]] const vm::Signature& signature(std::uint32_t index) const;
+  [[nodiscard]] exec::VValue run_at(std::uint32_t index,
+                                    detail::ArgSource* args);
 
   std::shared_ptr<const vm::Module> module_;
   exec::PrimOptions prim_options_;
@@ -210,6 +274,7 @@ class ModuleRunner {
   obs::Tracer* tracer_ = nullptr;
   RunCost cost_;
   rt::ExecBudget budget_;
+  std::uint64_t decode_fallbacks_ = 0;
 };
 
 /// Parses and evaluates a closed P literal/expression (e.g.

@@ -185,45 +185,18 @@ class Scanner {
   }
 
   Token number(SourceLoc loc) {
-    std::size_t start = pos_;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      advance();
-    }
-    // A '.' is part of the number only when followed by a digit ("1..n"
-    // must lex as 1 then "..").
-    bool is_real = false;
-    if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
-      is_real = true;
-      advance();
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        advance();
-      }
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      std::size_t mark = pos_;
-      advance();
-      if (peek() == '+' || peek() == '-') advance();
-      if (std::isdigit(static_cast<unsigned char>(peek()))) {
-        is_real = true;
-        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
-          advance();
-        }
-      } else {
-        pos_ = mark;  // 'e' begins an identifier, not an exponent
-      }
-    }
-    std::string text(src_.substr(start, pos_ - start));
-    Token t = make(is_real ? Tok::kRealLit : Tok::kIntLit, loc, text);
-    if (is_real) {
-      t.real_value = std::stod(text);
+    const NumberExtent n = scan_number(src_.substr(pos_));
+    std::string text(src_.substr(pos_, n.length));
+    for (std::size_t i = 0; i < n.length; ++i) advance();
+    Token t = make(n.is_real ? Tok::kRealLit : Tok::kIntLit, loc, text);
+    if (n.is_real) {
+      std::optional<double> value = real_literal_value(text);
+      if (!value.has_value()) fail("real literal out of range: " + text);
+      t.real_value = *value;
     } else {
-      vl::Int value = 0;
-      auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), value);
-      if (ec != std::errc{} || ptr != text.data() + text.size()) {
-        fail("integer literal out of range: " + text);
-      }
-      t.int_value = value;
+      std::optional<std::int64_t> value = int_literal_value(text);
+      if (!value.has_value()) fail("integer literal out of range: " + text);
+      t.int_value = *value;
     }
     return t;
   }
@@ -238,6 +211,103 @@ class Scanner {
 
 std::vector<Token> lex(std::string_view source) {
   return Scanner(source).run();
+}
+
+NumberExtent scan_number(std::string_view s) {
+  auto digit = [&](std::size_t i) {
+    return i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]));
+  };
+  NumberExtent n;
+  std::size_t i = 0;
+  while (digit(i)) ++i;
+  if (i < s.size() && s[i] == '.' && digit(i + 1)) {
+    n.is_real = true;
+    for (++i; digit(i);) ++i;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    std::size_t j = i + 1;
+    if (j < s.size() && (s[j] == '+' || s[j] == '-')) ++j;
+    if (digit(j)) {
+      n.is_real = true;
+      for (i = j; digit(i);) ++i;
+    }
+  }
+  n.length = i;
+  return n;
+}
+
+std::optional<std::int64_t> int_literal_value(std::string_view token) {
+  std::int64_t value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+namespace {
+
+/// The powers of ten a double holds exactly.
+constexpr double kExactPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                  1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
+                                  1e18, 1e19, 1e20, 1e21, 1e22};
+
+/// Clinger's fast path: a literal whose significant digits form an
+/// integer w < 2^53 and whose decimal exponent q has |q| <= 22 is w * 10^q
+/// (or w / 10^-q), one IEEE operation on two exact operands and so
+/// correctly rounded. Short literals like "1.250" all take it.
+std::optional<double> exact_small_real(std::string_view token) {
+  std::uint64_t w = 0;
+  int digits = 0;     // significant digits in w
+  int q = 0;          // decimal exponent of w's last digit
+  bool fraction = false;
+  std::size_t i = 0;
+  for (; i < token.size(); ++i) {
+    const char c = token[i];
+    if (c == '.') {
+      fraction = true;
+      continue;
+    }
+    if (c == 'e' || c == 'E') break;
+    if (c < '0' || c > '9') return std::nullopt;
+    if (w == 0 && c == '0') {
+      if (fraction) --q;  // leading zero: no significant digit yet
+      continue;
+    }
+    if (++digits > 15) return std::nullopt;
+    w = w * 10 + static_cast<std::uint64_t>(c - '0');
+    if (fraction) --q;
+  }
+  if (i < token.size()) {  // exponent: [eE][+-]digits
+    ++i;
+    bool negative = false;
+    if (i < token.size() && (token[i] == '+' || token[i] == '-')) {
+      negative = token[i++] == '-';
+    }
+    int e = 0;
+    if (i == token.size()) return std::nullopt;
+    for (; i < token.size(); ++i) {
+      if (token[i] < '0' || token[i] > '9' || e > 1000) return std::nullopt;
+      e = e * 10 + (token[i] - '0');
+    }
+    q += negative ? -e : e;
+  }
+  if (w == 0) return 0.0;
+  if (q < -22 || q > 22) return std::nullopt;
+  const double x = static_cast<double>(w);
+  return q >= 0 ? x * kExactPow10[q] : x / kExactPow10[-q];
+}
+
+}  // namespace
+
+std::optional<double> real_literal_value(std::string_view token) {
+  if (std::optional<double> v = exact_small_real(token)) return v;
+  double value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value,
+                                   std::chars_format::general);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 std::string token_name(Tok t) {

@@ -1,5 +1,7 @@
 #include "lang/parser.hpp"
 
+#include <charconv>
+#include <string_view>
 #include <utility>
 
 #include "lang/lexer.hpp"
@@ -67,6 +69,18 @@ class Parser {
     const Token& t = peek();
     throw SyntaxError("parse error at " + std::to_string(t.loc.line) + ":" +
                       std::to_string(t.loc.column) + ": " + msg);
+  }
+
+  /// A tuple component index written as decimal digits; one that does not
+  /// fit an int is an error rather than a wrapped or truncated index.
+  int component_index(std::string_view digits) const {
+    int value = 0;
+    const char* end = digits.data() + digits.size();
+    auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      fail("tuple component index out of range: " + std::string(digits));
+    }
+    return value;
   }
 
   // --- types -----------------------------------------------------------------
@@ -351,13 +365,13 @@ class Parser {
               k.text.find('.', dot + 1) != std::string::npos) {
             fail("expected integer tuple component indices");
           }
-          int first = std::stoi(k.text.substr(0, dot));
-          int second = std::stoi(k.text.substr(dot + 1));
+          int first = component_index(k.text.substr(0, dot));
+          int second = component_index(k.text.substr(dot + 1));
           e = make_expr(TupleGet{std::move(e), first}, nullptr, loc);
           e = make_expr(TupleGet{std::move(e), second}, nullptr, loc);
         } else {
           const Token& k = expect(Tok::kIntLit, "as tuple component index");
-          e = make_expr(TupleGet{std::move(e), static_cast<int>(k.int_value)},
+          e = make_expr(TupleGet{std::move(e), component_index(k.text)},
                         nullptr, loc);
         }
       } else {

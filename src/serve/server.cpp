@@ -587,9 +587,10 @@ Json Server::do_eval(const Json& req) {
                                         "eval needs \"fun\" or \"entry\""));
   }
 
-  // Argument literals parse OUTSIDE the governor scope of the run (they
-  // are request plumbing, not program work) but still under try: a bad
-  // literal is the client's error, reported structurally.
+  // Argument literals decode inside the run, in each ladder attempt
+  // (charged to the request's budget, like the values the run computes)
+  // and under try: a bad literal is the client's error, reported
+  // structurally.
   std::string budget_error;
   const rt::ExecBudget budget =
       effective_budget(req, options_.max_budget, &budget_error);
@@ -597,28 +598,30 @@ Json Server::do_eval(const Json& req) {
     count("serve.errors.bad_request");
     return error_reply(req, error_value("bad_request", "", budget_error));
   }
-  try {
-    interp::ValueList args;
-    for (const Json& a : req.get("args").as_array()) {
-      if (!a.is_string()) {
-        count("serve.errors.bad_request");
-        return error_reply(
-            req, error_value("bad_request", "",
-                             "\"args\" must be P literals as strings"));
-      }
-      args.push_back(parse_value(a.as_string()));
+  std::vector<std::string_view> args;
+  for (const Json& a : req.get("args").as_array()) {
+    if (!a.is_string()) {
+      count("serve.errors.bad_request");
+      return error_reply(
+          req, error_value("bad_request", "",
+                           "\"args\" must be P literals as strings"));
     }
-
-    interp::Value result;
+    args.emplace_back(a.as_string());
+  }
+  try {
+    std::string result;
     obs::MetricsRegistry run_metrics;
     Json degradations;
     std::string engine = "vm";
+    std::uint64_t decode_fallbacks = 0;
     if (entry->compiled != nullptr) {
       Session session(entry->compiled);
       session.set_budget(budget);
       session.set_arena(options_.arena);
       session.set_admission(options_.admission);
-      result = has_fun ? session.run_vm(fun, args) : session.run_entry_vm();
+      result = has_fun ? session.run_vm_text(fun, args)
+                       : session.run_entry_vm_text();
+      decode_fallbacks = session.last_decode_fallbacks();
       run_metrics = session.last_cost().metrics;
       if (!session.last_degradations().empty()) {
         Json::Array lines;
@@ -634,13 +637,15 @@ Json Server::do_eval(const Json& req) {
       runner.set_budget(budget);
       runner.set_arena(options_.arena);
       runner.set_admission(options_.admission);
-      result = has_fun ? runner.run(fun, args) : runner.run_entry();
+      result = has_fun ? runner.run_text(fun, args) : runner.run_entry_text();
+      decode_fallbacks = runner.last_decode_fallbacks();
       run_metrics = runner.last_cost().metrics;
       engine = "vm-module";
     }
 
     count("serve.eval.count");
     if (cache_hit) count("serve.eval.warm");
+    count("serve.decode.fallbacks", decode_fallbacks);
     count("serve.eval.wall_ns", elapsed_ns(start));
     // Accumulate the allocator counters across evals (OpenMetrics
     // counters) and remember the plan gauges of this eval.
@@ -659,7 +664,7 @@ Json Server::do_eval(const Json& req) {
     reply["key"] = vm::hash_hex(key);
     reply["cached"] = cache_hit;
     reply["engine"] = engine;
-    reply["result"] = interp::to_text(result);
+    reply["result"] = std::move(result);
     reply["metrics"] = metrics_object(run_metrics);
     if (!degradations.is_null()) reply["degradations"] = degradations;
     return Json(std::move(reply));
@@ -676,6 +681,9 @@ Json Server::do_eval(const Json& req) {
     e["bytes_at_trip"] = trap.bytes_at_trip();
     e["steps_at_trip"] = trap.steps_at_trip();
     return error_reply(req, Json(std::move(e)));
+  } catch (const SignatureError& e) {
+    count("serve.errors.bad_request");
+    return error_reply(req, error_value("bad_request", "", e.what()));
   } catch (const SyntaxError& e) {
     count("serve.errors.bad_request");
     return error_reply(req, error_value("bad_request", "",

@@ -23,6 +23,10 @@ struct TriCase {
   const char* arg;
 };
 
+// Print a case by name: the default byte dump shows the string pointers,
+// which move with every run and would make the listed test names unstable.
+void PrintTo(const TriCase& c, std::ostream* os) { *os << c.name; }
+
 class Triangle : public ::testing::TestWithParam<TriCase> {};
 
 TEST_P(Triangle, AllThreeAgree) {

@@ -1,6 +1,8 @@
 // Tests for the scanner.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lang/lexer.hpp"
 #include "vl/check.hpp"
 
@@ -47,6 +49,39 @@ TEST(Lexer, RealLiterals) {
   EXPECT_DOUBLE_EQ(toks[0].real_value, 1.5);
   EXPECT_DOUBLE_EQ(toks[1].real_value, 2000.0);
   EXPECT_DOUBLE_EQ(toks[2].real_value, 0.07);
+}
+
+TEST(Lexer, RealLiteralsKeepSubnormalsAndRejectOverflow) {
+  // Out-of-range literals are syntax errors, never an escaping
+  // std::out_of_range (which would terminate a serving process).
+  EXPECT_EQ(lex("1e-310")[0].real_value, 1e-310);
+  EXPECT_EQ(lex("4.9e-324")[0].real_value,
+            std::numeric_limits<double>::denorm_min());
+  for (const char* src : {"1e999", "1.8e308", "1e-400"}) {
+    try {
+      (void)lex(src);
+      ADD_FAILURE() << src << " lexed";
+    } catch (const SyntaxError& e) {
+      EXPECT_NE(std::string(e.what()).find("real literal out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)lex("9223372036854775808"), SyntaxError);
+}
+
+TEST(Lexer, ScanNumberIsTheLexersTokenRule) {
+  EXPECT_EQ(scan_number("12..3").length, 2U);
+  EXPECT_FALSE(scan_number("12..3").is_real);
+  EXPECT_EQ(scan_number("1.5e-3]").length, 6U);
+  EXPECT_TRUE(scan_number("1.5e-3]").is_real);
+  EXPECT_EQ(scan_number("2e").length, 1U);
+  EXPECT_EQ(scan_number("2e+x").length, 1U);
+  EXPECT_TRUE(scan_number("7E2").is_real);
+  EXPECT_EQ(int_literal_value("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(int_literal_value("9223372036854775808").has_value());
+  EXPECT_FALSE(real_literal_value("1e999").has_value());
 }
 
 TEST(Lexer, RangeDotsDoNotEatInt) {

@@ -54,6 +54,15 @@ TEST(Parser, TupleAndExtract) {
   EXPECT_EQ(round("(a)"), "a");  // grouping, not tuple
 }
 
+TEST(Parser, TupleIndicesThatDoNotFitAnIntAreErrors) {
+  // Once an escaping std::out_of_range (x.99999999999999.1), once a
+  // silent truncation (x.4294967297 read as x.1).
+  EXPECT_THROW((void)parse_expression("x.99999999999999.1"), SyntaxError);
+  EXPECT_THROW((void)parse_expression("x.1.99999999999999"), SyntaxError);
+  EXPECT_THROW((void)parse_expression("x.4294967297"), SyntaxError);
+  EXPECT_EQ(round("x.2147483647"), "x.2147483647");
+}
+
 TEST(Parser, SequenceForms) {
   EXPECT_EQ(round("[1, 2, 3]"), "[1, 2, 3]");
   EXPECT_EQ(round("[1 .. n]"), "range(1, n)");

@@ -118,6 +118,42 @@ TEST(ServeServer, CompileErrorsAndBadArgumentsAreStructured) {
 
   reply = server.handle_request(request({{"op", "eval"}}));
   EXPECT_EQ(reply.get("error").get("kind").as_string(), "bad_request");
+
+  // Calls that do not fit the signature are the client's error too, and
+  // the message names the function, the argument and the expected type.
+  const std::uint64_t bad_before =
+      server.metrics().get("serve.errors.bad_request");
+  const std::string typed = "fun half(x: real, n: int): real = x / real(n)";
+  auto message = [](const Json& r) {
+    EXPECT_EQ(r.get("error").get("kind").as_string(), "bad_request")
+        << r.dump();
+    return r.get("error").get("message").as_string();
+  };
+  std::string msg = message(server.handle_request(request(
+      {{"op", "eval"}, {"source", typed}, {"fun", "half"},
+       {"args", args_of({"2", "4"})}})));
+  EXPECT_NE(msg.find("argument 1 of 'half'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("real"), std::string::npos) << msg;
+  msg = message(server.handle_request(request(
+      {{"op", "eval"}, {"source", typed}, {"fun", "half"},
+       {"args", args_of({"2.0", "[4]"})}})));
+  EXPECT_NE(msg.find("argument 2 of 'half' must have type int"),
+            std::string::npos)
+      << msg;
+  msg = message(server.handle_request(request(
+      {{"op", "eval"}, {"source", typed}, {"fun", "half"},
+       {"args", args_of({"2.0"})}})));
+  EXPECT_NE(msg.find("'half' called with wrong argument count"),
+            std::string::npos)
+      << msg;
+  msg = message(server.handle_request(request(
+      {{"op", "eval"}, {"source", typed}, {"fun", "twice"},
+       {"args", args_of({"2.0"})}})));
+  EXPECT_NE(msg.find("'twice'"), std::string::npos) << msg;
+
+  const obs::MetricsRegistry metrics = server.metrics();
+  EXPECT_EQ(metrics.get("serve.errors.bad_request"), bad_before + 4);
+  EXPECT_EQ(metrics.get("serve.errors.runtime"), 0U);
 }
 
 TEST(ServeServer, BudgetTrapIsPerRequestAndTheServerKeepsServing) {

@@ -189,6 +189,10 @@ struct DiffCase {
   const char* arg;
 };
 
+// Print a case by name: the default byte dump shows the string pointers,
+// which move with every run and would make the listed test names unstable.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
+
 class FlattenSemantics : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(FlattenSemantics, InterpreterOracle) {

@@ -108,6 +108,10 @@ struct TCase {
   const char* arg;
 };
 
+// Print a case by name: the default byte dump shows the string pointers,
+// which move with every run and would make the listed test names unstable.
+void PrintTo(const TCase& c, std::ostream* os) { *os << c.name; }
+
 class TranslateSemantics : public ::testing::TestWithParam<TCase> {};
 
 TEST_P(TranslateSemantics, InterpreterOracle) {
