@@ -35,7 +35,7 @@ void BM_shared_source_gather_optimized(benchmark::State& state) {
   Session session(kGather);
   interp::Value v = random_int_seq(1, static_cast<int>(state.range(0)), 0, 99);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("rev", {v}));
+    benchmark::DoNotOptimize(session.run_vm("rev", {v}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -45,7 +45,7 @@ void BM_shared_source_gather_replicated(benchmark::State& state) {
   Session session(kGather, {}, naive_options());
   interp::Value v = random_int_seq(1, static_cast<int>(state.range(0)), 0, 99);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("rev", {v}));
+    benchmark::DoNotOptimize(session.run_vm("rev", {v}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -67,7 +67,7 @@ void BM_recursion_shared_rows(benchmark::State& state) {
   interp::Value v =
       random_int_seq(2, static_cast<int>(state.range(0)), 0, 1 << 20);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("halves", {v}));
+    benchmark::DoNotOptimize(session.run_vm("halves", {v}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -78,7 +78,7 @@ void BM_recursion_replicated_quadratic(benchmark::State& state) {
   interp::Value v =
       random_int_seq(2, static_cast<int>(state.range(0)), 0, 1 << 20);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("halves", {v}));
+    benchmark::DoNotOptimize(session.run_vm("halves", {v}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -100,7 +100,7 @@ void BM_flatten_user_level(benchmark::State& state) {
   interp::Value m =
       ragged(4, uniform_rows(static_cast<int>(state.range(0)), 8));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("user_flatten", {m}));
+    benchmark::DoNotOptimize(session.run_vm("user_flatten", {m}));
   }
   report_cost(state, session);
 }
@@ -110,7 +110,7 @@ void BM_flatten_native(benchmark::State& state) {
   interp::Value m =
       ragged(4, uniform_rows(static_cast<int>(state.range(0)), 8));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("native_flatten", {m}));
+    benchmark::DoNotOptimize(session.run_vm("native_flatten", {m}));
   }
   report_cost(state, session);
 }

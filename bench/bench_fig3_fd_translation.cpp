@@ -10,7 +10,7 @@
 
 #include <functional>
 
-#include "exec/prims.hpp"
+#include "kernels/prims.hpp"
 #include "interp/value.hpp"
 #include "lang/types.hpp"
 #include "seq/seq.hpp"
@@ -19,7 +19,7 @@
 namespace {
 
 using namespace proteus;
-using exec::VValue;
+using kernels::VValue;
 using seq::Array;
 
 constexpr std::int64_t kTop = 256;
@@ -34,11 +34,11 @@ void BM_mult_d_via_T1(benchmark::State& state) {
   VValue v = frame_of_depth(d);
   for (auto _ : state) {
     // T1: insert(mult^1(extract(v,d-1), extract(v,d-1)), v, d-1)
-    VValue flat = exec::apply_prim0(
+    VValue flat = kernels::apply_prim0(
         lang::Prim::kExtract, {v, VValue::ints(d - 1)});
     VValue squared =
-        exec::apply_prim1(lang::Prim::kMul, {flat, flat}, {1, 1});
-    benchmark::DoNotOptimize(exec::apply_prim0(
+        kernels::apply_prim1(lang::Prim::kMul, {flat, flat}, {1, 1});
+    benchmark::DoNotOptimize(kernels::apply_prim0(
         lang::Prim::kInsert, {squared, v, VValue::ints(d - 1)}));
   }
   state.counters["leaves"] =
@@ -49,10 +49,10 @@ void BM_mult_1_flat_baseline(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   VValue v = frame_of_depth(d);
   VValue flat =
-      exec::apply_prim0(lang::Prim::kExtract, {v, VValue::ints(d - 1)});
+      kernels::apply_prim0(lang::Prim::kExtract, {v, VValue::ints(d - 1)});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exec::apply_prim1(lang::Prim::kMul, {flat, flat}, {1, 1}));
+        kernels::apply_prim1(lang::Prim::kMul, {flat, flat}, {1, 1}));
   }
 }
 
@@ -60,7 +60,7 @@ void BM_mult_d_boxed_traversal(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   VValue v = frame_of_depth(d);
   auto type = lang::Type::seq_n(lang::Type::int_(), d);
-  interp::Value boxed = exec::to_boxed(v, type);
+  interp::Value boxed = kernels::to_boxed(v, type);
 
   // per-element recursive traversal (the serial per-element view)
   std::function<interp::Value(const interp::Value&, int)> walk =

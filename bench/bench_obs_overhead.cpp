@@ -1,13 +1,13 @@
 // bench_obs_overhead — cost of the always-compiled-in instrumentation.
 //
-// Every vector primitive in the tree executor and every kernel opcode in
-// the VM constructs an obs::Span. With no tracer installed that is one
-// relaxed atomic load and a branch, so the *untraced* numbers here must
-// match the pre-instrumentation baseline within noise (< 2% on quicksort
-// n = 100k is the acceptance bar; compare BM_quicksort_*_untraced against
-// the same-revision-minus-obs build or historical bench_sec6_quicksort
-// output). The *traced* variants show the real price of recording —
-// expected to be visible, which is why tracing is opt-in.
+// Every kernel opcode the VM dispatches constructs an obs::Span. With no
+// tracer installed that is one relaxed atomic load and a branch, so the
+// *untraced* numbers here must match the pre-instrumentation baseline
+// within noise (< 2% on quicksort n = 100k is the acceptance bar; compare
+// BM_quicksort_vm_untraced against the same-revision-minus-obs build or
+// historical bench_sec6_quicksort output). The *traced* variants show the
+// real price of recording — expected to be visible, which is why tracing
+// is opt-in.
 //
 // The serve-path variants (ISSUE 7) measure the daemon's per-request
 // telemetry wrapper the same way, on a representative warm eval (a
@@ -46,8 +46,7 @@ const char* kProgram = R"(
       parts[1] ++ [x <- v | x == pivot : x] ++ parts[2]
 )";
 
-void quicksort_run(benchmark::State& state, const std::string& engine,
-                   bool traced) {
+void quicksort_run(benchmark::State& state, bool traced) {
   Session session(kProgram);
   interp::Value input =
       random_int_seq(3, static_cast<int>(state.range(0)), 0, 1 << 30);
@@ -60,11 +59,7 @@ void quicksort_run(benchmark::State& state, const std::string& engine,
     // Keep the traced variant honest: don't let the event buffer grow
     // (and reallocate) across iterations.
     tracer.clear();
-    if (engine == "vm") {
-      benchmark::DoNotOptimize(session.run_vm("quicksort", {input}));
-    } else {
-      benchmark::DoNotOptimize(session.run_vector("quicksort", {input}));
-    }
+    benchmark::DoNotOptimize(session.run_vm("quicksort", {input}));
   }
   report_cost(state, session);
   if (traced) {
@@ -73,21 +68,11 @@ void quicksort_run(benchmark::State& state, const std::string& engine,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_quicksort_vec_untraced(benchmark::State& s) {
-  quicksort_run(s, "vec", false);
-}
-void BM_quicksort_vec_traced(benchmark::State& s) {
-  quicksort_run(s, "vec", true);
-}
 void BM_quicksort_vm_untraced(benchmark::State& s) {
-  quicksort_run(s, "vm", false);
+  quicksort_run(s, false);
 }
-void BM_quicksort_vm_traced(benchmark::State& s) {
-  quicksort_run(s, "vm", true);
-}
+void BM_quicksort_vm_traced(benchmark::State& s) { quicksort_run(s, true); }
 
-BENCHMARK(BM_quicksort_vec_untraced)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_quicksort_vec_traced)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_vm_untraced)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_vm_traced)->Arg(100000)->Unit(benchmark::kMillisecond);
 

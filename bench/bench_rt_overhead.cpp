@@ -5,8 +5,8 @@
 // paths are one relaxed atomic op plus a predictable branch; with a
 // budget installed (but never tripped) each charge also runs the limit
 // comparison. The acceptance bar: the *governed-but-untripped* quicksort
-// at n = 100k must be within 3% of the ungoverned run on both engines
-// (compare BM_quicksort_*_governed against BM_quicksort_* in the same
+// at n = 100k must be within 3% of the ungoverned run on the VM
+// (compare BM_quicksort_vm_governed against BM_quicksort_vm in the same
 // invocation — same build, same input, back to back).
 #include "bench_common.hpp"
 
@@ -38,40 +38,25 @@ rt::ExecBudget generous_budget() {
   return b;
 }
 
-void quicksort_run(benchmark::State& state, const std::string& engine,
-                   bool governed) {
+void quicksort_run(benchmark::State& state, bool governed) {
   Session session(kProgram);
   if (governed) session.set_budget(generous_budget());
   interp::Value input =
       random_int_seq(3, static_cast<int>(state.range(0)), 0, 1 << 30);
 
   const std::uint64_t best = best_wall_ns(state, [&] {
-    if (engine == "vm") {
-      benchmark::DoNotOptimize(session.run_vm("quicksort", {input}));
-    } else {
-      benchmark::DoNotOptimize(session.run_vector("quicksort", {input}));
-    }
+    benchmark::DoNotOptimize(session.run_vm("quicksort", {input}));
   });
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
   JsonReporter::instance().record(
-      "rt_overhead", governed ? engine + "-governed" : engine,
+      "rt_overhead", governed ? "vm-governed" : "vm",
       state.range(0), best, session);
 }
 
-void BM_quicksort_vec(benchmark::State& s) { quicksort_run(s, "vec", false); }
-void BM_quicksort_vec_governed(benchmark::State& s) {
-  quicksort_run(s, "vec", true);
-}
-void BM_quicksort_vm(benchmark::State& s) { quicksort_run(s, "vm", false); }
-void BM_quicksort_vm_governed(benchmark::State& s) {
-  quicksort_run(s, "vm", true);
-}
+void BM_quicksort_vm(benchmark::State& s) { quicksort_run(s, false); }
+void BM_quicksort_vm_governed(benchmark::State& s) { quicksort_run(s, true); }
 
-BENCHMARK(BM_quicksort_vec)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_quicksort_vec_governed)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_vm)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_vm_governed)
     ->Arg(100000)

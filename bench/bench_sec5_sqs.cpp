@@ -30,10 +30,10 @@ void BM_sqs_reference_interpreter(benchmark::State& state) {
                           (state.range(0) + 1) / 2);
 }
 
-void BM_sqs_vector_executor(benchmark::State& state) {
+void BM_sqs_vm(benchmark::State& state) {
   Session session(kProgram, entry(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_entry_vector());
+    benchmark::DoNotOptimize(session.run_entry_vm());
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0) *
@@ -51,7 +51,7 @@ void BM_sqs_transformation_itself(benchmark::State& state) {
 }
 
 BENCHMARK(BM_sqs_reference_interpreter)->RangeMultiplier(4)->Range(16, 4096);
-BENCHMARK(BM_sqs_vector_executor)->RangeMultiplier(4)->Range(16, 4096);
+BENCHMARK(BM_sqs_vm)->RangeMultiplier(4)->Range(16, 4096);
 BENCHMARK(BM_sqs_transformation_itself)->Arg(64);
 
 }  // namespace

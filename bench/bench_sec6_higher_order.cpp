@@ -33,7 +33,7 @@ void BM_fold_rows_vector(benchmark::State& state) {
   interp::Value m =
       ragged(3, uniform_rows(static_cast<int>(state.range(0)), 16));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("foldrows", {m}));
+    benchmark::DoNotOptimize(session.run_vm("foldrows", {m}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0) * 16);
@@ -55,7 +55,7 @@ void BM_max_fold_rows_vector(benchmark::State& state) {
   interp::Value m =
       ragged(5, uniform_rows(static_cast<int>(state.range(0)), 16));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("maxrows", {m}));
+    benchmark::DoNotOptimize(session.run_vm("maxrows", {m}));
   }
   report_cost(state, session);
 }
@@ -67,7 +67,7 @@ void BM_builtin_sum_rows_vector(benchmark::State& state) {
   interp::Value m =
       ragged(3, uniform_rows(static_cast<int>(state.range(0)), 16));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("sumrows", {m}));
+    benchmark::DoNotOptimize(session.run_vm("sumrows", {m}));
   }
   report_cost(state, session);
 }

@@ -29,7 +29,7 @@ void run_profile(benchmark::State& state, const std::vector<int>& lens) {
   Session session(kProgram);
   interp::Value m = ragged(33, lens);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("rowwork", {m}));
+    benchmark::DoNotOptimize(session.run_vm("rowwork", {m}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * kTotal);

@@ -4,7 +4,7 @@
 // Flattened parallel quicksort across n and key distributions, on both
 // engines, plus std::sort as the absolute yardstick. The shape that must
 // hold: vector primitives ~ O(recursion depth); element work ~ O(n log n);
-// the vector executor beats the per-element interpreter by a widening
+// the bytecode VM beats the per-element interpreter by a widening
 // factor; sorted/equal-key inputs change depth, not correctness.
 #include <algorithm>
 
@@ -45,7 +45,7 @@ void quicksort_vector(benchmark::State& state, const std::string& mode) {
   Session session(kProgram);
   interp::Value input = keys(state.range(0), mode);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("quicksort", {input}));
+    benchmark::DoNotOptimize(session.run_vm("quicksort", {input}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -87,7 +87,7 @@ void BM_sortall_ragged_vector(benchmark::State& state) {
   interp::Value m =
       ragged(9, skewed_rows(11, 64, static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_vector("sortall", {m}));
+    benchmark::DoNotOptimize(session.run_vm("sortall", {m}));
   }
   report_cost(state, session);
   state.SetItemsProcessed(state.iterations() * state.range(0));

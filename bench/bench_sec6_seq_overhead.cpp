@@ -8,7 +8,7 @@
 // Both engines run on ONE thread (serial backend): this isolates exactly
 // the interpretation overhead the paper describes.
 //
-// Expected shape: the vector executor wins by a large constant factor
+// Expected shape: the bytecode VM wins by a large constant factor
 // (one type dispatch per *vector* instead of per *element*), growing
 // mildly with n as boxing costs dominate the interpreter.
 #include "bench_common.hpp"
@@ -51,7 +51,7 @@ void BM_squares_interp(benchmark::State& state) {
 void BM_squares_vector(benchmark::State& state) {
   Fixture f(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.session.run_vector("squares", {f.v}));
+    benchmark::DoNotOptimize(f.session.run_vm("squares", {f.v}));
   }
   report_cost(state, f.session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -68,7 +68,7 @@ void BM_dot_interp(benchmark::State& state) {
 void BM_dot_vector(benchmark::State& state) {
   Fixture f(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.session.run_vector("dot", {f.v, f.w}));
+    benchmark::DoNotOptimize(f.session.run_vm("dot", {f.v, f.w}));
   }
   report_cost(state, f.session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -85,7 +85,7 @@ void BM_filter_sum_interp(benchmark::State& state) {
 void BM_filter_sum_vector(benchmark::State& state) {
   Fixture f(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.session.run_vector("filter_sum", {f.v}));
+    benchmark::DoNotOptimize(f.session.run_vm("filter_sum", {f.v}));
   }
   report_cost(state, f.session);
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -105,7 +105,7 @@ void BM_saxpy_vector(benchmark::State& state) {
   Fixture f(state.range(0));
   interp::Value a = interp::Value::ints(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.session.run_vector("saxpy", {a, f.v, f.w}));
+    benchmark::DoNotOptimize(f.session.run_vm("saxpy", {a, f.v, f.w}));
   }
   report_cost(state, f.session);
   state.SetItemsProcessed(state.iterations() * state.range(0));

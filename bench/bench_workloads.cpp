@@ -1,5 +1,5 @@
 // bench_workloads — the end-to-end reproduction workloads (quicksort,
-// quickhull, spmv) on all three engines, with machine-readable output.
+// quickhull, spmv) on both engines, with machine-readable output.
 //
 // Besides the usual google-benchmark console table, this bench writes
 // BENCH_quicksort.json / BENCH_quickhull.json / BENCH_spmv.json into the
@@ -9,7 +9,7 @@
 // per-primitive counters). scripts/reproduce.sh relies on these files;
 // CI parses and archives them.
 //
-// The reference interpreter runs smaller inputs than the vector engines —
+// The reference interpreter runs smaller inputs than the VM —
 // it evaluates per element, and the point of the record is the
 // machine-independent counters next to the wall clock, not a same-n race
 // (bench_sec6_quicksort covers the scaling comparison).
@@ -105,16 +105,15 @@ interp::Value random_real_vector(std::uint64_t seed, int n) {
   return interp::Value::seq(std::move(out));
 }
 
-/// Runs `fn(args)` on `engine` ("ref" | "vec" | "vm") under the
+/// Runs `fn(args)` on `engine` ("ref" | "vm") under the
 /// google-benchmark loop and records the best wall-clock time plus the
 /// run's metric registry into BENCH_<workload>.json.
 void run_workload(benchmark::State& state, const std::string& workload,
                   const std::string& engine, Session& session,
                   const std::string& fn, const interp::ValueList& args) {
   const std::uint64_t best = best_wall_ns(state, [&] {
-    interp::Value v = engine == "ref"  ? session.run_reference(fn, args)
-                      : engine == "vm" ? session.run_vm(fn, args)
-                                       : session.run_vector(fn, args);
+    interp::Value v = engine == "ref" ? session.run_reference(fn, args)
+                                      : session.run_vm(fn, args);
     benchmark::DoNotOptimize(v);
   });
   if (engine == "ref") {
@@ -149,23 +148,17 @@ void spmv_bench(benchmark::State& state, const std::string& engine) {
 }
 
 void BM_quicksort_ref(benchmark::State& s) { quicksort_bench(s, "ref"); }
-void BM_quicksort_vec(benchmark::State& s) { quicksort_bench(s, "vec"); }
 void BM_quicksort_vm(benchmark::State& s) { quicksort_bench(s, "vm"); }
 void BM_quickhull_ref(benchmark::State& s) { quickhull_bench(s, "ref"); }
-void BM_quickhull_vec(benchmark::State& s) { quickhull_bench(s, "vec"); }
 void BM_quickhull_vm(benchmark::State& s) { quickhull_bench(s, "vm"); }
 void BM_spmv_ref(benchmark::State& s) { spmv_bench(s, "ref"); }
-void BM_spmv_vec(benchmark::State& s) { spmv_bench(s, "vec"); }
 void BM_spmv_vm(benchmark::State& s) { spmv_bench(s, "vm"); }
 
 BENCHMARK(BM_quicksort_ref)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_quicksort_vec)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_vm)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quickhull_ref)->Arg(2000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_quickhull_vec)->Arg(20000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quickhull_vm)->Arg(20000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_spmv_ref)->Arg(512)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_spmv_vec)->Arg(4096)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_spmv_vm)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 }  // namespace

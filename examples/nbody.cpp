@@ -66,20 +66,20 @@ int main() {
 
   Value bodies = random_bodies(11, 24);
   Value ref = session.run_reference("step", {bodies, dt});
-  Value vec = session.run_vector("step", {bodies, dt});
+  Value vec = session.run_vm("step", {bodies, dt});
   bool ok = ref == vec;
   std::cout << "engines agree on one step: " << (ok ? "yes" : "NO") << '\n';
 
-  // run a few steps on the vector engine, tracking kinetic energy
+  // run a few steps on the VM, tracking kinetic energy
   Value state = bodies;
   for (int s = 0; s < 5; ++s) {
-    state = session.run_vector("step", {state, dt});
-    Value ke = session.run_vector("kinetic", {state});
+    state = session.run_vm("step", {state, dt});
+    Value ke = session.run_vm("kinetic", {state});
     std::cout << "step " << s + 1 << ": kinetic energy = " << ke << '\n';
   }
 
   const auto& w = session.last_cost().vector_work;
-  (void)session.run_vector("step", {bodies, dt});
+  (void)session.run_vm("step", {bodies, dt});
   std::cout << "\none step of n=24 all-pairs: "
             << session.last_cost().vector_work.primitive_calls
             << " vector primitives, "

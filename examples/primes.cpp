@@ -38,13 +38,13 @@ int main() {
   using proteus::parse_value;
 
   auto primes_ref = session.run_reference("primes_upto", {parse_value("60")});
-  auto primes_vec = session.run_vector("primes_upto", {parse_value("60")});
+  auto primes_vec = session.run_vm("primes_upto", {parse_value("60")});
   std::cout << "primes <= 60:  " << primes_vec << '\n';
 
-  auto perfect = session.run_vector("perfect_upto", {parse_value("500")});
+  auto perfect = session.run_vm("perfect_upto", {parse_value("500")});
   std::cout << "perfect <= 500: " << perfect << '\n';
 
-  auto divisors = session.run_vector("divisors", {parse_value("36")});
+  auto divisors = session.run_vm("divisors", {parse_value("36")});
   std::cout << "divisors(36):  " << divisors << '\n';
 
   bool ok = primes_ref == primes_vec &&

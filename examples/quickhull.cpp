@@ -70,7 +70,7 @@ int main() {
   proteus::interp::Value small = proteus::parse_value(
       "[(0,0),(4,0),(4,4),(0,4),(2,2),(1,3),(3,1),(2,0),(0,2)]");
   auto hull_ref = session.run_reference("quickhull", {small});
-  auto hull_vec = session.run_vector("quickhull", {small});
+  auto hull_vec = session.run_vm("quickhull", {small});
   std::cout << "points: " << small << '\n';
   std::cout << "hull:   " << hull_vec << '\n';
   std::cout << "engines agree: " << (hull_ref == hull_vec ? "yes" : "NO")
@@ -81,7 +81,7 @@ int main() {
   for (int n : {64, 256, 1024}) {
     proteus::interp::Value pts = random_points(17, n);
     auto ref = session.run_reference("quickhull", {pts});
-    auto vec = session.run_vector("quickhull", {pts});
+    auto vec = session.run_vm("quickhull", {pts});
     all_ok = all_ok && ref == vec;
     const auto& w = session.last_cost().vector_work;
     std::cout.width(8);

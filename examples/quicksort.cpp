@@ -51,7 +51,7 @@ int main() {
   // 1. Sort one sequence; compare engines.
   proteus::interp::Value input = random_seq(1, 24);
   auto reference = session.run_reference("quicksort", {input});
-  auto vectorised = session.run_vector("quicksort", {input});
+  auto vectorised = session.run_vm("quicksort", {input});
   std::cout << "input : " << input << '\n';
   std::cout << "sorted: " << vectorised << '\n';
   std::cout << "engines agree: " << (reference == vectorised ? "yes" : "NO")
@@ -60,7 +60,7 @@ int main() {
   // 2. The vector-model cost profile: primitives ~ recursion depth.
   std::cout << "n        vector primitives   element work\n";
   for (int n : {64, 256, 1024, 4096}) {
-    (void)session.run_vector("quicksort", {random_seq(7, n)});
+    (void)session.run_vm("quicksort", {random_seq(7, n)});
     const auto& w = session.last_cost().vector_work;
     std::cout.width(8);
     std::cout << std::left << n;
@@ -77,6 +77,6 @@ int main() {
   }
   proteus::interp::Value ragged = proteus::interp::Value::seq(rows);
   std::cout << "\nragged: " << ragged << '\n';
-  std::cout << "sorted: " << session.run_vector("sortall", {ragged}) << '\n';
+  std::cout << "sorted: " << session.run_vm("sortall", {ragged}) << '\n';
   return reference == vectorised ? 0 : 1;
 }

@@ -30,10 +30,10 @@ int main() {
             << proteus::lang::to_text(session.compiled().vec) << '\n';
 
   auto reference = session.run_entry_reference();
-  auto vectorised = session.run_entry_vector();
+  auto vectorised = session.run_entry_vm();
 
   std::cout << "reference interpreter: " << reference << '\n';
-  std::cout << "vector-model executor: " << vectorised << '\n';
+  std::cout << "bytecode VM:           " << vectorised << '\n';
   std::cout << "results match: " << (reference == vectorised ? "yes" : "NO")
             << '\n';
 

@@ -66,10 +66,10 @@ int main() {
   Value x = random_vector(4, cols);
 
   Value y_ref = session.run_reference("spmv", {a, x});
-  Value y_vec = session.run_vector("spmv", {a, x});
+  Value y_vec = session.run_vm("spmv", {a, x});
   const bool ok = y_ref == y_vec;
 
-  Value nnz = session.run_vector("row_nnz", {a});
+  Value nnz = session.run_vm("row_nnz", {a});
   std::cout << "row nonzero counts (irregular!): " << nnz << '\n';
   std::cout << "y[1..4] = ";
   for (int i = 0; i < 4; ++i) {

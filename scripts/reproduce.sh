@@ -7,12 +7,9 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 # bench_workloads also leaves machine-readable BENCH_<name>.json files
-# (quicksort, quickhull, spmv on all three engines) in the repo root —
+# (quicksort, quickhull, spmv on both engines) in the repo root —
 # see docs/OBSERVABILITY.md for the schema.
 for b in build/bench/bench_*; do "$b"; done 2>&1 | tee bench_output.txt
-# Engine comparison: bytecode VM vs tree-walking executor over the shared
-# kernel table (identical work counters; any delta is dispatch overhead).
-build/bench/bench_vm_dispatch 2>&1 | tee vm_dispatch_output.txt
-echo "done: see test_output.txt, bench_output.txt, vm_dispatch_output.txt"
+echo "done: see test_output.txt, bench_output.txt"
 echo "      and machine-readable BENCH_*.json:"
 ls -1 BENCH_*.json 2>/dev/null || true

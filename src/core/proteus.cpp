@@ -14,7 +14,6 @@ namespace proteus {
 
 using interp::Value;
 using interp::ValueList;
-using lang::FunDef;
 using lang::TypePtr;
 
 /// Installs a Session-level tracer (when one is set) for the duration of
@@ -31,23 +30,23 @@ namespace detail {
 /// signature-driven codec, with parse_value for text outside its subset.
 class ArgSource {
  public:
-  ArgSource(const std::string& fn, std::vector<TypePtr> params,
+  ArgSource(const std::string& fn, const std::vector<TypePtr>& params,
             const ValueList& boxed)
-      : fn_(fn), params_(std::move(params)), boxed_(&boxed) {
+      : fn_(fn), params_(params), boxed_(&boxed) {
     require_count(boxed.size());
   }
 
-  ArgSource(const std::string& fn, std::vector<TypePtr> params,
+  ArgSource(const std::string& fn, const std::vector<TypePtr>& params,
             std::span<const std::string_view> text, std::uint64_t* fallbacks)
-      : fn_(fn), params_(std::move(params)), text_(text),
+      : fn_(fn), params_(params), text_(text),
         fallbacks_(fallbacks) {
     require_count(text.size());
   }
 
-  /// Flat arguments for the vector engines.
-  std::vector<exec::VValue> flat() {
+  /// Flat arguments for the VM.
+  std::vector<kernels::VValue> flat() {
     if (fallbacks_ != nullptr) *fallbacks_ = 0;
-    std::vector<exec::VValue> out;
+    std::vector<kernels::VValue> out;
     out.reserve(params_.size());
     for (std::size_t i = 0; i < params_.size(); ++i) {
       out.push_back(flat_arg(i));
@@ -79,16 +78,16 @@ class ArgSource {
     throw SignatureError(msg);
   }
 
-  exec::VValue flat_arg(std::size_t i) {
+  kernels::VValue flat_arg(std::size_t i) {
     if (boxed_ != nullptr) return convert((*boxed_)[i], i);
-    if (std::optional<exec::VValue> v = kernels::decode(text_[i], params_[i])) {
+    if (std::optional<kernels::VValue> v = kernels::decode(text_[i], params_[i])) {
       return std::move(*v);
     }
     if (fallbacks_ != nullptr) *fallbacks_ += 1;
     return convert(parse_value(text_[i]), i);
   }
 
-  exec::VValue convert(const Value& v, std::size_t i) const {
+  kernels::VValue convert(const Value& v, std::size_t i) const {
     try {
       return kernels::from_boxed(v, params_[i]);
     } catch (const EvalError&) {
@@ -103,7 +102,7 @@ class ArgSource {
   }
 
   const std::string& fn_;
-  std::vector<TypePtr> params_;
+  const std::vector<TypePtr>& params_;
   const ValueList* boxed_ = nullptr;
   std::span<const std::string_view> text_;
   std::uint64_t* fallbacks_ = nullptr;
@@ -113,18 +112,11 @@ class ArgSource {
 
 namespace {
 
-std::vector<TypePtr> param_types(const FunDef& f) {
-  std::vector<TypePtr> out;
-  out.reserve(f.params.size());
-  for (const auto& p : f.params) out.push_back(p.type);
-  return out;
-}
-
 /// The boxed form of an attempt's result.
 template <class Outcome>
 Value boxed(Outcome out, const TypePtr& type) {
   if (Value* v = std::get_if<Value>(&out)) return std::move(*v);
-  return kernels::to_boxed(std::get<exec::VValue>(out), type);
+  return kernels::to_boxed(std::get<kernels::VValue>(out), type);
 }
 
 /// The literal text of an attempt's result.
@@ -132,7 +124,7 @@ template <class Outcome>
 std::string text(const Outcome& out, const TypePtr& type) {
   if (const Value* v = std::get_if<Value>(&out)) return interp::to_text(*v);
   std::string s;
-  kernels::encode(std::get<exec::VValue>(out), type, s);
+  kernels::encode(std::get<kernels::VValue>(out), type, s);
   return s;
 }
 
@@ -141,31 +133,52 @@ std::string text(const Outcome& out, const TypePtr& type) {
 Session::Session(std::string_view program_source,
                  std::string_view entry_source,
                  const xform::PipelineOptions& options)
-    : compiled_(std::make_shared<const xform::Compiled>(
-          xform::compile(program_source, entry_source, options))) {
-  prim_options_.shared_source_gather =
-      options.flatten.broadcast_invariant_seq_args;
-}
+    : Session(std::make_shared<const xform::Compiled>(
+                  xform::compile(program_source, entry_source, options)),
+              options) {}
 
 Session::Session(std::shared_ptr<const xform::Compiled> compiled,
                  const xform::PipelineOptions& options)
     : compiled_(std::move(compiled)) {
   PROTEUS_REQUIRE(EvalError, compiled_ != nullptr,
                   "Session requires a non-null compiled program");
+  module_ = compiled_->module;
   prim_options_.shared_source_gather =
       options.flatten.broadcast_invariant_seq_args;
 }
 
-const FunDef& Session::checked_fun(const std::string& name) const {
-  const FunDef* f = compiled_->checked.find(name);
-  if (f == nullptr) {
-    throw SignatureError("session has no function named '" + name + "'");
+Session::Session(std::shared_ptr<const vm::Module> module)
+    : module_(std::move(module)) {
+  PROTEUS_REQUIRE(EvalError, module_ != nullptr,
+                  "Session requires a non-null module");
+}
+
+const vm::Signature& Session::signature(const std::string* name) const {
+  std::uint32_t index = 0;
+  if (name == nullptr) {
+    PROTEUS_REQUIRE(EvalError, module_->entry >= 0,
+                    "session was created without an entry expression");
+    index = static_cast<std::uint32_t>(module_->entry);
+  } else {
+    auto it = module_->fn_index.find(*name);
+    if (it == module_->fn_index.end()) {
+      throw SignatureError("session has no function named '" + *name + "'");
+    }
+    index = it->second;
   }
-  return *f;
+  const vm::Signature* sig = module_->signature(index);
+  if (sig == nullptr) {
+    std::string msg = "'";
+    msg += module_->functions[index].name;
+    msg += "' carries no calling convention (internal functions are not "
+           "callable)";
+    throw SignatureError(msg);
+  }
+  return *sig;
 }
 
 TypePtr Session::result_type(const std::string& name) const {
-  return checked_fun(name).result;
+  return signature(&name).result;
 }
 
 const char* Session::engine_name(Engine engine) {
@@ -174,8 +187,6 @@ const char* Session::engine_name(Engine engine) {
       return "vm";
     case Engine::kVmO0:
       return "vm-o0";
-    case Engine::kExec:
-      return "exec";
     case Engine::kInterp:
       break;
   }
@@ -227,224 +238,37 @@ Session::Outcome Session::run_ladder(std::span<const Engine> rungs,
 Session::Outcome Session::attempt(Engine engine, const std::string* name,
                                   detail::ArgSource* args) {
   cost_ = RunCost{};
-  switch (engine) {
-    case Engine::kVm:
-    case Engine::kVmO0: {
-      std::vector<exec::VValue> vargs;
-      if (name != nullptr) vargs = args->flat();
-      // The pipeline already bytecode-verified the module at assembly
-      // time; re-verifying on every run would tax the dispatch benches.
-      vm::VM machine(engine == Engine::kVm ? compiled_->module
-                                           : compiled_->module_o0,
-                     {prim_options_, vm_profile_, /*verify=*/false, vm_arena_,
-                      vm_admission_});
-      vl::reset_stats();
-      exec::VValue result;
-      {
-        obs::Span span("run", "run.vm");
-        result = name != nullptr
-                     ? machine.call_function(*name, std::move(vargs))
-                     : machine.eval_entry();
-        cost_.vm_ops = machine.stats();
-        cost_.vector_work = vl::stats();
-        span.counter("elements", cost_.vector_work.element_work);
-        span.counter("segments", cost_.vector_work.segment_work);
-        span.counter("instructions", cost_.vm_ops.instructions);
-        span.counter("calls", cost_.vm_ops.calls);
-      }
-      publish_metrics(cost_, "vm");
-      return result;
+  if (engine == Engine::kInterp) {
+    ValueList boxed_args;
+    if (name != nullptr) boxed_args = args->boxed();
+    interp::Interpreter interp(compiled_->checked);
+    Value result;
+    {
+      obs::Span span("run", "run.reference");
+      result = name != nullptr ? interp.call_function(*name, boxed_args)
+                               : interp.eval(compiled_->entry_checked);
+      cost_.reference = interp.stats();
+      span.counter("iterations", cost_.reference.iterations);
+      span.counter("scalar_ops", cost_.reference.scalar_ops);
+      span.counter("calls", cost_.reference.calls);
     }
-    case Engine::kExec: {
-      std::vector<exec::VValue> vargs;
-      if (name != nullptr) vargs = args->flat();
-      exec::Executor ex(compiled_->vec, prim_options_);
-      vl::reset_stats();
-      exec::VValue result;
-      {
-        obs::Span span("run", "run.vector");
-        result = name != nullptr ? ex.call_function(*name, vargs)
-                                 : ex.eval(compiled_->entry_vec);
-        cost_.vector_ops = ex.stats();
-        cost_.vector_work = vl::stats();
-        span.counter("elements", cost_.vector_work.element_work);
-        span.counter("segments", cost_.vector_work.segment_work);
-        span.counter("prims", cost_.vector_work.primitive_calls);
-        span.counter("calls", cost_.vector_ops.calls);
-      }
-      publish_metrics(cost_, "vec");
-      return result;
-    }
-    case Engine::kInterp:
-      break;
+    publish_metrics(cost_, "ref");
+    return result;
   }
-  ValueList boxed_args;
-  if (name != nullptr) boxed_args = args->boxed();
-  interp::Interpreter interp(compiled_->checked);
-  Value result;
-  {
-    obs::Span span("run", "run.reference");
-    result = name != nullptr ? interp.call_function(*name, boxed_args)
-                             : interp.eval(compiled_->entry_checked);
-    cost_.reference = interp.stats();
-    span.counter("iterations", cost_.reference.iterations);
-    span.counter("scalar_ops", cost_.reference.scalar_ops);
-    span.counter("calls", cost_.reference.calls);
-  }
-  publish_metrics(cost_, "ref");
-  return result;
-}
-
-Session::Outcome Session::run_vm_ladder(const std::string* name,
-                                        detail::ArgSource* args) {
-  // vm -O1 -> vm -O0 (when the optimizer changed the module) -> tree
-  // executor -> reference interpreter.
-  static constexpr Engine kFull[] = {Engine::kVm, Engine::kVmO0,
-                                     Engine::kExec, Engine::kInterp};
-  static constexpr Engine kNoO0[] = {Engine::kVm, Engine::kExec,
-                                     Engine::kInterp};
-  const bool has_o0 = compiled_->module_o0 != nullptr &&
-                      compiled_->module_o0 != compiled_->module;
-  return has_o0 ? run_ladder(kFull, name, args)
-                : run_ladder(kNoO0, name, args);
-}
-
-Value Session::run_reference(const std::string& name,
-                             const ValueList& args) {
-  const FunDef& f = checked_fun(name);
-  detail::ArgSource source(name, param_types(f), args);
-  static constexpr Engine kRungs[] = {Engine::kInterp};
-  return boxed(run_ladder(kRungs, &name, &source), f.result);
-}
-
-Value Session::run_vector(const std::string& name, const ValueList& args) {
-  const FunDef& f = checked_fun(name);
-  detail::ArgSource source(name, param_types(f), args);
-  static constexpr Engine kRungs[] = {Engine::kExec, Engine::kInterp};
-  return boxed(run_ladder(kRungs, &name, &source), f.result);
-}
-
-Value Session::run_vm(const std::string& name, const ValueList& args) {
-  const FunDef& f = checked_fun(name);
-  detail::ArgSource source(name, param_types(f), args);
-  return boxed(run_vm_ladder(&name, &source), f.result);
-}
-
-std::string Session::run_vm_text(const std::string& name,
-                                 std::span<const std::string_view> args) {
-  decode_fallbacks_ = 0;
-  const FunDef& f = checked_fun(name);
-  detail::ArgSource source(name, param_types(f), args, &decode_fallbacks_);
-  return text(run_vm_ladder(&name, &source), f.result);
-}
-
-Value Session::run_entry_reference() {
-  PROTEUS_REQUIRE(EvalError, compiled_->entry_checked != nullptr,
-                  "session was created without an entry expression");
-  static constexpr Engine kRungs[] = {Engine::kInterp};
-  return boxed(run_ladder(kRungs, nullptr, nullptr),
-               compiled_->entry_checked->type);
-}
-
-Value Session::run_entry_vector() {
-  PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
-                  "session was created without an entry expression");
-  static constexpr Engine kRungs[] = {Engine::kExec, Engine::kInterp};
-  return boxed(run_ladder(kRungs, nullptr, nullptr),
-               compiled_->entry_checked->type);
-}
-
-Value Session::run_entry_vm() {
-  PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
-                  "session was created without an entry expression");
-  return boxed(run_vm_ladder(nullptr, nullptr),
-               compiled_->entry_checked->type);
-}
-
-std::string Session::run_entry_vm_text() {
-  decode_fallbacks_ = 0;
-  PROTEUS_REQUIRE(EvalError, compiled_->entry_vec != nullptr,
-                  "session was created without an entry expression");
-  return text(run_vm_ladder(nullptr, nullptr),
-              compiled_->entry_checked->type);
-}
-
-ModuleRunner::ModuleRunner(std::shared_ptr<const vm::Module> module)
-    : module_(std::move(module)) {
-  PROTEUS_REQUIRE(EvalError, module_ != nullptr,
-                  "ModuleRunner requires a non-null module");
-}
-
-std::uint32_t ModuleRunner::callable(const std::string& name) const {
-  auto it = module_->fn_index.find(name);
-  if (it == module_->fn_index.end()) {
-    throw SignatureError("module has no function named '" + name + "'");
-  }
-  return it->second;
-}
-
-const vm::Signature& ModuleRunner::signature(std::uint32_t index) const {
-  const vm::Signature* sig = module_->signature(index);
-  if (sig == nullptr) {
-    throw SignatureError("module carries no calling convention for '" +
-                         module_->functions[index].name +
-                         "' (internal functions are not callable)");
-  }
-  return *sig;
-}
-
-Value ModuleRunner::run(const std::string& name, const ValueList& args) {
-  const std::uint32_t index = callable(name);
-  const vm::Signature& sig = signature(index);
-  detail::ArgSource source(name, sig.params, args);
-  return kernels::to_boxed(run_at(index, &source), sig.result);
-}
-
-Value ModuleRunner::run_entry() {
-  PROTEUS_REQUIRE(EvalError, module_->entry >= 0,
-                  "module was compiled without an entry expression");
-  const auto index = static_cast<std::uint32_t>(module_->entry);
-  return kernels::to_boxed(run_at(index, nullptr), signature(index).result);
-}
-
-std::string ModuleRunner::run_text(const std::string& name,
-                                   std::span<const std::string_view> args) {
-  decode_fallbacks_ = 0;
-  const std::uint32_t index = callable(name);
-  const vm::Signature& sig = signature(index);
-  detail::ArgSource source(name, sig.params, args, &decode_fallbacks_);
-  std::string out;
-  kernels::encode(run_at(index, &source), sig.result, out);
-  return out;
-}
-
-std::string ModuleRunner::run_entry_text() {
-  decode_fallbacks_ = 0;
-  PROTEUS_REQUIRE(EvalError, module_->entry >= 0,
-                  "module was compiled without an entry expression");
-  const auto index = static_cast<std::uint32_t>(module_->entry);
-  std::string out;
-  kernels::encode(run_at(index, nullptr), signature(index).result, out);
-  return out;
-}
-
-exec::VValue ModuleRunner::run_at(std::uint32_t index,
-                                  detail::ArgSource* args) {
-  const std::string& name = module_->functions[index].name;
-  cost_ = RunCost{};
-  RunScope tracing(tracer_);
-  rt::GovernorScope governor(budget_);
-  std::vector<exec::VValue> vargs;
-  if (args != nullptr) vargs = args->flat();
-  // Verification happened at load (vm::load_module); re-verifying per run
-  // would defeat the point of caching the module.
-  vm::VM machine(module_, {prim_options_, /*profile=*/false,
-                           /*verify=*/false, vm_arena_, vm_admission_});
+  std::vector<kernels::VValue> vargs;
+  if (name != nullptr) vargs = args->flat();
+  // The pipeline verified the modules at assembly time and
+  // vm::load_module at load; re-verifying on every run would tax the
+  // dispatch benches.
+  vm::VM machine(engine == Engine::kVm ? module_ : compiled_->module_o0,
+                 {prim_options_, vm_profile_, /*verify=*/false, vm_arena_,
+                  vm_admission_});
   vl::reset_stats();
-  exec::VValue result;
+  kernels::VValue result;
   {
     obs::Span span("run", "run.vm");
-    result = machine.call_function(name, std::move(vargs));
+    result = name != nullptr ? machine.call_function(*name, std::move(vargs))
+                             : machine.eval_entry();
     cost_.vm_ops = machine.stats();
     cost_.vector_work = vl::stats();
     span.counter("elements", cost_.vector_work.element_work);
@@ -454,6 +278,69 @@ exec::VValue ModuleRunner::run_at(std::uint32_t index,
   }
   publish_metrics(cost_, "vm");
   return result;
+}
+
+Session::Outcome Session::run_vm_ladder(const std::string* name,
+                                        detail::ArgSource* args) {
+  // vm -O1 -> vm -O0 (when the optimizer changed the module) -> reference
+  // interpreter; a bare module has the VM alone.
+  static constexpr Engine kFull[] = {Engine::kVm, Engine::kVmO0,
+                                     Engine::kInterp};
+  static constexpr Engine kNoO0[] = {Engine::kVm, Engine::kInterp};
+  std::span<const Engine> rungs = kNoO0;
+  if (compiled_ == nullptr) {
+    rungs = rungs.first(1);
+  } else if (compiled_->module_o0 != nullptr &&
+             compiled_->module_o0 != module_) {
+    rungs = kFull;
+  }
+  return run_ladder(rungs, name, args);
+}
+
+Session::Outcome Session::run_interp(const std::string* name,
+                                     detail::ArgSource* args) {
+  PROTEUS_REQUIRE(EvalError, compiled_ != nullptr,
+                  "the reference interpreter needs the source program; "
+                  "this session wraps a bare module");
+  static constexpr Engine kRungs[] = {Engine::kInterp};
+  return run_ladder(kRungs, name, args);
+}
+
+Value Session::run_reference(const std::string& name,
+                             const ValueList& args) {
+  const vm::Signature& sig = signature(&name);
+  detail::ArgSource source(name, sig.params, args);
+  return boxed(run_interp(&name, &source), sig.result);
+}
+
+Value Session::run_vm(const std::string& name, const ValueList& args) {
+  const vm::Signature& sig = signature(&name);
+  detail::ArgSource source(name, sig.params, args);
+  return boxed(run_vm_ladder(&name, &source), sig.result);
+}
+
+std::string Session::run_vm_text(const std::string& name,
+                                 std::span<const std::string_view> args) {
+  decode_fallbacks_ = 0;
+  const vm::Signature& sig = signature(&name);
+  detail::ArgSource source(name, sig.params, args, &decode_fallbacks_);
+  return text(run_vm_ladder(&name, &source), sig.result);
+}
+
+Value Session::run_entry_reference() {
+  const vm::Signature& sig = signature(nullptr);
+  return boxed(run_interp(nullptr, nullptr), sig.result);
+}
+
+Value Session::run_entry_vm() {
+  const vm::Signature& sig = signature(nullptr);
+  return boxed(run_vm_ladder(nullptr, nullptr), sig.result);
+}
+
+std::string Session::run_entry_vm_text() {
+  decode_fallbacks_ = 0;
+  const vm::Signature& sig = signature(nullptr);
+  return text(run_vm_ladder(nullptr, nullptr), sig.result);
 }
 
 Value parse_value(std::string_view literal) {

@@ -2,40 +2,43 @@
 //
 // A Session compiles a program in the data-parallel language P through the
 // whole directed-transformation pipeline of the paper and can run any of
-// its functions (or the optional entry expression) on both engines:
+// its functions (or the optional entry expression) on two engines:
 //
 //   * the reference interpreter (per-element iterator semantics — the
-//     paper's sequential simulation),
-//   * the vector-model tree executor (flat representation + depth-1
-//     vector primitives, walking the V-form AST), and
-//   * the bytecode VM (the same V program assembled into a VCODE-style
-//     linear instruction stream — the paper's actual CVL-level target).
+//     paper's sequential simulation, and the oracle every fast path must
+//     match), and
+//   * the bytecode VM (the post-T1 V program assembled into a VCODE-style
+//     linear instruction stream of depth-1 vector primitives — the
+//     paper's CVL-level target).
 //
-// All engines take and return boxed interp::Values so results are
+// Both engines take and return boxed interp::Values so results are
 // directly comparable; cost counters for each engine are exposed for the
 // machine-independent measurements the Proteus methodology prescribes.
-// run_vm_text is the serving form of run_vm: literal text in, literal
-// text out, converted straight to and from the flat representation by
-// the function's signature (kernels/codec.hpp).
+// Argument and result types come from the module's vm::Signatures, so a
+// Session can also wrap a bare deserialized module (no source forms) and
+// run it on the VM. run_vm_text is the serving form of run_vm: literal
+// text in, literal text out, converted straight to and from the flat
+// representation by the function's signature (kernels/codec.hpp).
 //
 // Quickstart:
 //
 //   proteus::Session s(R"(
 //     fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]
 //   )");
-//   auto v = s.run_vector("sqs", {proteus::parse_value("5")});
+//   auto v = s.run_vm("sqs", {proteus::parse_value("5")});
 //   // v == [1,4,9,16,25]
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "interp/interp.hpp"
+#include "kernels/prims.hpp"
 #include "obs/obs.hpp"
 #include "rt/rt.hpp"
 #include "vl/backend.hpp"
@@ -62,11 +65,10 @@ class ArgSource;  // a run's arguments, converted afresh per attempt
 ///
 /// The engine-specific structs stay the fast hot-path counters; after
 /// the run they are published into `metrics` under the unified schema of
-/// docs/OBSERVABILITY.md ("ref.*", "vec.*", "vm.*", "vl.*"), so every
-/// engine reports through the same names and the same exporters.
+/// docs/OBSERVABILITY.md ("ref.*", "vm.*", "vl.*"), so every engine
+/// reports through the same names and the same exporters.
 struct RunCost {
   interp::InterpStats reference;  ///< populated by run_reference
-  exec::ExecStats vector_ops;     ///< populated by run_vector
   vl::VectorStats vector_work;    ///< vl primitive calls / element work
   vm::VMStats vm_ops;             ///< populated by run_vm (per-opcode profile)
   obs::MetricsRegistry metrics;   ///< the unified flat view of the above
@@ -88,17 +90,20 @@ class Session {
   explicit Session(std::shared_ptr<const xform::Compiled> compiled,
                    const xform::PipelineOptions& options = {});
 
+  /// Wraps a deserialized VCODE module (vm::load_module, which verifies
+  /// it) with no AST in the process: `proteusc --load-module` and the
+  /// daemon's on-disk cache hits. Only the VM can run it — the fallback
+  /// rungs re-execute source forms a bare module does not carry — so a
+  /// trap propagates as rt::RuntimeTrap, and run_reference* throw.
+  explicit Session(std::shared_ptr<const vm::Module> module);
+
   /// Runs function `name` on the reference interpreter.
   [[nodiscard]] interp::Value run_reference(const std::string& name,
                                             const interp::ValueList& args);
 
-  /// Runs function `name` on the vector-model executor (arguments are
-  /// converted to the flat representation per the function's signature).
-  [[nodiscard]] interp::Value run_vector(const std::string& name,
-                                         const interp::ValueList& args);
-
-  /// Runs function `name` on the bytecode VM (same conversions and
-  /// result as run_vector; per-opcode profile lands in last_cost().vm_ops).
+  /// Runs function `name` on the bytecode VM (arguments are converted to
+  /// the flat representation per the function's signature; per-opcode
+  /// profile lands in last_cost().vm_ops).
   [[nodiscard]] interp::Value run_vm(const std::string& name,
                                      const interp::ValueList& args);
 
@@ -124,9 +129,6 @@ class Session {
   /// Runs the entry expression on the reference interpreter.
   [[nodiscard]] interp::Value run_entry_reference();
 
-  /// Runs the transformed entry expression on the vector-model executor.
-  [[nodiscard]] interp::Value run_entry_vector();
-
   /// Runs the compiled entry expression on the bytecode VM.
   [[nodiscard]] interp::Value run_entry_vm();
 
@@ -148,7 +150,7 @@ class Session {
 
   /// Installs a tracer for subsequent run_* calls: each run installs it
   /// as the process-global obs sink for its duration and records one
-  /// "run" span per execution plus per-primitive / per-opcode spans.
+  /// "run" span per execution plus per-opcode spans.
   /// Pass nullptr to detach. To also trace compilation, install the
   /// tracer globally (obs::set_tracer) before constructing the Session.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -161,9 +163,10 @@ class Session {
 
   /// Enables/disables the graceful-degradation ladder (default on).
   /// With fallback on, a retryable trap (an injected fault) in the
-  /// optimized VM path retries on the -O0 module, then the tree
-  /// executor, then the reference interpreter; run_vector retries on
-  /// the interpreter. With fallback off, every trap propagates.
+  /// optimized VM path retries on the -O0 module (when the optimizer
+  /// changed it), then on the reference interpreter. With fallback off,
+  /// every trap propagates. A Session over a bare module has no rung
+  /// below the VM.
   void set_fallback(bool enabled) { fallback_ = enabled; }
 
   /// Human-readable record of every degradation (and the final trap, if
@@ -172,11 +175,12 @@ class Session {
     return degradations_;
   }
 
-  /// All intermediate forms (checked / canonical / flat / vector).
+  /// All intermediate forms (checked / canonical / flat / vector). Only
+  /// for Sessions built from source or a compilation.
   [[nodiscard]] const xform::Compiled& compiled() const { return *compiled_; }
 
   /// The shared compilation itself, e.g. for constructing further
-  /// Sessions over the same program.
+  /// Sessions over the same program; null for a Session over a module.
   [[nodiscard]] const std::shared_ptr<const xform::Compiled>& compiled_ptr()
       const {
     return compiled_;
@@ -190,13 +194,15 @@ class Session {
 
  private:
   /// One rung of the degradation ladder.
-  enum class Engine : std::uint8_t { kVm, kVmO0, kExec, kInterp };
+  enum class Engine : std::uint8_t { kVm, kVmO0, kInterp };
   static const char* engine_name(Engine engine);
-  /// What an attempt produced: the vector engines' flat value or the
-  /// interpreter's boxed one.
-  using Outcome = std::variant<exec::VValue, interp::Value>;
+  /// What an attempt produced: the VM's flat value or the interpreter's
+  /// boxed one.
+  using Outcome = std::variant<kernels::VValue, interp::Value>;
 
-  const lang::FunDef& checked_fun(const std::string& name) const;
+  /// The calling convention of function `*name`, or of the entry
+  /// expression when `name` is null.
+  const vm::Signature& signature(const std::string* name) const;
   /// Runs function `*name` (or the entry when `name` is null) down the
   /// given rungs, taking the arguments of each attempt from `args`.
   Outcome run_ladder(std::span<const Engine> rungs, const std::string* name,
@@ -204,9 +210,11 @@ class Session {
   Outcome attempt(Engine engine, const std::string* name,
                   detail::ArgSource* args);
   Outcome run_vm_ladder(const std::string* name, detail::ArgSource* args);
+  Outcome run_interp(const std::string* name, detail::ArgSource* args);
 
-  std::shared_ptr<const xform::Compiled> compiled_;
-  exec::PrimOptions prim_options_;
+  std::shared_ptr<const xform::Compiled> compiled_;  ///< null over a module
+  std::shared_ptr<const vm::Module> module_;         ///< the -O1 module
+  kernels::PrimOptions prim_options_;
   bool vm_profile_ = false;
   bool vm_arena_ = false;
   bool vm_admission_ = false;
@@ -215,65 +223,6 @@ class Session {
   rt::ExecBudget budget_;
   bool fallback_ = true;
   std::vector<std::string> degradations_;
-  std::uint64_t decode_fallbacks_ = 0;
-};
-
-/// Runs a deserialized VCODE module (vm/module_io.hpp) on the bytecode VM
-/// with no AST in the process: argument/result conversion is guided by the
-/// module's serialized Signatures instead of the checked program. Used by
-/// `proteusc --load-module` and the daemon's on-disk cache hits.
-///
-/// There is deliberately no degradation ladder below the VM here — the
-/// fallback engines re-execute source forms a bare module does not carry —
-/// so resource traps propagate as rt::RuntimeTrap for the caller to
-/// surface (the daemon turns them into structured error replies).
-class ModuleRunner {
- public:
-  /// `module` must already be verified (vm::load_module does this).
-  explicit ModuleRunner(std::shared_ptr<const vm::Module> module);
-
-  /// Runs function `name`; it must carry a serialized Signature (user
-  /// functions and the entry do; internal `^d` extensions do not).
-  [[nodiscard]] interp::Value run(const std::string& name,
-                                  const interp::ValueList& args);
-
-  /// Runs the module's entry expression.
-  [[nodiscard]] interp::Value run_entry();
-
-  /// Text-in/text-out forms of run and run_entry, as Session::run_vm_text.
-  [[nodiscard]] std::string run_text(const std::string& name,
-                                     std::span<const std::string_view> args);
-  [[nodiscard]] std::string run_entry_text();
-
-  /// Arguments of the most recent run_text call that the literal codec
-  /// left to the general evaluator.
-  [[nodiscard]] std::uint64_t last_decode_fallbacks() const {
-    return decode_fallbacks_;
-  }
-
-  void set_budget(const rt::ExecBudget& budget) { budget_ = budget; }
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Same plan-backed arena / admission knobs as Session (run_vm path).
-  void set_arena(bool enabled) { vm_arena_ = enabled; }
-  void set_admission(bool enabled) { vm_admission_ = enabled; }
-
-  [[nodiscard]] const vm::Module& module() const { return *module_; }
-  [[nodiscard]] const RunCost& last_cost() const { return cost_; }
-
- private:
-  /// The callable function `name` and its calling convention.
-  [[nodiscard]] std::uint32_t callable(const std::string& name) const;
-  [[nodiscard]] const vm::Signature& signature(std::uint32_t index) const;
-  [[nodiscard]] exec::VValue run_at(std::uint32_t index,
-                                    detail::ArgSource* args);
-
-  std::shared_ptr<const vm::Module> module_;
-  exec::PrimOptions prim_options_;
-  bool vm_arena_ = false;
-  bool vm_admission_ = false;
-  obs::Tracer* tracer_ = nullptr;
-  RunCost cost_;
-  rt::ExecBudget budget_;
   std::uint64_t decode_fallbacks_ = 0;
 };
 

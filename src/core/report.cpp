@@ -34,13 +34,6 @@ void publish_metrics(RunCost& cost, std::string_view engine) {
     m.set("ref.calls", cost.reference.calls);
     return;
   }
-  if (engine == "vec") {
-    m.set("vec.calls", cost.vector_ops.calls);
-    m.set("vec.prim_applications", cost.vector_ops.prim_applications);
-    publish_per_prim(m, "vec.prim.", cost.vector_ops.per_prim);
-    publish_vl(m, cost.vector_work);
-    return;
-  }
   if (engine == "vm") {
     m.set("vm.calls", cost.vm_ops.calls);
     m.set("vm.instructions", cost.vm_ops.instructions);
@@ -73,26 +66,21 @@ void print_stats_text(std::ostream& os, const RunCost& cost,
      << ", element work: " << cost.vector_work.element_work
      << ", segment work: " << cost.vector_work.segment_work
      << ", buffer allocs: " << cost.vector_work.buffer_allocs
-     << ", user calls: "
-     << (engine == "vm" ? cost.vm_ops.calls : cost.vector_ops.calls) << '\n';
+     << ", user calls: " << cost.vm_ops.calls << '\n';
   os << "[stats] instruction mix:";
-  const auto& per_prim =
-      engine == "vm" ? cost.vm_ops.per_prim : cost.vector_ops.per_prim;
-  for (const auto& [op, count] : per_prim) {
+  for (const auto& [op, count] : cost.vm_ops.per_prim) {
     os << ' ' << lang::prim_name(op) << '=' << count;
   }
   os << '\n';
-  if (engine == "vm") {
-    os << "[stats] vm instructions: " << cost.vm_ops.instructions
-       << "; per-opcode count/work/us:";
-    for (int i = 0; i < vm::kNumOps; ++i) {
-      const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
-      if (p.count == 0) continue;
-      os << ' ' << vm::op_name(static_cast<vm::Op>(i)) << '=' << p.count
-         << '/' << p.element_work << '/' << p.nanos / 1000;
-    }
-    os << '\n';
+  os << "[stats] vm instructions: " << cost.vm_ops.instructions
+     << "; per-opcode count/work/us:";
+  for (int i = 0; i < vm::kNumOps; ++i) {
+    const vm::OpProfile& p = cost.vm_ops.per_op[static_cast<std::size_t>(i)];
+    if (p.count == 0) continue;
+    os << ' ' << vm::op_name(static_cast<vm::Op>(i)) << '=' << p.count
+       << '/' << p.element_work << '/' << p.nanos / 1000;
   }
+  os << '\n';
   print_histograms_text(os, cost.metrics);
 }
 

@@ -3,7 +3,6 @@
 //
 // Schema (full list in docs/OBSERVABILITY.md):
 //   ref.iterations / ref.scalar_ops / ref.steps / ref.calls
-//   vec.calls / vec.prim_applications / vec.prim.<name>
 //   vm.calls / vm.instructions / vm.prim_applications / vm.prim.<name>
 //   vm.op.<name>.count / vm.op.<name>.work / vm.op.<name>.ns
 //   vl.primitive_calls / vl.element_work / vl.segment_work / vl.buffer_allocs
@@ -21,7 +20,7 @@
 namespace proteus {
 
 /// Fills cost.metrics from the engine-specific structs for a run on
-/// `engine` ("ref", "vec" or "vm"). Clears previously published values.
+/// `engine` ("ref" or "vm"). Clears previously published values.
 void publish_metrics(RunCost& cost, std::string_view engine);
 
 /// The classic human-readable "[stats] ..." lines for `engine`. Any

@@ -1,10 +1,10 @@
 // prims.hpp — the shared kernel table: vector-model implementations of the
 // Table 2 primitives and their depth-1 parallel extensions (Section 4.4).
 //
-// Both execution engines — the tree-walking exec::Executor and the bytecode
-// vm::VM — funnel every primitive application through this one table, so a
-// kernel fix or optimization reaches both engines at once and differential
-// results cannot drift at the kernel level.
+// The bytecode vm::VM funnels every primitive application through this
+// one table (its fused superinstructions through kernels/fused.hpp), so
+// the kernels are testable on their own and a kernel fix reaches every
+// opcode at once.
 //
 // apply_prim0 evaluates a primitive on depth-0 values (scalars and whole
 // sequences); apply_prim1 evaluates the depth-1 extension on frames, where

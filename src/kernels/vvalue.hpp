@@ -1,5 +1,5 @@
-// vvalue.hpp — runtime values of the vector-model engines (the tree
-// executor of exec/ and the bytecode VM of vm/).
+// vvalue.hpp — runtime values of the vector-model engine (the bytecode VM
+// of vm/).
 //
 // Where the reference interpreter boxes every element, these engines keep
 // each sequence in the flat vector representation of Section 4.1: a VValue

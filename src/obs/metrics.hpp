@@ -1,12 +1,12 @@
 // metrics.hpp — the flat metric sink all engines report through.
 //
 // A MetricsRegistry is an ordered map of dotted metric names to integer
-// values ("vl.element_work", "vm.instructions", "vec.prim.plus", ...).
-// The engine-specific stat structs (interp::InterpStats, exec::ExecStats,
-// vm::VMStats, vl::VectorStats) stay plain structs on the hot paths;
-// after every Session::run_* call they are *published* into one registry
-// under the unified schema of docs/OBSERVABILITY.md, so the three
-// engines — and every future one — report through the same names and
+// values ("vl.element_work", "vm.instructions", "vm.prim.plus", ...).
+// The engine-specific stat structs (interp::InterpStats, vm::VMStats,
+// vl::VectorStats) stay plain structs on the hot paths; after every
+// Session::run_* call they are *published* into one registry under the
+// unified schema of docs/OBSERVABILITY.md, so both engines — and every
+// future one — report through the same names and
 // the same exporters (text, JSON, and OpenMetrics).
 //
 // Three metric kinds:

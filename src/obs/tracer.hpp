@@ -5,8 +5,8 @@
 // loads that pointer once: with no tracer installed a Span is a relaxed
 // atomic load, a null check and a handful of member stores — no clock
 // read, no allocation, no lock — so instrumentation can stay compiled in
-// on the hot paths (the VM dispatch loop, the tree executor's primitive
-// application) at near-zero cost.
+// on the hot paths (the VM dispatch loop, its per-opcode spans) at
+// near-zero cost.
 //
 // With a tracer installed, spans record wall-clock intervals (duration
 // events) and instants (e.g. one event per transformation-rule firing),

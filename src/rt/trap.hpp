@@ -3,7 +3,8 @@
 //
 // Every resource-limit violation, cooperative cancellation, and injected
 // fault anywhere in the runtime (vl allocation layer, kernel table, VM
-// dispatch loop, tree executors, parser/printer recursion) surfaces as one
+// dispatch loop, reference interpreter, parser/printer recursion) surfaces
+// as one
 // exception type, RuntimeTrap, carrying a stable trap code (T001-T008),
 // the site that observed it, and the governor's byte/step counters at the
 // moment of the trip — replacing the ad-hoc EvalError throws these paths

@@ -14,7 +14,8 @@
 //     (vm/module_io.hpp) under <dir>/<hex key>.pvcm: survives restarts
 //     and is shared with `proteusc --module-cache`. A disk hit re-verifies
 //     the image through the bytecode verifier and serves through
-//     ModuleRunner (VM only — source forms are not on disk).
+//     a Session over the bare module (VM only — source forms are not on
+//     disk).
 //
 // All methods are safe to call from concurrent worker threads.
 #pragma once

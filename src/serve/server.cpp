@@ -609,43 +609,21 @@ Json Server::do_eval(const Json& req) {
     args.emplace_back(a.as_string());
   }
   try {
-    std::string result;
-    obs::MetricsRegistry run_metrics;
-    Json degradations;
-    std::string engine = "vm";
-    std::uint64_t decode_fallbacks = 0;
-    if (entry->compiled != nullptr) {
-      Session session(entry->compiled);
-      session.set_budget(budget);
-      session.set_arena(options_.arena);
-      session.set_admission(options_.admission);
-      result = has_fun ? session.run_vm_text(fun, args)
-                       : session.run_entry_vm_text();
-      decode_fallbacks = session.last_decode_fallbacks();
-      run_metrics = session.last_cost().metrics;
-      if (!session.last_degradations().empty()) {
-        Json::Array lines;
-        for (const std::string& d : session.last_degradations()) {
-          lines.emplace_back(d);
-        }
-        degradations = Json(std::move(lines));
-      }
-    } else {
-      // Disk-rehydrated module: no source forms in this process, so the
-      // run is VM-only, driven by the module's serialized signatures.
-      ModuleRunner runner(entry->module);
-      runner.set_budget(budget);
-      runner.set_arena(options_.arena);
-      runner.set_admission(options_.admission);
-      result = has_fun ? runner.run_text(fun, args) : runner.run_entry_text();
-      decode_fallbacks = runner.last_decode_fallbacks();
-      run_metrics = runner.last_cost().metrics;
-      engine = "vm-module";
-    }
+    // Disk-rehydrated entries carry only the module: no source forms in
+    // this process, so the run is VM-only, driven by the module's
+    // serialized signatures.
+    Session session = entry->compiled != nullptr ? Session(entry->compiled)
+                                                 : Session(entry->module);
+    session.set_budget(budget);
+    session.set_arena(options_.arena);
+    session.set_admission(options_.admission);
+    std::string result = has_fun ? session.run_vm_text(fun, args)
+                                 : session.run_entry_vm_text();
+    const obs::MetricsRegistry& run_metrics = session.last_cost().metrics;
 
     count("serve.eval.count");
     if (cache_hit) count("serve.eval.warm");
-    count("serve.decode.fallbacks", decode_fallbacks);
+    count("serve.decode.fallbacks", session.last_decode_fallbacks());
     count("serve.eval.wall_ns", elapsed_ns(start));
     // Accumulate the allocator counters across evals (OpenMetrics
     // counters) and remember the plan gauges of this eval.
@@ -663,10 +641,16 @@ Json Server::do_eval(const Json& req) {
     reply["ok"] = true;
     reply["key"] = vm::hash_hex(key);
     reply["cached"] = cache_hit;
-    reply["engine"] = engine;
+    reply["engine"] = entry->compiled != nullptr ? "vm" : "vm-module";
     reply["result"] = std::move(result);
     reply["metrics"] = metrics_object(run_metrics);
-    if (!degradations.is_null()) reply["degradations"] = degradations;
+    if (!session.last_degradations().empty()) {
+      Json::Array lines;
+      for (const std::string& d : session.last_degradations()) {
+        lines.emplace_back(d);
+      }
+      reply["degradations"] = Json(std::move(lines));
+    }
     return Json(std::move(reply));
   } catch (const rt::RuntimeTrap& trap) {
     // The request exhausted ITS budget; the daemon is healthy and the
@@ -800,22 +784,6 @@ int Server::serve_stdio(std::istream& in, std::ostream& out) {
 #if !defined(_WIN32)
 
 namespace {
-
-/// send(2) until done; false on a closed/broken connection. MSG_NOSIGNAL
-/// turns a peer that vanished mid-reply into EPIPE instead of SIGPIPE.
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// Binds + listens on host:port; returns the fd (or -1) and the bound
 /// port via *bound_port (for port 0 requests).
@@ -1173,15 +1141,32 @@ int Server::serve_metrics_http(const std::string& host, int port,
       continue;
     }
 
-    // Read the request head (bounded; a scraper's GET fits in one read).
+    // Read the request head, bounded in bytes and in time by ONE
+    // io_timeout_ms deadline (0 = none): a client dripping bytes cannot
+    // hold the only scrape thread, and a stop request cuts the read short.
     std::string head;
     char chunk[4096];
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(options_.io_timeout_ms);
     while (head.find("\r\n\r\n") == std::string::npos && head.size() < 8192) {
-      pollfd cfd{conn, POLLIN, 0};
-      if (::poll(&cfd, 1, 1000) <= 0) break;
-      const ssize_t n = ::read(conn, chunk, sizeof chunk);
-      if (n <= 0) break;
-      head.append(chunk, static_cast<std::size_t>(n));
+      int slice = 200;
+      if (options_.io_timeout_ms > 0) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - Clock::now())
+                .count();
+        if (left <= 0) break;
+        slice = static_cast<int>(std::min<std::int64_t>(slice, left));
+      }
+      std::size_t got = 0;
+      const IoStatus st = conn_read(conn, chunk, sizeof chunk, slice, &got);
+      if (st == IoStatus::kTimeout) continue;
+      if (st != IoStatus::kOk) break;
+      head.append(chunk, got);
+    }
+    if (stopping()) {
+      ::close(conn);
+      break;
     }
 
     const bool is_metrics = head.rfind("GET /metrics ", 0) == 0 ||
@@ -1208,7 +1193,7 @@ int Server::serve_metrics_http(const std::string& host, int port,
           "Content-Length: 10\r\n"
           "Connection: close\r\n\r\nnot found\n";
     }
-    (void)write_all(conn, response);
+    (void)conn_write(conn, response, options_.io_timeout_ms);
     ::close(conn);
   }
 

@@ -5,7 +5,7 @@
 // Section 4.5 optimization — while seg_gather implements seq_index^1 when
 // the source itself varies per element (one source subsequence per
 // segment). Indices follow the language's 1-origin convention at the call
-// sites in exec/; the vl layer is 0-origin like CVL.
+// sites in kernels/; the vl layer is 0-origin like CVL.
 #pragma once
 
 #include "vl/vec.hpp"

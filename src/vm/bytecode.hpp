@@ -1,7 +1,7 @@
 // bytecode.hpp — the VCODE-style linear instruction format the bytecode VM
 // executes.
 //
-// The tree executor re-walks the V-form AST on every call: per-node
+// A tree walk over the V-form AST would pay, on every call, per-node
 // variant dispatch, environment lookups by string, and re-resolution of
 // callee functions at every flattened-recursion level. Historically the
 // paper's T1 target was not a syntax tree but a *linear* segmented-vector

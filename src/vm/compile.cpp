@@ -461,8 +461,7 @@ std::shared_ptr<Module> compile_module(const lang::Program& program,
   Builder builder(*module);
 
   // Pass 1: register every function name so direct calls resolve to
-  // indices regardless of definition order (duplicates: last wins, the
-  // tree executor's rule).
+  // indices regardless of definition order (duplicates: last wins).
   module->functions.reserve(program.functions.size() + 1);
   for (const FunDef& f : program.functions) {
     Function fn;

@@ -27,8 +27,6 @@ const std::vector<std::uint8_t> kAllFrames;  // empty lifted set
 constexpr std::uint64_t kDefaultArenaCap = std::uint64_t{256} << 20;
 
 [[noreturn]] void unknown_function(const std::string& name) {
-  // Same diagnostic as the tree executor so the engines stay
-  // indistinguishable to the differential harness.
   throw EvalError("vector executor: unknown function '" + name +
                   "' (was its parallel extension generated?)");
 }

@@ -1,11 +1,8 @@
 // vm.hpp — the dispatch-loop interpreter over vm::Module bytecode.
 //
-// Where the tree executor re-walks the AST (variant dispatch per node,
-// string environment lookups, function re-resolution per call), the VM
-// replays pre-linked flat code: registers index a frame vector, constants
-// and call targets were resolved at compile time, and each instruction
-// funnels into the shared kernel table of kernels/prims.hpp — so results
-// are bit-identical to the tree executor by construction.
+// The VM replays pre-linked flat code: registers index a frame vector,
+// constants and call targets were resolved at compile time, and each
+// instruction funnels into the shared kernel table of kernels/prims.hpp.
 //
 // Profiling: the VM always counts instructions, primitive applications,
 // and calls, and attributes vl element work (vl::stats() deltas) to the
@@ -31,7 +28,7 @@ namespace proteus::vm {
 
 /// Knobs of a VM run.
 struct VMOptions {
-  kernels::PrimOptions prims;  ///< shared-source gather etc. (as in exec)
+  kernels::PrimOptions prims;  ///< shared-source gather etc.
   bool profile = false;        ///< per-opcode wall-clock timing
   /// Run the bytecode verifier (vm/verify.hpp) at construction and throw
   /// analysis::AnalysisError when the module is rejected. Callers holding
@@ -58,7 +55,7 @@ struct OpProfile {
 };
 
 /// Execution counters of a VM (vl::stats()-compatible element-work
-/// accounting, plus the exec::ExecStats-style prim/call tallies).
+/// accounting, plus primitive-application and call tallies).
 struct VMStats {
   std::uint64_t instructions = 0;
   std::uint64_t prim_applications = 0;
@@ -68,16 +65,16 @@ struct VMStats {
 };
 
 // Call depth is bounded by the execution governor (rt::depth_limit():
-// the installed budget's max_depth, or rt::kDefaultMaxCallDepth) — the
-// same guard as the tree executor, raised as an rt::RuntimeTrap (T003).
+// the installed budget's max_depth, or rt::kDefaultMaxCallDepth), raised
+// as an rt::RuntimeTrap (T003).
 
 /// The bytecode interpreter. Holds the module and per-run statistics.
 class VM {
  public:
   explicit VM(std::shared_ptr<const Module> module, VMOptions options = {});
 
-  /// Calls a compiled function by name (the tree executor's
-  /// call_function contract, including its error messages). Takes the
+  /// Calls a compiled function by name; an unknown name or a wrong
+  /// argument count throws EvalError. Takes the
   /// arguments by value: they move straight into the frame's registers,
   /// so a caller done with its copies hands buffers to the VM — which the
   /// fused kernels can then recycle in place.

@@ -25,10 +25,10 @@ TEST(Ablation, ResultsIdenticalWithAndWithoutSharedSource) {
   Session optimized(kGatherHeavy);
   Session naive(kGatherHeavy, {}, naive_options());
   interp::Value v = val("[5,6,7,8,9]");
-  EXPECT_EQ(optimized.run_vector("rev", {v}), naive.run_vector("rev", {v}));
-  EXPECT_EQ(optimized.run_vector("spread", {v, val("4")}),
-            naive.run_vector("spread", {v, val("4")}));
-  EXPECT_EQ(optimized.run_vector("rev", {v}),
+  EXPECT_EQ(optimized.run_vm("rev", {v}), naive.run_vm("rev", {v}));
+  EXPECT_EQ(optimized.run_vm("spread", {v, val("4")}),
+            naive.run_vm("spread", {v, val("4")}));
+  EXPECT_EQ(optimized.run_vm("rev", {v}),
             optimized.run_reference("rev", {v}));
 }
 
@@ -47,9 +47,9 @@ TEST(Ablation, ReplicationCostsMoreElementWork) {
   }
   literal += ']';
   interp::ValueList arg{val(literal)};
-  (void)optimized.run_vector("rev", arg);
+  (void)optimized.run_vm("rev", arg);
   auto opt_work = optimized.last_cost().vector_work.element_work;
-  (void)naive.run_vector("rev", arg);
+  (void)naive.run_vm("rev", arg);
   auto naive_work = naive.last_cost().vector_work.element_work;
   EXPECT_GT(naive_work, opt_work);
 }
@@ -67,8 +67,8 @@ TEST(Ablation, QuicksortAgreesUnderBothModes) {
   Session optimized(qs);
   Session naive(qs, {}, naive_options());
   interp::Value input = val("[4,2,9,4,1,7,0,-3,4]");
-  EXPECT_EQ(optimized.run_vector("quicksort", {input}),
-            naive.run_vector("quicksort", {input}));
+  EXPECT_EQ(optimized.run_vm("quicksort", {input}),
+            naive.run_vm("quicksort", {input}));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // End-to-end differential tests: for a battery of P programs, the
-// reference interpreter and the vector-model executor must agree exactly.
+// reference interpreter and the bytecode VM must agree exactly.
 #include <gtest/gtest.h>
 
 #include "testing.hpp"
@@ -163,7 +163,7 @@ TEST(Differential, ReverseAndZip) {
               "[[(1,2),(2,1)],[(5,5)]]");
   expect_both(s, "pal", {val("[1,2,1]")}, "true");
   expect_both(s, "pal", {val("[1,2,2]")}, "false");
-  EXPECT_THROW((void)s.run_vector("zipup", {val("[1]"), val("[1,2]")}),
+  EXPECT_THROW((void)s.run_vm("zipup", {val("[1]"), val("[1,2]")}),
                EvalError);
   EXPECT_THROW((void)s.run_reference("zipup", {val("[1]"), val("[1,2]")}),
                EvalError);
@@ -347,9 +347,9 @@ TEST(Differential, VectorCostIsDataIndependentInPrimCount) {
   // The number of vector primitives issued depends on the program, not on
   // the data size (work grows, step count does not).
   Session s("fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]");
-  (void)s.run_vector("sqs", {val("4")});
+  (void)s.run_vm("sqs", {val("4")});
   auto small = s.last_cost().vector_work.primitive_calls;
-  (void)s.run_vector("sqs", {val("4000")});
+  (void)s.run_vm("sqs", {val("4000")});
   auto large = s.last_cost().vector_work.primitive_calls;
   EXPECT_EQ(small, large);
 }

@@ -13,22 +13,22 @@ TEST(Errors, IndexOutOfRangeBothEngines) {
   Session s("fun pick(v: seq(int), i: int): int = v[i]");
   EXPECT_THROW((void)s.run_reference("pick", {val("[1,2]"), val("3")}),
                EvalError);
-  EXPECT_THROW((void)s.run_vector("pick", {val("[1,2]"), val("3")}),
+  EXPECT_THROW((void)s.run_vm("pick", {val("[1,2]"), val("3")}),
                EvalError);
-  EXPECT_THROW((void)s.run_vector("pick", {val("[1,2]"), val("0")}),
+  EXPECT_THROW((void)s.run_vm("pick", {val("[1,2]"), val("0")}),
                EvalError);
 }
 
 TEST(Errors, IndexOutOfRangeInsideIterator) {
   Session s("fun f(v: seq(int)): seq(int) = [i <- [1 .. #v] : v[i + 1]]");
   EXPECT_THROW((void)s.run_reference("f", {val("[1,2,3]")}), EvalError);
-  EXPECT_THROW((void)s.run_vector("f", {val("[1,2,3]")}), EvalError);
+  EXPECT_THROW((void)s.run_vm("f", {val("[1,2,3]")}), EvalError);
 }
 
 TEST(Errors, DivisionByZeroInsideIterator) {
   Session s("fun f(v: seq(int)): seq(int) = [x <- v : 10 / x]");
   EXPECT_THROW((void)s.run_reference("f", {val("[1,0,2]")}), EvalError);
-  EXPECT_THROW((void)s.run_vector("f", {val("[1,0,2]")}), EvalError);
+  EXPECT_THROW((void)s.run_vm("f", {val("[1,0,2]")}), EvalError);
   // but the guarded version must NOT fail: the conditional restricts the
   // divisor frame before dividing (rule R2d's whole point).
   Session g(
@@ -41,19 +41,19 @@ TEST(Errors, MaxvalOfEmptyInsideIterator) {
   Session s("fun f(m: seq(seq(int))): seq(int) = [row <- m : maxval(row)]");
   EXPECT_THROW((void)s.run_reference("f", {val("[[1],([] : seq(int))]")}),
                EvalError);
-  EXPECT_THROW((void)s.run_vector("f", {val("[[1],([] : seq(int))]")}),
+  EXPECT_THROW((void)s.run_vm("f", {val("[[1],([] : seq(int))]")}),
                EvalError);
 }
 
 TEST(Errors, WrongArgumentCount) {
   Session s("fun f(x: int): int = x");
-  EXPECT_THROW((void)s.run_vector("f", {}), EvalError);
+  EXPECT_THROW((void)s.run_vm("f", {}), EvalError);
   EXPECT_THROW((void)s.run_reference("f", {val("1"), val("2")}), EvalError);
 }
 
 TEST(Errors, UnknownFunction) {
   Session s("fun f(x: int): int = x");
-  EXPECT_THROW((void)s.run_vector("nosuch", {val("1")}), EvalError);
+  EXPECT_THROW((void)s.run_vm("nosuch", {val("1")}), EvalError);
 }
 
 TEST(Errors, CompileTimeErrorsPropagate) {
@@ -63,7 +63,7 @@ TEST(Errors, CompileTimeErrorsPropagate) {
 
 TEST(Errors, UpdateOutOfRange) {
   Session s("fun f(v: seq(int)): seq(int) = update(v, 5, 0)");
-  EXPECT_THROW((void)s.run_vector("f", {val("[1,2]")}), EvalError);
+  EXPECT_THROW((void)s.run_vm("f", {val("[1,2]")}), EvalError);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Randomized differential testing: generate well-typed P programs from a
-// seeded grammar, compile them through the full pipeline, and require all
-// three engines — the reference interpreter, the vector-model tree
-// executor, and the bytecode VM — to agree on random inputs (a thrown
-// EvalError from every engine also counts as agreement).
+// seeded grammar, compile them through the full pipeline, and require the
+// reference interpreter and the bytecode VM (at -O1, -O0, and on the
+// plan-backed arena) to agree on random inputs (a thrown EvalError from
+// every engine also counts as agreement).
 //
 // The generator sticks to total operations plus guarded conditionals, so
 // almost every program runs to completion; sizes are kept small enough
@@ -179,7 +179,7 @@ struct Outcome {
   interp::Value value;
 };
 
-enum class Engine { kRef, kVec, kVm };
+enum class Engine { kRef, kVm };
 
 Outcome run(Session& s, const std::string& fn, const interp::ValueList& args,
             Engine engine) {
@@ -188,9 +188,6 @@ Outcome run(Session& s, const std::string& fn, const interp::ValueList& args,
     switch (engine) {
       case Engine::kRef:
         o.value = s.run_reference(fn, args);
-        break;
-      case Engine::kVec:
-        o.value = s.run_vector(fn, args);
         break;
       case Engine::kVm:
         o.value = s.run_vm(fn, args);
@@ -206,32 +203,25 @@ Outcome run(Session& s, const std::string& fn, const interp::ValueList& args,
   return o;
 }
 
-/// Runs `fn` on all three engines (plus, when given, the VM of a session
+/// Runs `fn` on both engines (plus, when given, the VM of a session
 /// compiled without the VCODE optimizer) and asserts pairwise agreement.
 void expect_engines_agree(Session& s, const std::string& fn,
                           const interp::ValueList& args,
                           std::uint64_t input,
                           Session* unfused = nullptr) {
   Outcome ref = run(s, fn, args, Engine::kRef);
-  Outcome vec = run(s, fn, args, Engine::kVec);
   Outcome bc = run(s, fn, args, Engine::kVm);
   // The plan-backed arena VM must agree bit-for-bit with the heap VM,
   // including on which programs throw.
   s.set_arena(true);
   Outcome arena = run(s, fn, args, Engine::kVm);
   s.set_arena(false);
-  EXPECT_EQ(ref.threw, vec.threw) << "input " << input;
   EXPECT_EQ(ref.threw, bc.threw) << "input " << input << " (vm)";
   EXPECT_EQ(bc.threw, arena.threw) << "input " << input << " (vm arena)";
   if (!bc.threw && !arena.threw) {
     EXPECT_EQ(bc.value, arena.value)
         << "input " << input << ": vm heap " << interp::to_text(bc.value)
         << " vs vm arena " << interp::to_text(arena.value);
-  }
-  if (!ref.threw && !vec.threw) {
-    EXPECT_EQ(ref.value, vec.value)
-        << "input " << input << ": ref " << interp::to_text(ref.value)
-        << " vs vec " << interp::to_text(vec.value);
   }
   if (!ref.threw && !bc.threw) {
     EXPECT_EQ(ref.value, bc.value)

@@ -1,7 +1,7 @@
 // observability_test.cpp — the tracing/metrics layer end to end:
 // RunCost resets on every run (no accumulation across back-to-back
 // runs), the unified metric registry mirrors the engine stat structs,
-// Session tracers capture run/prim/op spans, compile() emits one span
+// Session tracers capture run/op spans, compile() emits one span
 // per pipeline phase, and `--dump trace` text (Compiled::derivation) is
 // exactly Tracer::rule_lines() — one renderer, two views.
 #include <set>
@@ -23,12 +23,12 @@ const char* kProgram = R"(
 
 TEST(RunCostReset, BackToBackRunsDoNotAccumulate) {
   Session session(kProgram);
-  (void)session.run_vector("total", {val("100")});
+  (void)session.run_vm("total", {val("100")});
   const std::uint64_t work = session.last_cost().vector_work.element_work;
   const std::uint64_t prims =
       session.last_cost().vector_work.primitive_calls;
   ASSERT_GT(work, 0u);
-  (void)session.run_vector("total", {val("100")});
+  (void)session.run_vm("total", {val("100")});
   EXPECT_EQ(session.last_cost().vector_work.element_work, work);
   EXPECT_EQ(session.last_cost().vector_work.primitive_calls, prims);
   EXPECT_EQ(session.last_cost().metrics.get("vl.element_work"), work);
@@ -46,7 +46,7 @@ TEST(RunCostReset, BackToBackRunsDoNotAccumulate) {
 
 TEST(RunCostReset, EnginesDoNotLeakIntoEachOther) {
   Session session(kProgram);
-  (void)session.run_vector("total", {val("50")});
+  (void)session.run_vm("total", {val("50")});
   ASSERT_GT(session.last_cost().vector_work.element_work, 0u);
 
   (void)session.run_reference("total", {val("50")});
@@ -55,13 +55,13 @@ TEST(RunCostReset, EnginesDoNotLeakIntoEachOther) {
   EXPECT_EQ(session.last_cost().vector_work.element_work, 0u);
   EXPECT_GT(session.last_cost().reference.iterations, 0u);
   EXPECT_TRUE(session.last_cost().metrics.contains("ref.iterations"));
-  EXPECT_FALSE(session.last_cost().metrics.contains("vec.calls"));
+  EXPECT_FALSE(session.last_cost().metrics.contains("vm.calls"));
   EXPECT_FALSE(session.last_cost().metrics.contains("vl.element_work"));
 }
 
 TEST(Metrics, PublishedUnderUnifiedSchema) {
   Session session(kProgram);
-  (void)session.run_vector("total", {val("64")});
+  (void)session.run_vm("total", {val("64")});
   {
     const RunCost& c = session.last_cost();
     EXPECT_EQ(c.metrics.get("vl.element_work"),
@@ -70,16 +70,10 @@ TEST(Metrics, PublishedUnderUnifiedSchema) {
               c.vector_work.primitive_calls);
     EXPECT_EQ(c.metrics.get("vl.segment_work"),
               c.vector_work.segment_work);
-    EXPECT_EQ(c.metrics.get("vec.calls"), c.vector_ops.calls);
-    EXPECT_EQ(c.metrics.get("vec.prim_applications"),
-              c.vector_ops.prim_applications);
-  }
-
-  (void)session.run_vm("total", {val("64")});
-  {
-    const RunCost& c = session.last_cost();
     EXPECT_EQ(c.metrics.get("vm.instructions"), c.vm_ops.instructions);
     EXPECT_EQ(c.metrics.get("vm.calls"), c.vm_ops.calls);
+    EXPECT_EQ(c.metrics.get("vm.prim_applications"),
+              c.vm_ops.prim_applications);
     bool has_per_op = false;
     for (const auto& [name, value] : c.metrics.all()) {
       if (name.rfind("vm.op.", 0) == 0) has_per_op = true;
@@ -95,31 +89,26 @@ TEST(Metrics, PublishedUnderUnifiedSchema) {
   }
 }
 
-TEST(Tracing, SessionTracerRecordsRunPrimAndOpSpans) {
+TEST(Tracing, SessionTracerRecordsRunAndOpSpans) {
   Session session(kProgram);
   obs::Tracer tracer;
   session.set_tracer(&tracer);
   ASSERT_EQ(obs::tracer(), nullptr);  // install is per-run, not global
 
   (void)session.run_reference("total", {val("32")});
-  (void)session.run_vector("total", {val("32")});
   (void)session.run_vm("total", {val("32")});
   EXPECT_EQ(obs::tracer(), nullptr);  // restored after every run
 
   std::set<std::string> run_spans;
-  bool prim_span = false;
   bool op_span = false;
   for (const auto& e : tracer.events()) {
     const std::string_view cat = e.cat;
     if (cat == "run") run_spans.insert(e.name);
-    if (cat == "prim") prim_span = true;
     if (cat == "op") op_span = true;
   }
   EXPECT_TRUE(run_spans.count("run.reference"));
-  EXPECT_TRUE(run_spans.count("run.vector"));
   EXPECT_TRUE(run_spans.count("run.vm"));
-  EXPECT_TRUE(prim_span);  // tree executor: one span per vl primitive
-  EXPECT_TRUE(op_span);    // VM: one span per kernel opcode
+  EXPECT_TRUE(op_span);  // VM: one span per kernel opcode
 }
 
 TEST(Tracing, CompileEmitsPhaseSpansAndRuleEvents) {

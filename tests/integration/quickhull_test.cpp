@@ -99,11 +99,11 @@ TEST_P(Quickhull, MatchesReferenceHullAndEnginesAgree) {
   Session session(kProgram);
   interp::Value input = to_value(pts);
   interp::Value ref_engine = session.run_reference("quickhull", {input});
-  interp::Value vec_engine = session.run_vector("quickhull", {input});
-  EXPECT_EQ(ref_engine, vec_engine);
+  interp::Value vm_engine = session.run_vm("quickhull", {input});
+  EXPECT_EQ(ref_engine, vm_engine);
 
   // Same point set as the reference hull (order may differ in rotation).
-  std::vector<Point> got = from_value(vec_engine);
+  std::vector<Point> got = from_value(vm_engine);
   std::vector<Point> expect = reference_hull(pts);
   std::sort(got.begin(), got.end());
   got.erase(std::unique(got.begin(), got.end()), got.end());
@@ -118,7 +118,7 @@ TEST(Quickhull, DegenerateInputs) {
   Session session(kProgram);
   // all points collinear: hull is the two extremes
   interp::Value line = testing::val("[(0,0),(1,1),(2,2),(3,3)]");
-  interp::Value got = session.run_vector("quickhull", {line});
+  interp::Value got = session.run_vm("quickhull", {line});
   EXPECT_EQ(got, session.run_reference("quickhull", {line}));
   std::vector<Point> hull = from_value(got);
   std::sort(hull.begin(), hull.end());

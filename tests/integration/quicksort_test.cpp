@@ -46,7 +46,7 @@ TEST_P(QuicksortBoth, SortsAndEnginesAgree) {
   Session s(kQuicksort);
   interp::Value input = val(GetParam());
   interp::Value r = s.run_reference("quicksort", {input});
-  interp::Value v = s.run_vector("quicksort", {input});
+  interp::Value v = s.run_vm("quicksort", {input});
   EXPECT_EQ(r, v);
   // verify it actually sorts
   std::vector<vl::Int> xs;
@@ -72,7 +72,7 @@ TEST(Quicksort, RandomLargeInput) {
     xs.push_back(raw[i]);
   }
   arg.push_back(interp::Value::seq(std::move(elems)));
-  interp::Value v = s.run_vector("quicksort", arg);
+  interp::Value v = s.run_vm("quicksort", arg);
   EXPECT_EQ(v, sorted_value(xs));
 }
 
@@ -94,7 +94,7 @@ TEST(Quicksort, VectorPrimCountGrowsWithDepthNotSize) {
     for (vl::Size i = 0; i < raw.size(); ++i) {
       elems.push_back(interp::Value::ints(raw[i]));
     }
-    (void)s.run_vector("quicksort", {interp::Value::seq(std::move(elems))});
+    (void)s.run_vm("quicksort", {interp::Value::seq(std::move(elems))});
     return s.last_cost().vector_work.primitive_calls;
   };
   auto p128 = run(128);

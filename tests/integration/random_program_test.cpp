@@ -38,7 +38,7 @@ xform::PipelineOptions unfused_options() {
   return options;
 }
 
-/// All three engines agree, and the VM of an -O0 compile of the same
+/// Both engines agree, and the VM of an -O0 compile of the same
 /// source (no VCODE fusion) matches the default (-O1) VM.
 void both_and_unfused(Session& s, Session& unfused, const char* fn,
                       const interp::ValueList& args) {

@@ -3,7 +3,8 @@
 //
 //   * every trap code T001-T008 is triggered through the public API,
 //   * every ladder rung fires at least once (vm -O1 -> vm -O0 ->
-//     tree executor -> reference interpreter; compile-time -O1 -> -O0),
+//     reference interpreter; compile-time -O1 -> -O0), and a Session over
+//     a bare module has no rung below the VM,
 //   * fallback results match the healthy engine byte for byte, and
 //   * an exception-safety sweep checks that injected faults leak nothing
 //     and leave descriptor invariants intact.
@@ -15,6 +16,7 @@
 #include "lang/parser.hpp"
 #include "seq/nested.hpp"
 #include "testing.hpp"
+#include "vm/module_io.hpp"
 
 namespace proteus {
 namespace {
@@ -47,7 +49,7 @@ TEST_F(RobustnessTest, MemoryBudgetTrapsT001) {
   b.max_resident_bytes = rt::resident_bytes() + 4096;
   s.set_budget(b);
   try {
-    (void)s.run_vector("sqs", {val("100000")});
+    (void)s.run_vm("sqs", {val("100000")});
     FAIL() << "expected T001";
   } catch (const rt::RuntimeTrap& e) {
     EXPECT_EQ(e.trap(), rt::Trap::kMemory);
@@ -58,7 +60,7 @@ TEST_F(RobustnessTest, MemoryBudgetTrapsT001) {
   EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T001"), 1u);
   // Lifting the budget makes the same call succeed.
   s.set_budget(rt::ExecBudget{});
-  EXPECT_TRUE(s.run_vector("sqs", {val("10")}) == val("[1,4,9,16,25,36,49,64,81,100]"));
+  EXPECT_TRUE(s.run_vm("sqs", {val("10")}) == val("[1,4,9,16,25,36,49,64,81,100]"));
   EXPECT_TRUE(s.last_degradations().empty());
 }
 
@@ -82,12 +84,10 @@ TEST_F(RobustnessTest, DepthBudgetTrapsT003OnEveryEngine) {
   rt::ExecBudget b;
   b.max_depth = 64;
   s.set_budget(b);
-  for (const char* engine : {"ref", "vec", "vm"}) {
+  for (const std::string engine : {"ref", "vm"}) {
     try {
-      if (engine[0] == 'r') {
+      if (engine == "ref") {
         (void)s.run_reference("spin", {val("0")});
-      } else if (engine[0] == 'v' && engine[1] == 'e') {
-        (void)s.run_vector("spin", {val("0")});
       } else {
         (void)s.run_vm("spin", {val("0")});
       }
@@ -121,13 +121,13 @@ TEST_F(RobustnessTest, CancellationTrapsT005) {
   Session s(kSquares);
   rt::request_cancel();
   try {
-    (void)s.run_vector("sqs", {val("100")});
+    (void)s.run_vm("sqs", {val("100")});
     FAIL() << "expected T005";
   } catch (const rt::RuntimeTrap& e) {
     EXPECT_EQ(e.trap(), rt::Trap::kCancelled);
   }
   rt::clear_cancel();
-  EXPECT_TRUE(s.run_vector("sqs", {val("3")}) == val("[1,4,9]"));
+  EXPECT_TRUE(s.run_vm("sqs", {val("3")}) == val("[1,4,9]"));
 }
 
 TEST_F(RobustnessTest, InjectedAllocFaultPropagatesWithFallbackOff) {
@@ -165,7 +165,7 @@ TEST_F(RobustnessTest, LadderVmO1ToVmO0OnInjectedKernelFault) {
   EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
 }
 
-TEST_F(RobustnessTest, LadderVmToExecWhenNoOptimizedModule) {
+TEST_F(RobustnessTest, LadderVmToInterpWhenNoOptimizedModule) {
   xform::PipelineOptions options;
   options.optimize_vcode = false;  // -O0: no separate module to retry on
   Session s(kSquares, {}, options);
@@ -178,28 +178,60 @@ TEST_F(RobustnessTest, LadderVmToExecWhenNoOptimizedModule) {
   const interp::Value recovered = s.run_vm("sqs", {val("100")});
   EXPECT_TRUE(recovered == healthy);
   ASSERT_EQ(s.last_degradations().size(), 1u);
-  EXPECT_NE(s.last_degradations()[0].find("vm -> exec"), std::string::npos)
+  EXPECT_NE(s.last_degradations()[0].find("vm -> interp"), std::string::npos)
       << s.last_degradations()[0];
   EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
 }
 
-TEST_F(RobustnessTest, LadderExecToInterpOnInjectedAllocFault) {
+TEST_F(RobustnessTest, LadderVmO0ToInterpOnInjectedAllocFault) {
   Session s(kSquares);
-  const interp::Value healthy = s.run_vector("sqs", {val("100")});
+  ASSERT_NE(s.compiled().module, s.compiled().module_o0);
+  const interp::Value healthy = s.run_vm("sqs", {val("100")});
 
+  // Two one-shot faults: whichever site the -O1 attempt reaches first
+  // fires there, the other fires in the -O0 retry. The interpreter never
+  // touches vl, so it is immune and finishes the run.
   rt::FaultPlan plan;
   plan.alloc = 1;
+  plan.kernel = 1;
   rt::arm_faults(plan);
-  // The fault strikes during argument conversion or the first kernel
-  // allocation; the interpreter never touches vl, so it is immune.
-  const interp::Value recovered = s.run_vector("sqs", {val("100")});
+  const interp::Value recovered = s.run_vm("sqs", {val("100")});
   EXPECT_TRUE(recovered == healthy);
-  ASSERT_EQ(s.last_degradations().size(), 1u);
-  EXPECT_NE(s.last_degradations()[0].find("exec -> interp"),
-            std::string::npos)
+  ASSERT_EQ(s.last_degradations().size(), 2u);
+  EXPECT_NE(s.last_degradations()[0].find("vm -> vm-o0"), std::string::npos)
       << s.last_degradations()[0];
+  EXPECT_NE(s.last_degradations()[1].find("vm-o0 -> interp"),
+            std::string::npos)
+      << s.last_degradations()[1];
   EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T006"), 1u);
-  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.exec"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T007"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm-o0"), 1u);
+}
+
+TEST_F(RobustnessTest, ModuleSessionHasNoFallbackBelowTheVm) {
+  Session compiled(kSquares);
+  vm::ModuleLoadResult loaded =
+      vm::load_module(vm::module_bytes(*compiled.compiled().module));
+  ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
+  Session s(loaded.module);
+  EXPECT_TRUE(s.run_vm("sqs", {val("100")}) ==
+              compiled.run_vm("sqs", {val("100")}));
+
+  // A retryable fault a compiled Session would absorb propagates here:
+  // the rungs below the VM need source forms a bare module lacks.
+  rt::FaultPlan plan;
+  plan.kernel = 1;
+  rt::arm_faults(plan);
+  try {
+    (void)s.run_vm("sqs", {val("100")});
+    FAIL() << "expected T007";
+  } catch (const rt::RuntimeTrap& e) {
+    EXPECT_EQ(e.trap(), rt::Trap::kInjectKernel);
+    EXPECT_TRUE(rt::retryable(e.trap()));
+  }
+  EXPECT_EQ(s.last_cost().metrics.get("rt.fallback.vm"), 0u);
+  EXPECT_THROW((void)s.run_reference("sqs", {val("3")}), EvalError);
 }
 
 TEST_F(RobustnessTest, CompileTimeO1ToO0OnInjectedOptimizerFault) {
@@ -239,8 +271,8 @@ TEST_F(RobustnessTest, ExceptionSafetySweepUnderAllocInjection) {
   const interp::Value healthy = s.run_vm("qs", {input});
 
   // An array alive across every injected unwind; validated after each.
-  const exec::VValue pristine =
-      exec::from_boxed(val("[[1,2],[3],[4,5,6]]"),
+  const kernels::VValue pristine =
+      kernels::from_boxed(val("[[1,2],[3],[4,5,6]]"),
                        lang::parse_type("seq(seq(int))"));
   for (std::uint64_t nth = 1; nth <= 12; ++nth) {
     rt::FaultPlan plan;
@@ -251,7 +283,7 @@ TEST_F(RobustnessTest, ExceptionSafetySweepUnderAllocInjection) {
     pristine.as_seq().validate();
     // Results that came through a fallback engine still convert to
     // well-formed flat arrays.
-    exec::from_boxed(recovered, lang::parse_type("seq(int)"))
+    kernels::from_boxed(recovered, lang::parse_type("seq(int)"))
         .as_seq()
         .validate();
     rt::disarm_faults();

@@ -4,7 +4,11 @@
 // bit-identical whether the vl kernels run serially or threaded, on
 // inputs big enough to actually cross kParallelGrain and take the OpenMP
 // paths. Any divergence means a kernel counts work differently when it
-// parallelises — exactly the bug class this guards against.
+// parallelises — exactly the bug class this guards against. The -O0 VM
+// must also reproduce the primitive count and element work the tree
+// executor (the project's first vector-model engine, since retired)
+// recorded for the same calls: the paper's work-count claims stay pinned
+// to the V program T1 emits, whichever engine runs it.
 #include <cstdint>
 #include <random>
 #include <string>
@@ -58,51 +62,55 @@ interp::Value ragged_rows(std::uint64_t seed, int rows, int big_row_len) {
   return interp::Value::seq(std::move(out));
 }
 
-/// Runs `fn(args)` on `engine` under `backend` and returns the full
+/// Runs `fn(args)` on the VM under `backend` and returns the full
 /// published metric registry (deterministic: vm profiling is off, so no
 /// wall-clock keys appear).
 obs::MetricsRegistry::Map run_metrics(Session& session, vl::Backend backend,
-                                      const std::string& engine,
                                       const std::string& fn,
                                       const interp::ValueList& args) {
   vl::BackendGuard guard(backend);
-  if (engine == "vm") {
-    (void)session.run_vm(fn, args);
-  } else {
-    (void)session.run_vector(fn, args);
-  }
+  (void)session.run_vm(fn, args);
   return session.last_cost().metrics.all();
 }
 
+/// Serial/OpenMP parity at -O1 and -O0, and the -O0 run's cost against
+/// the tree executor's recorded `tree_prims` / `tree_work`.
 void expect_parity(const char* program, const std::string& fn,
-                   const interp::ValueList& args) {
-  Session session(program);
-  for (const std::string engine : {"vec", "vm"}) {
-    const auto serial =
-        run_metrics(session, vl::Backend::kSerial, engine, fn, args);
-    const auto openmp =
-        run_metrics(session, vl::Backend::kOpenMP, engine, fn, args);
+                   const interp::ValueList& args, std::uint64_t tree_prims,
+                   std::uint64_t tree_work) {
+  for (const bool optimize : {true, false}) {
+    xform::PipelineOptions options;
+    options.optimize_vcode = optimize;
+    Session session(program, {}, options);
+    const char* level = optimize ? "-O1" : "-O0";
+    const auto serial = run_metrics(session, vl::Backend::kSerial, fn, args);
+    const auto openmp = run_metrics(session, vl::Backend::kOpenMP, fn, args);
     EXPECT_EQ(serial, openmp)
-        << fn << " on " << engine
+        << fn << " at " << level
         << ": cost counters differ between serial and openmp backends";
-    EXPECT_GT(serial.at("vl.element_work"), 0u) << fn << " on " << engine;
+    EXPECT_GT(serial.at("vl.element_work"), 0u) << fn << " at " << level;
+    if (!optimize) {
+      EXPECT_EQ(serial.at("vl.primitive_calls"), tree_prims) << fn;
+      EXPECT_EQ(serial.at("vl.element_work"), tree_work) << fn;
+    }
   }
 }
 
 TEST(StatsParity, QuicksortSerialVsOpenMP) {
   if (!vl::openmp_available()) GTEST_SKIP() << "serial-only build";
-  expect_parity(kQuicksort, "quicksort", {random_ints(3, 6000)});
+  expect_parity(kQuicksort, "quicksort", {random_ints(3, 6000)}, 7380,
+                8783532);
 }
 
 TEST(StatsParity, IrregularRowSumsSerialVsOpenMP) {
   if (!vl::openmp_available()) GTEST_SKIP() << "serial-only build";
-  expect_parity(kRowSums, "rowsums", {ragged_rows(7, 64, 8192)});
+  expect_parity(kRowSums, "rowsums", {ragged_rows(7, 64, 8192)}, 43, 153592);
 }
 
 TEST(StatsParity, NestedPrefixSumsSerialVsOpenMP) {
   if (!vl::openmp_available()) GTEST_SKIP() << "serial-only build";
   // n rows of lengths 1..n flatten to n(n+1)/2 ~ 20k elements.
-  expect_parity(kPrefix, "prefix", {random_ints(11, 200)});
+  expect_parity(kPrefix, "prefix", {random_ints(11, 200)}, 16, 162400);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //   (a) the checked source on the reference interpreter,
 //   (b) the optimized flattened (pre-T1) form on the SAME interpreter
 //       via its generic depth-extension semantics,
-//   (c) the fully translated V form on the vector executor,
+//   (c) the fully translated V form, assembled, on the bytecode VM,
 // and all three must agree. Leg (b) isolates R2 + the §4.5 rewrites from
 // T1 and from the vector kernels — in particular it exercises the boxed
 // semantics of seq_index_inner and the replicated-length rewrite.
@@ -41,8 +41,8 @@ TEST_P(Triangle, AllThreeAgree) {
   EXPECT_EQ(source_interp, flat_result)
       << p.name << ": flattened form diverges under boxed semantics";
 
-  interp::Value vec_result = s.run_vector(p.fn, args);
-  EXPECT_EQ(source_interp, vec_result)
+  interp::Value vm_result = s.run_vm(p.fn, args);
+  EXPECT_EQ(source_interp, vm_result)
       << p.name << ": vector execution diverges";
 }
 

@@ -1,7 +1,8 @@
 // lifecycle_test.cpp — the serve layer's overload-and-lifecycle hardening
 // (docs/SERVING.md "Overload & lifecycle"): bounded admission and S001
 // shedding, idle/IO deadlines against slow and hostile clients, the
-// per-line byte bound, graceful drain, the health op, crash-safe disk
+// per-line byte bound, the metrics listener's read/write deadlines,
+// graceful drain, the health op, crash-safe disk
 // cache publication, and the chaos sites consumed through the retrying
 // client. These tests drive real sockets against a live serve_tcp, so
 // they are POSIX-only, like the transport itself.
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -468,6 +470,64 @@ TEST_F(LifecycleTest, RetryingClientHonorsBusyFrames) {
   ASSERT_TRUE(reply.has_value()) << error;
   EXPECT_TRUE(reply->get("pong").as_bool(false)) << reply->dump();
   EXPECT_GE(client.stats().busy_retries, 1u);
+}
+
+TEST(ServeMetricsHttp, SlowClientCannotHoldTheScrapeListener) {
+  ServerOptions options;
+  options.io_timeout_ms = 300;
+  Server server(options);
+  std::ostringstream announce;
+  std::atomic<bool> returned{false};
+  std::thread listener([&] {
+    (void)server.serve_metrics_http("127.0.0.1", 0, announce);
+    returned = true;
+  });
+  while (server.metrics_http_port() < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int port = server.metrics_http_port();
+
+  // Clients that drip one byte every 100 ms and never finish their head:
+  // each byte arrives well inside any per-read poll timeout.
+  std::atomic<bool> stop_drip{false};
+  const auto drip = [&](const RawConn& conn) {
+    for (int i = 0; i < 40 && !stop_drip; ++i) {
+      if (!conn.send_raw("G")) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  };
+  RawConn slow(port);
+  ASSERT_TRUE(slow.connected());
+  std::thread dripper([&] { drip(slow); });
+  // Let the single listener thread accept the slow client first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // A real scrape still gets its 200 within a second: the slow client's
+  // head read ends at its io_timeout_ms deadline.
+  const auto start = std::chrono::steady_clock::now();
+  RawConn scrape(port, /*recv_timeout_ms=*/1000);
+  ASSERT_TRUE(scrape.connected());
+  ASSERT_TRUE(scrape.send_raw("GET /metrics HTTP/1.0\r\n\r\n"));
+  const std::string status = scrape.read_line();
+  EXPECT_EQ(status.rfind("HTTP/1.0 200", 0), 0u) << "status: " << status;
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+
+  // A stop request ends the listener even while a client is dripping.
+  RawConn slow2(port);
+  ASSERT_TRUE(slow2.connected());
+  std::thread dripper2([&] { drip(slow2); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.request_stop();
+  for (int i = 0; i < 1000 && !returned; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(returned) << "serve_metrics_http ignored request_stop()";
+
+  stop_drip = true;
+  dripper.join();
+  dripper2.join();
+  listener.join();
 }
 
 TEST(ServeCache, DiskInsertIsAtomicAndLeavesNoTmp) {

@@ -16,17 +16,12 @@ inline interp::Value val(std::string_view literal) {
   return parse_value(literal);
 }
 
-/// Runs `fn(args...)` on every engine of `session` — the reference
-/// interpreter, the vector-model tree executor, and the bytecode VM —
-/// asserts the three agree, and returns the (reference) result for
-/// further checks.
+/// Runs `fn(args...)` on both engines of `session` — the reference
+/// interpreter and the bytecode VM — asserts they agree, and returns the
+/// (reference) result for further checks.
 inline interp::Value both(Session& session, const std::string& fn,
                           const interp::ValueList& args) {
   interp::Value reference = session.run_reference(fn, args);
-  interp::Value vectorised = session.run_vector(fn, args);
-  EXPECT_EQ(reference, vectorised)
-      << fn << ": reference " << interp::to_text(reference) << " vs vector "
-      << interp::to_text(vectorised);
   interp::Value bytecode = session.run_vm(fn, args);
   EXPECT_EQ(reference, bytecode)
       << fn << ": reference " << interp::to_text(reference) << " vs vm "

@@ -107,12 +107,12 @@ TEST(VmFuse, OptimizeModuleRoundTrip) {
 
   const lang::FunDef* f = s0.compiled().checked.find("chain");
   ASSERT_NE(f, nullptr);
-  exec::VValue arg =
-      exec::from_boxed(val("[3,1,4,1,5,9,2,6]"), f->params[0].type);
+  kernels::VValue arg =
+      kernels::from_boxed(val("[3,1,4,1,5,9,2,6]"), f->params[0].type);
   vm::VM plain(s0.compiled().module);
   vm::VM optimized(opt);
-  EXPECT_EQ(exec::to_boxed(plain.call_function("chain", {arg}), f->result),
-            exec::to_boxed(optimized.call_function("chain", {arg}),
+  EXPECT_EQ(kernels::to_boxed(plain.call_function("chain", {arg}), f->result),
+            kernels::to_boxed(optimized.call_function("chain", {arg}),
                            f->result));
 }
 
@@ -126,15 +126,15 @@ TEST(VmFuse, InPlaceReuseIsSuppressedWhenCallerRetainsTheInput) {
   const lang::FunDef* f = s.compiled().checked.find("chain");
   ASSERT_NE(f, nullptr);
   interp::Value boxed = val("[7,-2,0,31,8]");
-  exec::VValue arg = exec::from_boxed(boxed, f->params[0].type);
+  kernels::VValue arg = kernels::from_boxed(boxed, f->params[0].type);
   vm::VM machine(s.compiled().module);
   interp::Value r1 =
-      exec::to_boxed(machine.call_function("chain", {arg}), f->result);
+      kernels::to_boxed(machine.call_function("chain", {arg}), f->result);
   // The retained argument still holds its original contents...
-  EXPECT_EQ(exec::to_boxed(arg, f->params[0].type), boxed);
+  EXPECT_EQ(kernels::to_boxed(arg, f->params[0].type), boxed);
   // ...and a second call over the same buffer reproduces the result.
   interp::Value r2 =
-      exec::to_boxed(machine.call_function("chain", {arg}), f->result);
+      kernels::to_boxed(machine.call_function("chain", {arg}), f->result);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1, s.run_reference("chain", {boxed}));
 }
@@ -147,9 +147,9 @@ TEST(VmFuse, MoveConsumedArgumentsEnableInPlaceExecution) {
   const lang::FunDef* f = s.compiled().checked.find("chain");
   ASSERT_NE(f, nullptr);
   vm::VM machine(s.compiled().module);
-  exec::VValue owned = exec::from_boxed(val("[7,-2,0,31,8]"),
+  kernels::VValue owned = kernels::from_boxed(val("[7,-2,0,31,8]"),
                                         f->params[0].type);
-  interp::Value moved = exec::to_boxed(
+  interp::Value moved = kernels::to_boxed(
       machine.call_function("chain", {std::move(owned)}), f->result);
   EXPECT_EQ(moved, s.run_reference("chain", {val("[7,-2,0,31,8]")}));
 }

@@ -103,17 +103,17 @@ TEST(MemPlan, EntryExpressionRunsUnderTheArena) {
   EXPECT_GT(arena.last_cost().vector_work.arena_recycled, 0u);
 }
 
-TEST(MemPlan, ModuleRunnerHonorsTheArena) {
+TEST(MemPlan, ModuleSessionHonorsTheArena) {
   Session s(kQuicksort, "quicksort([4,2,5,1,3])");
   vm::ModuleLoadResult loaded =
       vm::load_module(vm::module_bytes(*s.compiled().module));
   ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
 
-  ModuleRunner runner(loaded.module);
-  runner.set_arena(true);
+  Session image(loaded.module);
+  image.set_arena(true);
   const interp::Value arg = testing::val(pseudo_random_seq(200, 61));
-  EXPECT_EQ(runner.run("quicksort", {arg}), s.run_vm("quicksort", {arg}));
-  EXPECT_GT(runner.last_cost().vector_work.arena_recycled, 0u);
+  EXPECT_EQ(image.run_vm("quicksort", {arg}), s.run_vm("quicksort", {arg}));
+  EXPECT_GT(image.last_cost().vector_work.arena_recycled, 0u);
 }
 
 TEST(MemPlan, TrapsAreIdenticalUnderTheArena) {

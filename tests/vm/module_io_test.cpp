@@ -72,13 +72,13 @@ TEST(ModuleIO, LoadedModuleComputesTheSameResults) {
       load_module(module_bytes(*session.compiled().module));
   ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
 
-  ModuleRunner runner(loaded.module);
-  EXPECT_EQ(runner.run_entry(), session.run_entry_vm());
-  EXPECT_EQ(runner.run("fact", {testing::val("6")}),
+  Session image(loaded.module);
+  EXPECT_EQ(image.run_entry_vm(), session.run_entry_vm());
+  EXPECT_EQ(image.run_vm("fact", {testing::val("6")}),
             session.run_vm("fact", {testing::val("6")}));
-  EXPECT_EQ(runner.run("total", {testing::val("[[1,2],[3,4,5]]")}),
+  EXPECT_EQ(image.run_vm("total", {testing::val("[[1,2],[3,4,5]]")}),
             session.run_vm("total", {testing::val("[[1,2],[3,4,5]]")}));
-  EXPECT_EQ(runner.run("mix", {testing::val("(3, 0.5)")}),
+  EXPECT_EQ(image.run_vm("mix", {testing::val("(3, 0.5)")}),
             session.run_vm("mix", {testing::val("(3, 0.5)")}));
 }
 

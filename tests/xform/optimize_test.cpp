@@ -41,8 +41,8 @@ TEST(Optimize, SemanticsIdenticalBothModes) {
   Session plain(kInnerGather, {}, naive);
   interp::Value m = val("[[1,2,3],[],[4,5]]");
   interp::Value expect = val("[[2,4,6],[],[8,10]]");
-  EXPECT_EQ(opt.run_vector("f", {m}), expect);
-  EXPECT_EQ(plain.run_vector("f", {m}), expect);
+  EXPECT_EQ(opt.run_vm("f", {m}), expect);
+  EXPECT_EQ(plain.run_vm("f", {m}), expect);
   EXPECT_EQ(opt.run_reference("f", {m}), expect);
 }
 
@@ -89,7 +89,7 @@ TEST(Optimize, RemovesQuadraticBlowupInFlattenedRecursion) {
     for (int i = 0; i < n; ++i) {
       elems.push_back(interp::Value::ints(i * 37 % 1000));
     }
-    (void)s.run_vector("halves", {interp::Value::seq(std::move(elems))});
+    (void)s.run_vm("halves", {interp::Value::seq(std::move(elems))});
     return s.last_cost().vector_work.element_work;
   };
   auto w512 = work(512);
@@ -151,7 +151,7 @@ TEST(Optimize, PaperQuoteBench) {
       elems.push_back(
           interp::Value::ints(vl::Int{i} * 2654435761 % 1000000));
     }
-    (void)s.run_vector("qs", {interp::Value::seq(std::move(elems))});
+    (void)s.run_vm("qs", {interp::Value::seq(std::move(elems))});
     return s.last_cost().vector_work;
   };
   auto w256 = run(256);

@@ -69,11 +69,11 @@ TEST_F(Section5, BothEnginesProduceThePaperResult) {
   interp::Value expected =
       parse_value("[[1],[1,4],[1,4,9],[1,4,9,16],[1,4,9,16,25]]");
   EXPECT_EQ(session_.run_entry_reference(), expected);
-  EXPECT_EQ(session_.run_entry_vector(), expected);
+  EXPECT_EQ(session_.run_entry_vm(), expected);
 }
 
 TEST_F(Section5, VectorWorkMatchesTriangularSize) {
-  (void)session_.run_entry_vector();
+  (void)session_.run_entry_vm();
   const auto& cost = session_.last_cost();
   // 1+2+3+4+5 = 15 leaf values; the executor touches each a small constant
   // number of times.
@@ -87,9 +87,9 @@ TEST_F(Section5, VectorWorkMatchesTriangularSize) {
 TEST_F(Section5, PrimitiveCountIndependentOfProblemSize) {
   Session big("fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]",
               "[k <- [1 .. 300] : sqs(k)]");
-  (void)big.run_entry_vector();
+  (void)big.run_entry_vm();
   std::uint64_t big_prims = big.last_cost().vector_work.primitive_calls;
-  (void)session_.run_entry_vector();
+  (void)session_.run_entry_vm();
   std::uint64_t small_prims =
       session_.last_cost().vector_work.primitive_calls;
   EXPECT_EQ(big_prims, small_prims);

@@ -4,8 +4,7 @@
 //
 //   --entry EXPR       expression to evaluate in the program's scope
 //   --call F A1 A2 ..  call function F with P literals as arguments
-//   --engine E         vec (default) | ref | vm | both (ref vs vec) |
-//                      all (ref vs vec vs vm)
+//   --engine E         vm (default) | ref | both (ref vs vm)
 //   --dump STAGE       print a stage instead of running:
 //                      checked | canon | flat | vec | vcode | trace
 //   --stats[=json]     print cost counters after the run (text to
@@ -78,8 +77,7 @@ namespace {
       "what to run:\n"
       "  --entry EXPR        evaluate EXPR in the program's scope\n"
       "  --call F A1 A2 ..   call function F with P literals as arguments\n"
-      "  --engine E          vec (default) | ref | vm | both (ref vs vec) |\n"
-      "                      all (ref vs vec vs vm)\n"
+      "  --engine E          vm (default) | ref | both (ref vs vm)\n"
       "  --backend B         serial (default) | openmp - vl execution policy\n"
       "\n"
       "inspection instead of running:\n"
@@ -108,11 +106,11 @@ namespace {
       "  --load-module FILE  run a module image instead of compiling source\n"
       "                      (vm engine; --call F, or the baked entry when\n"
       "                      no --call is given)\n"
-      "  --module-cache DIR  AOT cache: load <hash>.pvcm from DIR when the\n"
-      "                      source+options hash is present - skipping\n"
-      "                      parse/check/transform/compile entirely - and\n"
-      "                      write it back after a miss (shared with\n"
-      "                      proteusd --cache-dir)\n"
+      "  --module-cache DIR  AOT cache: on the vm engine, load <hash>.pvcm\n"
+      "                      from DIR when the source+options hash is\n"
+      "                      present - skipping parse/check/transform/\n"
+      "                      compile entirely - and write it back after a\n"
+      "                      miss (shared with proteusd --cache-dir)\n"
       "\n"
       "observability (docs/OBSERVABILITY.md):\n"
       "  --stats[=json]      print cost counters after the run (text on\n"
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
   std::string entry;
   std::string call;
   std::vector<std::string> call_args;
-  std::string engine = "vec";
+  std::string engine = "vm";
   std::string dump;
   bool analyze = false;
   bool analyze_json = false;
@@ -302,15 +300,12 @@ int main(int argc, char** argv) {
     if (!emit_module.empty() || !module_cache.empty()) {
       usage("--load-module cannot combine with --emit-module/--module-cache");
     }
-    if (engine != "vec" && engine != "vm") {
-      usage("module images run on the vm engine only");
-    }
+    if (engine != "vm") usage("module images run on the vm engine only");
   } else if (file.empty()) {
     usage("no input file");
   }
-  if (engine != "vec" && engine != "ref" && engine != "vm" &&
-      engine != "both" && engine != "all") {
-    usage("--engine must be vec, ref, vm, both, or all");
+  if (engine != "ref" && engine != "vm" && engine != "both") {
+    usage("--engine must be ref, vm, or both");
   }
   if (backend == "openmp") {
     proteus::vl::set_backend(proteus::vl::Backend::kOpenMP);
@@ -364,36 +359,12 @@ int main(int argc, char** argv) {
     // backends — and render as separate "[stats]" histogram lines.
     proteus::obs::MetricsRegistry timing;
 
-    // Runs a deserialized module on the VM, driven by its serialized
-    // signatures — no source forms, no pipeline.
-    auto run_module =
-        [&](std::shared_ptr<const proteus::vm::Module> module) -> int {
-      proteus::ModuleRunner runner(std::move(module));
-      runner.set_budget(budget);
-      runner.set_arena(arena);
-      runner.set_admission(admission);
-      if (tracing) runner.set_tracer(&tracer);
-      proteus::interp::Value result;
-      const auto run_start = std::chrono::steady_clock::now();
-      if (!call.empty()) {
-        proteus::interp::ValueList values;
-        for (const std::string& lit : call_args) {
-          values.push_back(proteus::parse_value(lit));
-        }
-        result = runner.run(call, values);
-      } else {
-        result = runner.run_entry();
-      }
-      timing.observe("run.vm.duration_us", elapsed_us(run_start));
-      std::cout << result << '\n';
-      if (stats) {
-        proteus::print_stats_text(std::cerr, runner.last_cost(), "vm");
-        proteus::print_histograms_text(std::cerr, timing);
-      }
-      write_trace();
-      return 0;
-    };
-
+    // A module image to run instead of compiling: --load-module, or an
+    // AOT cache hit. Its Session runs on the VM alone, driven by the
+    // image's serialized signatures — no source forms, no pipeline.
+    std::shared_ptr<const proteus::vm::Module> image;
+    std::string source;
+    std::uint64_t module_key = 0;
     if (!load_module.empty()) {
       proteus::vm::ModuleLoadResult loaded =
           proteus::vm::load_module_file(load_module, verify_vcode);
@@ -404,25 +375,25 @@ int main(int argc, char** argv) {
         std::cerr << "proteusc: module image rejected\n";
         return 3;
       }
-      return run_module(loaded.module);
-    }
-
-    const std::string source = read_file(file);
-    const std::uint64_t module_key = proteus::vm::source_hash(
-        source + '\x1E' + entry,
-        proteus::vm::options_tag(optimize_vcode, verify_vcode));
-
-    if (!module_cache.empty() && dump.empty() && !analyze &&
-        emit_module.empty()) {
-      const std::string image_path =
-          module_cache + "/" + proteus::vm::hash_hex(module_key) + ".pvcm";
-      proteus::vm::ModuleLoadResult loaded =
-          proteus::vm::load_module_file(image_path, verify_vcode);
-      if (loaded.ok() && loaded.source_hash == module_key) {
-        // AOT cache hit: parse/check/transform/compile all skipped.
-        return run_module(loaded.module);
+      image = loaded.module;
+    } else {
+      source = read_file(file);
+      module_key = proteus::vm::source_hash(
+          source + '\x1E' + entry,
+          proteus::vm::options_tag(optimize_vcode, verify_vcode));
+      // Only the vm engine can run an image; ref/both compile.
+      if (!module_cache.empty() && engine == "vm" && dump.empty() &&
+          !analyze && emit_module.empty()) {
+        const std::string image_path =
+            module_cache + "/" + proteus::vm::hash_hex(module_key) + ".pvcm";
+        proteus::vm::ModuleLoadResult loaded =
+            proteus::vm::load_module_file(image_path, verify_vcode);
+        if (loaded.ok() && loaded.source_hash == module_key) {
+          // AOT cache hit: parse/check/transform/compile all skipped.
+          image = loaded.module;
+        }
+        // Miss (or stale/corrupt image): compile below and write it back.
       }
-      // Miss (or stale/corrupt image): compile below and write it back.
     }
 
     if (analyze) {
@@ -489,17 +460,23 @@ int main(int argc, char** argv) {
       return report.ok() ? 0 : 3;
     }
 
-    proteus::Session session(source, entry, options);
+    proteus::Session session =
+        image != nullptr ? proteus::Session(image)
+                         : proteus::Session(source, entry, options);
     if (tracing) session.set_tracer(&tracer);
     session.set_budget(budget);
     session.set_fallback(fallback);
     session.set_arena(arena);
     session.set_admission(admission);
-    for (const std::string& note : session.compiled().compile_fallbacks) {
-      std::cerr << "proteusc: [degraded] " << note << '\n';
+    // Null when running a module image.
+    const proteus::xform::Compiled* compiled = session.compiled_ptr().get();
+    if (compiled != nullptr) {
+      for (const std::string& note : compiled->compile_fallbacks) {
+        std::cerr << "proteusc: [degraded] " << note << '\n';
+      }
     }
 
-    if (!module_cache.empty() && dump.empty()) {
+    if (compiled != nullptr && !module_cache.empty() && dump.empty()) {
       // Write-back after a miss, so the next run of this source+options
       // skips the pipeline. Best-effort: cache trouble must not fail a
       // run that already compiled.
@@ -508,13 +485,13 @@ int main(int argc, char** argv) {
       try {
         proteus::vm::write_module_file(
             module_cache + "/" + proteus::vm::hash_hex(module_key) + ".pvcm",
-            *session.compiled().module, module_key);
+            *compiled->module, module_key);
       } catch (const proteus::Error& e) {
         std::cerr << "proteusc: [module-cache] " << e.what() << '\n';
       }
     }
     if (!emit_module.empty()) {
-      proteus::vm::write_module_file(emit_module, *session.compiled().module,
+      proteus::vm::write_module_file(emit_module, *compiled->module,
                                      module_key);
       if (call.empty()) {
         // Image written; nothing asked to run (an --entry, if given, was
@@ -570,9 +547,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (stats && (engine == "vm" || engine == "all")) {
-      session.set_vm_profile(true);
-    }
+    if (stats && engine != "ref") session.set_vm_profile(true);
 
     std::vector<std::string> run_reports;  // one JSON object per run
     auto run = [&](const std::string& eng) -> proteus::interp::Value {
@@ -583,13 +558,11 @@ int main(int argc, char** argv) {
         for (const std::string& lit : call_args) {
           values.push_back(proteus::parse_value(lit));
         }
-        result = eng == "ref"  ? session.run_reference(call, values)
-                 : eng == "vm" ? session.run_vm(call, values)
-                               : session.run_vector(call, values);
-      } else if (!entry.empty()) {
-        result = eng == "ref"  ? session.run_entry_reference()
-                 : eng == "vm" ? session.run_entry_vm()
-                               : session.run_entry_vector();
+        result = eng == "ref" ? session.run_reference(call, values)
+                              : session.run_vm(call, values);
+      } else if (!entry.empty() || image != nullptr) {
+        result = eng == "ref" ? session.run_entry_reference()
+                              : session.run_entry_vm();
       } else {
         usage("nothing to run: give --entry or --call (or --dump)");
       }
@@ -610,40 +583,32 @@ int main(int argc, char** argv) {
     };
 
     proteus::interp::Value final_result;
-    if (engine == "both" || engine == "all") {
+    if (engine == "both") {
       proteus::interp::Value ref = run("ref");
-      proteus::interp::Value vec = run("vec");
-      bool agree = ref == vec;
-      if (engine == "all") {
-        proteus::interp::Value vmv = run("vm");
-        if (!(vec == vmv)) {
-          std::cerr << "proteusc: ENGINE MISMATCH\n  vec: " << vec
-                    << "\n  vm:  " << vmv << '\n';
-          return 1;
-        }
-      }
-      if (!agree) {
+      proteus::interp::Value vmv = run("vm");
+      if (!(ref == vmv)) {
         std::cerr << "proteusc: ENGINE MISMATCH\n  ref: " << ref
-                  << "\n  vec: " << vec << '\n';
+                  << "\n  vm:  " << vmv << '\n';
         return 1;
       }
       if (!stats_json) {
-        std::cout << vec << '\n';
-        std::cerr << (engine == "all" ? "[all] engines agree\n"
-                                      : "[both] engines agree\n");
+        std::cout << vmv << '\n';
+        std::cerr << "[both] engines agree\n";
       }
-      final_result = vec;
+      final_result = vmv;
     } else {
       final_result = run(engine);
       if (!stats_json) std::cout << final_result << '\n';
     }
 
     if (stats && !stats_json) {
-      const proteus::vm::FuseStats& f = session.compiled().fusion;
-      std::cerr << "[compile] vcode optimizer: " << f.fused_chains
-                << " fused chains (" << f.fused_prims << " prims), "
-                << f.eliminated_instrs << " instrs eliminated ("
-                << f.eliminated_moves << " moves)\n";
+      if (compiled != nullptr) {
+        const proteus::vm::FuseStats& f = compiled->fusion;
+        std::cerr << "[compile] vcode optimizer: " << f.fused_chains
+                  << " fused chains (" << f.fused_prims << " prims), "
+                  << f.eliminated_instrs << " instrs eliminated ("
+                  << f.eliminated_moves << " moves)\n";
+      }
       proteus::print_histograms_text(std::cerr, timing);
     }
 
@@ -667,13 +632,19 @@ int main(int argc, char** argv) {
       }
       std::cout << "],\"timings\":";
       timing.write_json(std::cout);
-      std::cout << ",\"compile\":{\"rule_counts\":";
-      write_rule_counts_json(std::cout, session.compiled().rule_counts);
-      const proteus::vm::FuseStats& f = session.compiled().fusion;
-      std::cout << ",\"fusion\":{\"fused_chains\":" << f.fused_chains
-                << ",\"fused_prims\":" << f.fused_prims
-                << ",\"eliminated_instrs\":" << f.eliminated_instrs
-                << ",\"eliminated_moves\":" << f.eliminated_moves << "}}}\n";
+      std::cout << ",\"compile\":";
+      if (compiled == nullptr) {
+        std::cout << "null}\n";  // a module image: nothing was compiled
+      } else {
+        std::cout << "{\"rule_counts\":";
+        write_rule_counts_json(std::cout, compiled->rule_counts);
+        const proteus::vm::FuseStats& f = compiled->fusion;
+        std::cout << ",\"fusion\":{\"fused_chains\":" << f.fused_chains
+                  << ",\"fused_prims\":" << f.fused_prims
+                  << ",\"eliminated_instrs\":" << f.eliminated_instrs
+                  << ",\"eliminated_moves\":" << f.eliminated_moves
+                  << "}}}\n";
+      }
     }
 
     write_trace();
