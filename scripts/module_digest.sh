@@ -1,0 +1,35 @@
+#!/bin/sh
+# module_digest.sh — fingerprints of everything the compiler produces for
+# the example corpus: for each examples/programs/*.p at -O0 and at -O1,
+# the sha256 of the V program (--dump vec), of the derivation (--dump
+# trace) and of the module image (--emit-module: bytecode plus memory
+# plan).
+#
+#   scripts/module_digest.sh [BUILD_DIR]     (default: build)
+#
+# Run it against two builds and diff the output: a refactor of the
+# compiler, the VCODE optimizer or the memory planner that is meant to
+# leave the output unchanged must print identical lines.
+set -eu
+
+build=${1:-build}
+proteusc="$build/tools/proteusc"
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+digest() {
+  sha256sum "$1" | cut -d' ' -f1
+}
+
+for program in "$root"/examples/programs/*.p; do
+  name=$(basename "$program")
+  for level in -O0 -O1; do
+    "$proteusc" "$program" "$level" --dump vec > "$tmp/vec"
+    "$proteusc" "$program" "$level" --dump trace > "$tmp/trace"
+    "$proteusc" "$program" "$level" --emit-module "$tmp/module.pvcm"
+    echo "$(digest "$tmp/vec")  $name $level vec"
+    echo "$(digest "$tmp/trace")  $name $level trace"
+    echo "$(digest "$tmp/module.pvcm")  $name $level module"
+  done
+done

@@ -2,8 +2,8 @@
 //
 //   1. forward abstract interpretation of register contents in the affine
 //      size domain (AbsVal), widened at merge points,
-//   2. backward may-liveness over the same CFG; deaths = operands of pc
-//      not live out of pc,
+//   2. backward may-liveness over the same CFG (the shared vm::Liveness of
+//      vm/cfg.hpp); deaths = operands of pc not live out of pc,
 //   3. a forward "physically held" pass mirroring the planned VM exactly
 //      (held' = (held ∪ def) \ deaths), whose per-pc byte sum plus the
 //      in-flight allocation gives the raw peak,
@@ -22,6 +22,7 @@
 
 #include "lang/types.hpp"
 #include "seq/extract_insert.hpp"
+#include "vm/cfg.hpp"
 
 namespace proteus::analysis {
 
@@ -31,6 +32,8 @@ using vm::Function;
 using vm::Instr;
 using vm::Module;
 using vm::Op;
+using vm::successors;
+using vm::writes_dst;
 using lang::Prim;
 
 constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
@@ -123,6 +126,19 @@ AbsVal widen(const AbsVal& v) {
   }
 }
 
+/// A flat value whose size bounds the result (restrict, update,
+/// reverse); top for anything the flat domain does not size.
+AbsVal flat_or_top(const AbsVal& v) {
+  return v.tag == AbsVal::kFlat ? v : AbsVal::top();
+}
+
+/// Two flat values laid end to end (combine, concat).
+AbsVal end_to_end(const AbsVal& v, const AbsVal& u) {
+  if (v.tag != AbsVal::kFlat || u.tag != AbsVal::kFlat) return AbsVal::top();
+  return AbsVal::flat(v.kind == u.kind ? v.kind : SlotKind::kUnknown,
+                      v.elems.plus(u.elems));
+}
+
 /// Byte bound of one register's contents (0 for scalars, top for values
 /// the domain cannot size: nested sequences, tuples, functions).
 SymBound bytes_of(const AbsVal& v) {
@@ -200,37 +216,53 @@ AbsVal abstract_constant(const kernels::VValue& v) {
   return AbsVal::top();  // tuple / function values
 }
 
-/// True when the opcode writes Instr::dst (mirrors vm/verify.cpp).
-bool writes_dst(Op op) {
-  switch (op) {
-    case Op::kBranchEmpty:
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kRet:
-      return false;
+/// Element kind of a prim's result: fixed for comparisons, logic and
+/// conversions, otherwise the kind of its operands.
+SlotKind result_kind(Prim p, SlotKind operands) {
+  switch (p) {
+    case Prim::kEq:
+    case Prim::kNe:
+    case Prim::kLt:
+    case Prim::kLe:
+    case Prim::kGt:
+    case Prim::kGe:
+    case Prim::kAnd:
+    case Prim::kOr:
+    case Prim::kNot:
+      return SlotKind::kBool;
+    case Prim::kToReal:
+    case Prim::kSqrt:
+      return SlotKind::kReal;
+    case Prim::kToInt:
+      return SlotKind::kInt;
     default:
-      return true;
+      return operands;
   }
 }
 
-/// Calls `f(succ)` for every CFG successor of pc (mirrors the verifier).
-template <typename F>
-void for_each_succ(const Instr& in, std::size_t pc, std::size_t n, F&& f) {
-  switch (in.op) {
-    case Op::kRet:
-      break;
-    case Op::kJump:
-      f(static_cast<std::size_t>(in.aux));
-      break;
-    case Op::kJumpIfFalse:
-    case Op::kBranchEmpty:
-      f(static_cast<std::size_t>(in.aux));
-      if (pc + 1 < n) f(pc + 1);
-      break;
-    default:
-      if (pc + 1 < n) f(pc + 1);
-      break;
+/// An elementwise map's result: as long as its longest frame operand
+/// (`is_frame(i)`; a scalar in a frame slot is a broadcast depth-0 value
+/// and does not bound it), of the kind `root` makes from the first frame.
+template <typename IsFrame>
+AbsVal map_result(Prim root, std::size_t n_args, const std::uint16_t* a,
+                  const std::vector<AbsVal>& state, IsFrame&& is_frame) {
+  SymBound elems = SymBound::konst(0);
+  bool any_frame = false;
+  SlotKind frame_kind = SlotKind::kUnknown;
+  for (std::size_t i = 0; i < n_args; ++i) {
+    if (!is_frame(i)) continue;
+    const AbsVal& v = state[a[i]];
+    if (v.tag == AbsVal::kScalar) continue;
+    any_frame = true;
+    if (v.tag == AbsVal::kFlat) {
+      elems = elems.max(v.elems);
+      if (frame_kind == SlotKind::kUnknown) frame_kind = v.kind;
+    } else {
+      elems = SymBound::top();
+    }
   }
+  return AbsVal::flat(result_kind(root, frame_kind),
+                      any_frame ? elems : SymBound::top());
 }
 
 /// True when the instruction allocates at least one fresh buffer.
@@ -304,9 +336,6 @@ SymBound Analyzer::call_scale(const Instr& in, const std::uint16_t* a,
 AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
                                 const std::uint16_t* a,
                                 const std::vector<AbsVal>& state) const {
-  const auto flat_arg = [&](std::size_t i) -> const AbsVal& {
-    return state[a[i]];
-  };
   switch (in.op) {
     case Op::kConst:
     case Op::kLoadFun:
@@ -366,122 +395,27 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
             break;
         }
       }
-      switch (in.prim) {
-        case Prim::kEq:
-        case Prim::kNe:
-        case Prim::kLt:
-        case Prim::kLe:
-        case Prim::kGt:
-        case Prim::kGe:
-        case Prim::kAnd:
-        case Prim::kOr:
-        case Prim::kNot:
-          return AbsVal::scalar(SlotKind::kBool);
-        case Prim::kToReal:
-        case Prim::kSqrt:
-          return AbsVal::scalar(SlotKind::kReal);
-        case Prim::kToInt:
-          return AbsVal::scalar(SlotKind::kInt);
-        default:
-          return AbsVal::scalar(in.args_count > 0 ? state[a[0]].kind
-                                                  : SlotKind::kUnknown);
-      }
+      return AbsVal::scalar(result_kind(
+          in.prim, in.args_count > 0 ? state[a[0]].kind : SlotKind::kUnknown));
     }
     case Op::kElementwise: {
       // Result length = frame length. A *lifted* operand is a frame
-      // sequence (an empty/absent lift set means every operand is); a
-      // non-lifted one is a broadcast scalar and does not bound it —
-      // kernels::apply_prim1 takes the frame length from the first
-      // lifted argument.
-      const std::vector<std::uint8_t>* lifted =
-          in.lifted >= 0
-              ? &fn.lifted_sets[static_cast<std::size_t>(in.lifted)]
-              : nullptr;
-      SymBound elems = SymBound::konst(0);
-      bool any_frame = false;
-      SlotKind frame_kind = SlotKind::kUnknown;
-      for (std::size_t i = 0; i < in.args_count; ++i) {
-        const bool is_frame =
-            lifted == nullptr || lifted->empty() || (*lifted)[i] != 0;
-        if (!is_frame) continue;
-        const AbsVal& v = flat_arg(i);
-        if (v.tag == AbsVal::kScalar) continue;  // broadcast depth-0 value
-        any_frame = true;
-        if (v.tag == AbsVal::kFlat) {
-          elems = elems.max(v.elems);
-          if (frame_kind == SlotKind::kUnknown) frame_kind = v.kind;
-        } else {
-          elems = SymBound::top();
-        }
-      }
-      SlotKind k = frame_kind;
-      switch (in.prim) {
-        case Prim::kEq:
-        case Prim::kNe:
-        case Prim::kLt:
-        case Prim::kLe:
-        case Prim::kGt:
-        case Prim::kGe:
-        case Prim::kAnd:
-        case Prim::kOr:
-        case Prim::kNot:
-          k = SlotKind::kBool;
-          break;
-        case Prim::kToReal:
-        case Prim::kSqrt:
-          k = SlotKind::kReal;
-          break;
-        case Prim::kToInt:
-          k = SlotKind::kInt;
-          break;
-        default:
-          break;
-      }
-      return AbsVal::flat(k, any_frame ? elems : SymBound::top());
+      // sequence; a non-lifted one is a broadcast scalar and does not
+      // bound it — kernels::apply_prim1 takes the frame length from the
+      // first lifted argument.
+      return map_result(in.prim, in.args_count, a, state, [&](std::size_t i) {
+        return vm::lifted_operand(fn, in, i);
+      });
     }
     case Op::kFusedMap: {
+      // The root micro-op decides the element kind of the output buffer.
       const kernels::FusedExpr& fe =
           fn.fused[static_cast<std::size_t>(in.aux)];
-      SymBound elems = SymBound::konst(0);
-      bool any_frame = false;
-      SlotKind frame_kind = SlotKind::kUnknown;
-      for (std::size_t i = 0; i < in.args_count; ++i) {
-        if ((fe.input_flags[i] & kernels::kFusedBroadcast) != 0) continue;
-        const AbsVal& v = flat_arg(i);
-        if (v.tag == AbsVal::kScalar) continue;
-        any_frame = true;
-        if (v.tag == AbsVal::kFlat) {
-          elems = elems.max(v.elems);
-          if (frame_kind == SlotKind::kUnknown) frame_kind = v.kind;
-        } else {
-          elems = SymBound::top();
-        }
-      }
-      // The root micro-op decides the element kind of the output buffer.
-      SlotKind k = frame_kind;
-      switch (fe.nodes.back().prim) {
-        case Prim::kEq:
-        case Prim::kNe:
-        case Prim::kLt:
-        case Prim::kLe:
-        case Prim::kGt:
-        case Prim::kGe:
-        case Prim::kAnd:
-        case Prim::kOr:
-        case Prim::kNot:
-          k = SlotKind::kBool;
-          break;
-        case Prim::kToReal:
-        case Prim::kSqrt:
-          k = SlotKind::kReal;
-          break;
-        case Prim::kToInt:
-          k = SlotKind::kInt;
-          break;
-        default:
-          break;
-      }
-      return AbsVal::flat(k, any_frame ? elems : SymBound::top());
+      return map_result(fe.nodes.back().prim, in.args_count, a, state,
+                        [&](std::size_t i) {
+                          return (fe.input_flags[i] &
+                                  kernels::kFusedBroadcast) == 0;
+                        });
     }
     case Op::kBuild: {
       if (in.depth != 0) return AbsVal::top();
@@ -563,18 +497,10 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
     case Op::kPack: {
       if (in.depth != 0) return AbsVal::top();
       if (in.prim == Prim::kRestrict || in.prim == Prim::kSeqUpdate) {
-        const AbsVal& v = state[a[0]];
-        if (v.tag == AbsVal::kFlat) return v;
-        return AbsVal::top();
+        return flat_or_top(state[a[0]]);
       }
       if (in.prim == Prim::kCombine && in.args_count == 3) {
-        const AbsVal& v = state[a[1]];
-        const AbsVal& u = state[a[2]];
-        if (v.tag == AbsVal::kFlat && u.tag == AbsVal::kFlat) {
-          return AbsVal::flat(v.kind == u.kind ? v.kind : SlotKind::kUnknown,
-                              v.elems.plus(u.elems));
-        }
-        return AbsVal::top();
+        return end_to_end(state[a[1]], state[a[2]]);
       }
       return AbsVal::top();
     }
@@ -606,18 +532,10 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
     case Op::kSegment: {
       if (in.depth != 0) return AbsVal::top();
       if (in.prim == Prim::kConcat && in.args_count == 2) {
-        const AbsVal& v = state[a[0]];
-        const AbsVal& u = state[a[1]];
-        if (v.tag == AbsVal::kFlat && u.tag == AbsVal::kFlat) {
-          return AbsVal::flat(v.kind == u.kind ? v.kind : SlotKind::kUnknown,
-                              v.elems.plus(u.elems));
-        }
-        return AbsVal::top();
+        return end_to_end(state[a[0]], state[a[1]]);
       }
       if (in.prim == Prim::kReverse && in.args_count == 1) {
-        const AbsVal& v = state[a[0]];
-        if (v.tag == AbsVal::kFlat) return v;
-        return AbsVal::top();
+        return flat_or_top(state[a[0]]);
       }
       return AbsVal::top();  // flatten / zip restructure the spine
     }
@@ -738,50 +656,11 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
       state[in.dst] =
           transfer_value(fn, in, fn.arg_pool.data() + in.args_off, state);
     }
-    for_each_succ(in, pc, n, [&](std::size_t succ) { flow_to(succ, state); });
+    for (const std::size_t succ : successors(in, pc, n)) flow_to(succ, state);
   }
 
-  // --- 2. backward may-liveness ---------------------------------------------
-  const std::size_t words = (n_regs + 63) / 64;
-  std::vector<std::uint64_t> live_in(n * words, 0);
-  const auto bit = [](std::size_t r) {
-    return std::uint64_t{1} << (r % 64);
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t pc = n; pc-- > 0;) {
-      if (reached[pc] == 0) continue;
-      const Instr& in = fn.code[pc];
-      // live-out = union of successors' live-in.
-      std::vector<std::uint64_t> row(words, 0);
-      for_each_succ(in, pc, n, [&](std::size_t succ) {
-        for (std::size_t w = 0; w < words; ++w) {
-          row[w] |= live_in[succ * words + w];
-        }
-      });
-      // minus def, plus uses.
-      if (writes_dst(in.op)) row[in.dst / 64] &= ~bit(in.dst);
-      const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
-      for (std::size_t i = 0; i < in.args_count; ++i) {
-        row[a[i] / 64] |= bit(a[i]);
-      }
-      for (std::size_t w = 0; w < words; ++w) {
-        if (live_in[pc * words + w] != row[w]) {
-          live_in[pc * words + w] = row[w];
-          changed = true;
-        }
-      }
-    }
-  }
-
-  const auto live_out_word = [&](std::size_t pc, std::size_t w) {
-    std::uint64_t v = 0;
-    for_each_succ(fn.code[pc], pc, n, [&](std::size_t succ) {
-      v |= live_in[succ * words + w];
-    });
-    return v;
-  };
+  // --- 2. backward may-liveness (vm/cfg.hpp) -------------------------------
+  const vm::Liveness live(fn);
 
   // --- 3. deaths (CSR) -------------------------------------------------------
   std::vector<std::vector<std::uint16_t>> deaths(n);
@@ -792,7 +671,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     for (std::size_t i = 0; i < in.args_count; ++i) {
       const std::uint16_t r = a[i];
       if (writes_dst(in.op) && r == in.dst) continue;
-      if ((live_out_word(pc, r / 64) & bit(r)) != 0) continue;
+      if (live.live_out(pc, r)) continue;
       auto& d = deaths[pc];
       if (std::find(d.begin(), d.end(), r) == d.end()) d.push_back(r);
     }
@@ -810,6 +689,10 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
   // Mirrors the planned VM exactly: held' = (held ∪ def) \ deaths. The raw
   // peak is the largest per-pc byte sum of held registers plus the bytes
   // the instruction itself materializes (or its callee's peak).
+  const std::size_t words = (n_regs + 63) / 64;
+  const auto bit = [](std::size_t r) {
+    return std::uint64_t{1} << (r % 64);
+  };
   std::vector<std::uint64_t> held_in(n * words, 0);
   std::vector<std::uint8_t> held_seen(n, 0);
   const auto held_flow = [&](std::size_t pc,
@@ -839,9 +722,9 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
           held_in.begin() + static_cast<std::ptrdiff_t>((pc + 1) * words));
       if (writes_dst(in.op)) row[in.dst / 64] |= bit(in.dst);
       for (const std::uint16_t r : deaths[pc]) row[r / 64] &= ~bit(r);
-      for_each_succ(in, pc, n, [&](std::size_t succ) {
+      for (const std::size_t succ : successors(in, pc, n)) {
         if (held_flow(succ, row)) hw.push_back(succ);
-      });
+      }
     }
   }
 
@@ -968,7 +851,7 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
       // M301: a computed value nothing ever reads.
       if (writes_dst(in.op) && in.op != Op::kCall &&
           in.op != Op::kCallIndirect &&
-          (live_out_word(pc, in.dst / 64) & bit(in.dst)) == 0) {
+          !live.live_out(pc, in.dst)) {
         warn("M301",
              "dead store: r" + std::to_string(in.dst) +
                  " is written but never read",

@@ -3,27 +3,9 @@
 #include <filesystem>
 #include <string>
 
-#if defined(_WIN32)
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
-
 #include "vm/module_io.hpp"
 
 namespace proteus::serve {
-
-namespace {
-
-long current_pid() {
-#if defined(_WIN32)
-  return static_cast<long>(_getpid());
-#else
-  return static_cast<long>(::getpid());
-#endif
-}
-
-}  // namespace
 
 ModuleCache::ModuleCache(std::string disk_dir)
     : disk_dir_(std::move(disk_dir)) {
@@ -51,51 +33,40 @@ std::optional<CacheEntry> ModuleCache::lookup(std::uint64_t key,
   vm::ModuleLoadResult loaded = vm::load_module_file(image_path(key), verify);
   if (!loaded.ok() || loaded.source_hash != key) {
     // Unreadable, corrupt, rejected by the verifier, or a hash-renamed
-    // file: all are treated as a miss — the caller recompiles and the
-    // insert below overwrites the bad image.
+    // file: all are treated as a miss — the caller recompiles and its
+    // insert overwrites the bad image.
     return std::nullopt;
   }
-  return insert(key, CacheEntry{nullptr, std::move(loaded.module)});
+  // Promote into memory only: the image is already on disk. A concurrent
+  // insert that got there first wins.
+  std::lock_guard<std::mutex> lock(mu_);
+  CacheEntry promoted{nullptr, std::move(loaded.module)};
+  return entries_.try_emplace(key, std::move(promoted)).first->second;
 }
 
 CacheEntry ModuleCache::insert(std::uint64_t key, CacheEntry entry) {
-  bool won = false;
+  bool fresh = false;
   CacheEntry surviving;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
       it = entries_.emplace(key, std::move(entry)).first;
-      won = true;
+      fresh = true;
     } else if (it->second.compiled == nullptr && entry.compiled != nullptr) {
       // First writer wins, with one exception: a full compilation
       // upgrades a module-only entry rehydrated from disk, so later
-      // evaluations of that source regain the degradation ladder.
+      // evaluations of that source regain the degradation ladder. Its
+      // image is already on disk.
       it->second = std::move(entry);
-      won = true;
     }
     surviving = it->second;
   }
-  if (won && !disk_dir_.empty() && surviving.module != nullptr) {
-    // Crash-safe publication: write the image to a .tmp sibling and
-    // rename it into place. rename(2) within a directory is atomic, so a
-    // crash mid-write leaves only an orphaned .tmp — a concurrent (or
-    // later) process can never load a torn .pvcm. The pid suffix keeps
-    // two daemons on the same cache_dir from clobbering each other's
-    // half-written temporaries.
-    const std::string final_path = image_path(key);
-    const std::string tmp_path =
-        final_path + ".tmp." + std::to_string(current_pid());
+  if (fresh && !disk_dir_.empty() && surviving.module != nullptr) {
     try {
-      vm::write_module_file(tmp_path, *surviving.module, key);
-      std::filesystem::rename(tmp_path, final_path);
+      vm::write_module_file(image_path(key), *surviving.module, key);
     } catch (const Error&) {
       // Disk tier is best-effort; serving continues from memory.
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-    } catch (const std::filesystem::filesystem_error&) {
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
     }
   }
   return surviving;

@@ -46,14 +46,16 @@ class ModuleCache {
   explicit ModuleCache(std::string disk_dir = {});
 
   /// Memory first, then disk. A disk hit is promoted into memory (as a
-  /// module-only entry) so it pays verification once per process.
+  /// module-only entry) so it pays verification once per process; the
+  /// image on disk is left as it is.
   /// `verify` gates load-time bytecode verification of disk images.
   [[nodiscard]] std::optional<CacheEntry> lookup(std::uint64_t key,
                                                  bool verify = true);
 
   /// Publishes `entry` under `key` (first writer wins — concurrent
   /// compilers of the same source race benignly) and, when a disk tier is
-  /// configured, writes the module image. Returns the surviving entry.
+  /// configured and the key is new here, writes the module image
+  /// atomically (vm::write_module_file). Returns the surviving entry.
   CacheEntry insert(std::uint64_t key, CacheEntry entry);
 
   [[nodiscard]] std::size_t size() const;

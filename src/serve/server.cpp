@@ -785,9 +785,11 @@ int Server::serve_stdio(std::istream& in, std::ostream& out) {
 
 namespace {
 
-/// Binds + listens on host:port; returns the fd (or -1) and the bound
-/// port via *bound_port (for port 0 requests).
-int listen_on(const std::string& host, int port, int* bound_port) {
+/// Binds + listens on host:port and returns the fd (or -1). The bound
+/// port (the ephemeral one for port 0) is stored in `published` and
+/// announced as "proteusd <what> <port>".
+int listen_on(const std::string& host, int port, std::atomic<int>& published,
+              const char* what, std::ostream& announce) {
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd < 0) return -1;
   const int one = 1;
@@ -809,7 +811,9 @@ int listen_on(const std::string& host, int port, int* bound_port) {
   sockaddr_in bound{};
   socklen_t bound_len = sizeof bound;
   ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  *bound_port = static_cast<int>(ntohs(bound.sin_port));
+  const int bound_port = static_cast<int>(ntohs(bound.sin_port));
+  published.store(bound_port, std::memory_order_release);
+  announce << "proteusd " << what << ' ' << bound_port << "\n" << std::flush;
   return listen_fd;
 }
 
@@ -998,13 +1002,25 @@ void Server::serve_connection(int fd) {
   ::close(fd);
 }
 
+int Server::accept_connection(int listen_fd) {
+  pollfd pfd{listen_fd, POLLIN, 0};
+  if (::poll(&pfd, 1, 200) <= 0) return -1;  // re-check lifecycle 5x/second
+  const int conn = ::accept(listen_fd, nullptr, nullptr);
+  if (conn < 0) {
+    count("serve.accept_errors");
+    if (errno == EMFILE || errno == ENFILE) {
+      // Out of descriptors: hot-looping poll+accept would spin at 100%
+      // CPU while fixing nothing. Back off and let workers close fds.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  return conn;
+}
+
 int Server::serve_tcp(const std::string& host, int port,
                       std::ostream& announce) {
-  int bound_port = 0;
-  int listen_fd = listen_on(host, port, &bound_port);
+  int listen_fd = listen_on(host, port, tcp_port_, "listening on", announce);
   if (listen_fd < 0) return 1;
-  tcp_port_.store(bound_port, std::memory_order_release);
-  announce << "proteusd listening on " << bound_port << "\n" << std::flush;
 
   // Connection queue + worker pool. Workers own one connection at a time
   // and call handle_line per request line (handle_line is thread-safe).
@@ -1037,19 +1053,8 @@ int Server::serve_tcp(const std::string& host, int port,
   while (!stopping()) {
     poll_external_shutdown();
     if (draining()) break;
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);  // re-check lifecycle 5x/second
-    if (ready <= 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      count("serve.accept_errors");
-      if (errno == EMFILE || errno == ENFILE) {
-        // Out of descriptors: hot-looping poll+accept would spin at 100%
-        // CPU while fixing nothing. Back off and let workers close fds.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
+    const int conn = accept_connection(listen_fd);
+    if (conn < 0) continue;
     const auto queued = queue_depth_.load(std::memory_order_relaxed);
     const auto active = active_conns_.load(std::memory_order_relaxed);
     const bool over_queue =
@@ -1115,11 +1120,9 @@ int Server::serve_tcp(const std::string& host, int port,
 
 int Server::serve_metrics_http(const std::string& host, int port,
                                std::ostream& announce) {
-  int bound_port = 0;
-  const int listen_fd = listen_on(host, port, &bound_port);
+  const int listen_fd =
+      listen_on(host, port, metrics_port_, "metrics on", announce);
   if (listen_fd < 0) return 1;
-  metrics_port_.store(bound_port, std::memory_order_release);
-  announce << "proteusd metrics on " << bound_port << "\n" << std::flush;
 
   // Scrapes are rare (Prometheus default: every 15s), so one thread
   // serving one connection at a time is plenty. The exposition stays up
@@ -1129,17 +1132,8 @@ int Server::serve_metrics_http(const std::string& host, int port,
     poll_external_shutdown();
     if (drain_remaining_ms() == 0) request_stop();
     if (stopping()) break;
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);  // re-check stop 5x/second
-    if (ready <= 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      count("serve.accept_errors");
-      if (errno == EMFILE || errno == ENFILE) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
+    const int conn = accept_connection(listen_fd);
+    if (conn < 0) continue;
 
     // Read the request head, bounded in bytes and in time by ONE
     // io_timeout_ms deadline (0 = none): a client dripping bytes cannot

@@ -256,6 +256,10 @@ class Server {
   void poll_external_shutdown();
 
 #if !defined(_WIN32)
+  /// One step of both accept loops: polls `listen_fd` for up to 200 ms
+  /// and accepts. Returns the connection fd, or -1 (none, or a failed
+  /// accept: counted in serve.accept_errors, EMFILE/ENFILE backs off).
+  [[nodiscard]] int accept_connection(int listen_fd);
   /// Serves one accepted TCP connection until EOF, timeout, over-limit
   /// input, fault, or lifecycle end. Closes the fd.
   void serve_connection(int fd);

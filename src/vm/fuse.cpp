@@ -8,6 +8,7 @@
 
 #include "kernels/fused.hpp"
 #include "vm/bytecode.hpp"
+#include "vm/cfg.hpp"
 
 namespace proteus::vm {
 
@@ -16,23 +17,6 @@ namespace {
 using kernels::FusedExpr;
 using kernels::MicroOp;
 
-/// Mirrors the verifier: opcodes that write Instr::dst.
-bool writes_reg(Op op) {
-  switch (op) {
-    case Op::kBranchEmpty:
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kRet:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool is_branch(Op op) {
-  return op == Op::kJump || op == Op::kJumpIfFalse || op == Op::kBranchEmpty;
-}
-
 /// Working form of one instruction: the operand list is materialized so
 /// passes can rewrite it without aliasing the shared arg_pool.
 struct IInstr {
@@ -40,8 +24,6 @@ struct IInstr {
   std::vector<std::uint16_t> args;
   bool removed = false;
 };
-
-using LiveSet = std::vector<std::uint8_t>;  // one flag per register
 
 class FunctionOptimizer {
  public:
@@ -86,7 +68,7 @@ class FunctionOptimizer {
         fn_.arg_pool.push_back(r);
         max_reg = std::max(max_reg, r);
       }
-      if (writes_reg(ii.in.op)) max_reg = std::max(max_reg, ii.in.dst);
+      if (writes_dst(ii.in.op)) max_reg = std::max(max_reg, ii.in.dst);
       fn_.code.push_back(ii.in);
     }
     fn_.n_regs = static_cast<std::uint16_t>(max_reg + 1);
@@ -123,62 +105,11 @@ class FunctionOptimizer {
 
   // --- CFG / dataflow helpers ------------------------------------------------
 
-  /// Successor pcs of `pc` in the instruction-level CFG.
-  void successors(std::size_t pc, std::size_t out[2], std::size_t& count) const {
-    const Instr& in = ir_[pc].in;
-    count = 0;
-    switch (in.op) {
-      case Op::kRet:
-        return;
-      case Op::kJump:
-        out[count++] = static_cast<std::size_t>(in.aux);
-        return;
-      case Op::kJumpIfFalse:
-      case Op::kBranchEmpty:
-        out[count++] = static_cast<std::size_t>(in.aux);
-        if (pc + 1 < ir_.size()) out[count++] = pc + 1;
-        return;
-      default:
-        if (pc + 1 < ir_.size()) out[count++] = pc + 1;
-        return;
-    }
-  }
-
-  /// Backward may-liveness to the instruction level: live_out[pc][r] is
-  /// true when some path from pc's successors reads r before writing it.
-  std::vector<LiveSet> liveness() const {
-    const std::size_t n = ir_.size();
-    const std::size_t n_regs = fn_.n_regs;
-    std::vector<LiveSet> live_out(n, LiveSet(n_regs, 0));
-    std::vector<LiveSet> uses(n, LiveSet(n_regs, 0));
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      for (const std::uint16_t r : ir_[pc].args) uses[pc][r] = 1;
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t pc = n; pc-- > 0;) {
-        std::size_t succ[2];
-        std::size_t n_succ = 0;
-        successors(pc, succ, n_succ);
-        for (std::size_t s = 0; s < n_succ; ++s) {
-          const std::size_t sp = succ[s];
-          const Instr& sin = ir_[sp].in;
-          const bool sdef = writes_reg(sin.op);
-          for (std::size_t r = 0; r < n_regs; ++r) {
-            const bool in_live =
-                uses[sp][r] != 0 ||
-                (live_out[sp][r] != 0 &&
-                 !(sdef && static_cast<std::size_t>(sin.dst) == r));
-            if (in_live && live_out[pc][r] == 0) {
-              live_out[pc][r] = 1;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-    return live_out;
+  /// Liveness of the current IR (the shared VCODE dataflow, vm/cfg.hpp).
+  Liveness liveness() const {
+    return Liveness(ir_.size(), fn_.n_regs, [this](std::size_t pc) {
+      return InstrView{ir_[pc].in, ir_[pc].args};
+    });
   }
 
   /// Basic-block boundaries: [starts[i], starts[i+1]) are the blocks.
@@ -189,28 +120,15 @@ class FunctionOptimizer {
     leader[n] = 1;
     for (std::size_t pc = 0; pc < n; ++pc) {
       const Instr& in = ir_[pc].in;
-      if (is_branch(in.op)) {
-        leader[static_cast<std::size_t>(in.aux)] = 1;
-        leader[pc + 1] = 1;
-      } else if (in.op == Op::kRet) {
-        leader[pc + 1] = 1;
-      }
+      if (!is_branch(in.op) && in.op != Op::kRet) continue;
+      leader[pc + 1] = 1;
+      for (const std::size_t t : successors(in, pc, n)) leader[t] = 1;
     }
     std::vector<std::size_t> starts;
     for (std::size_t pc = 0; pc <= n; ++pc) {
       if (leader[pc] != 0) starts.push_back(pc);
     }
     return starts;
-  }
-
-  /// True when operand `slot` of `ii` is a lifted (frame) operand rather
-  /// than a broadcast scalar.
-  bool lifted_slot(const IInstr& ii, std::size_t slot) const {
-    if (ii.in.lifted < 0) return true;
-    const auto& set =
-        fn_.lifted_sets[static_cast<std::size_t>(ii.in.lifted)];
-    if (set.empty()) return true;
-    return set[slot] != 0;
   }
 
   // --- pass 1: block-local copy propagation ----------------------------------
@@ -228,7 +146,7 @@ class FunctionOptimizer {
           auto it = copy.find(r);
           if (it != copy.end()) r = it->second;
         }
-        if (!writes_reg(ii.in.op)) continue;
+        if (!writes_dst(ii.in.op)) continue;
         const std::uint16_t d = ii.in.dst;
         copy.erase(d);
         for (auto it = copy.begin(); it != copy.end();) {
@@ -250,7 +168,7 @@ class FunctionOptimizer {
   }
 
   void fuse_chains() {
-    const std::vector<LiveSet> live_out = liveness();
+    const Liveness live = liveness();
     const std::vector<std::size_t> starts = block_starts();
     absorbed_.assign(ir_.size(), 0);
     reach_at_.assign(ir_.size(), {});
@@ -273,12 +191,12 @@ class FunctionOptimizer {
           reach_at_[pc][s] = d;
           if (d >= 0) use_count_[static_cast<std::size_t>(d)] += 1;
         }
-        if (writes_reg(ii.in.op)) {
+        if (writes_dst(ii.in.op)) {
           reach[ii.in.dst] = static_cast<std::int64_t>(pc);
         }
       }
       for (std::size_t r = 0; r < fn_.n_regs; ++r) {
-        if (reach[r] >= 0 && live_out[hi - 1][r] != 0) {
+        if (reach[r] >= 0 && live.live_out(hi - 1, r)) {
           escape_[static_cast<std::size_t>(reach[r])] = 1;
         }
       }
@@ -300,7 +218,7 @@ class FunctionOptimizer {
     if (use_count_[dp] != 1 || escape_[dp] != 0) return false;
     for (const std::uint16_t l : ir_[dp].args) {
       for (std::size_t q = dp + 1; q < root; ++q) {
-        if (!ir_[q].removed && writes_reg(ir_[q].in.op) &&
+        if (!ir_[q].removed && writes_dst(ir_[q].in.op) &&
             ir_[q].in.dst == l) {
           return false;
         }
@@ -319,7 +237,7 @@ class FunctionOptimizer {
     for (std::size_t i = 0; i < parts.size(); ++i) {
       const IInstr& ii = ir_[parts[i]];
       for (std::size_t s = 0; s < ii.args.size(); ++s) {
-        if (!lifted_slot(ii, s)) continue;
+        if (!lifted_operand(fn_, ii.in, s)) continue;
         const std::int64_t d = reach_at_[parts[i]][s];
         if (!absorbable(d, root, lo)) continue;
         const auto dp = static_cast<std::size_t>(d);
@@ -355,7 +273,7 @@ class FunctionOptimizer {
         MicroOp leaf;
         leaf.kind = MicroOp::Kind::kInput;
         leaf.input = static_cast<std::uint8_t>(slot_regs.size());
-        const bool frame = lifted_slot(ii, s);
+        const bool frame = lifted_operand(fn_, ii.in, s);
         any_frame = any_frame || frame;
         fe.input_flags.push_back(frame ? 0 : kernels::kFusedBroadcast);
         slot_regs.push_back(ii.args[s]);
@@ -393,7 +311,7 @@ class FunctionOptimizer {
   // --- pass 3: dead move/constant elimination --------------------------------
 
   bool eliminate_dead() {
-    const std::vector<LiveSet> live_out = liveness();
+    const Liveness live = liveness();
     bool removed_any = false;
     for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
       IInstr& ii = ir_[pc];
@@ -402,7 +320,7 @@ class FunctionOptimizer {
           op == Op::kMove || op == Op::kConst || op == Op::kLoadFun;
       if (!pure) continue;
       const bool self_move = op == Op::kMove && ii.args[0] == ii.in.dst;
-      if (!self_move && live_out[pc][ii.in.dst] != 0) continue;
+      if (!self_move && live.live_out(pc, ii.in.dst)) continue;
       ii.removed = true;
       removed_any = true;
       stats_.eliminated_instrs += 1;
@@ -415,7 +333,7 @@ class FunctionOptimizer {
 
   void mark_last_uses() {
     if (fused_.empty()) return;
-    const std::vector<LiveSet> live_out = liveness();
+    const Liveness live = liveness();
     for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
       IInstr& ii = ir_[pc];
       if (ii.in.op != Op::kFusedMap) continue;
@@ -428,7 +346,7 @@ class FunctionOptimizer {
         }
         // The old value of the destination register dies here no matter
         // what liveness says: the instruction overwrites it.
-        if (last && (r == ii.in.dst || live_out[pc][r] == 0)) {
+        if (last && (r == ii.in.dst || !live.live_out(pc, r))) {
           fe.input_flags[s] |= kernels::kFusedLastUse;
         }
       }

@@ -1,10 +1,18 @@
 #include "vm/module_io.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
+
+#if defined(_WIN32)
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
 
 #include "analysis/lifetime.hpp"
 #include "kernels/fused.hpp"
@@ -832,12 +840,35 @@ ModuleLoadResult load_module(std::string_view bytes, bool verify) {
 
 void write_module_file(const std::string& path, const Module& m,
                        std::uint64_t hash) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  PROTEUS_REQUIRE(Error, os.good(),
-                  "cannot open module file for writing: " + path);
-  write_module(os, m, hash);
-  os.flush();
-  PROTEUS_REQUIRE(Error, os.good(), "failed writing module file: " + path);
+  // Publish atomically: rename(2) of a .tmp. sibling over `path` means a
+  // reader, even one already holding the old file open, sees the old image
+  // or the new one, never a torn one. The pid plus a process-wide counter
+  // keep concurrent writers off each other's temporaries.
+  static std::atomic<std::uint64_t> writes{0};
+#if defined(_WIN32)
+  const long pid = static_cast<long>(_getpid());
+#else
+  const long pid = static_cast<long>(::getpid());
+#endif
+  std::string tmp = path + ".tmp.";
+  tmp += std::to_string(pid);
+  tmp += '.';
+  tmp += std::to_string(writes.fetch_add(1, std::memory_order_relaxed));
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    PROTEUS_REQUIRE(Error, os.good(),
+                    "cannot open module file for writing: " + path);
+    write_module(os, m, hash);
+    os.close();
+    PROTEUS_REQUIRE(Error, !os.fail(), "failed writing module file: " + path);
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    PROTEUS_REQUIRE(Error, !ec, "cannot publish module file: " + path);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
 }
 
 ModuleLoadResult load_module_file(const std::string& path, bool verify) {

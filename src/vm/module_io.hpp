@@ -90,9 +90,11 @@ void write_module(std::ostream& os, const Module& m, std::uint64_t hash = 0);
 [[nodiscard]] ModuleLoadResult load_module(std::string_view bytes,
                                            bool verify = true);
 
-/// File conveniences. write_module_file throws proteus::Error on I/O
-/// failure; load_module_file reports an unreadable file as a B215
-/// diagnostic (same contract as malformed bytes).
+/// File conveniences. write_module_file publishes atomically (a unique
+/// .tmp. sibling renamed over `path`, so readers never see a partial
+/// image) and throws proteus::Error on I/O failure; load_module_file
+/// reports an unreadable file as a B215 diagnostic (same contract as
+/// malformed bytes).
 void write_module_file(const std::string& path, const Module& m,
                        std::uint64_t hash = 0);
 [[nodiscard]] ModuleLoadResult load_module_file(const std::string& path,

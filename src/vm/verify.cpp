@@ -5,6 +5,7 @@
 
 #include "lang/types.hpp"
 #include "seq/extract_insert.hpp"
+#include "vm/cfg.hpp"
 #include "vm/compile.hpp"
 
 namespace proteus::vm {
@@ -54,19 +55,6 @@ Kind kind_of_constant(const kernels::VValue& v) {
   if (v.is_tuple()) return Kind::tuple();
   if (v.is_fun()) return Kind::fun();
   return Kind::scalar();
-}
-
-/// True when the opcode writes Instr::dst.
-bool writes_dst(Op op) {
-  switch (op) {
-    case Op::kBranchEmpty:
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kRet:
-      return false;
-    default:
-      return true;
-  }
 }
 
 /// Expected operand count for an opcode, or -1 when variable.
@@ -449,7 +437,7 @@ class Verifier {
 
     std::vector<std::size_t> work;
     auto flow_to = [&](std::size_t pc, const std::vector<Kind>& state) {
-      if (pc >= n) return;
+      if (pc >= n) return;  // successors() passes branch targets unchecked
       if (reached[pc] == 0) {
         reached[pc] = 1;
         in_state[pc] = state;
@@ -474,21 +462,7 @@ class Verifier {
       std::vector<Kind> state = in_state[pc];
       const Instr& in = fn.code[pc];
       transfer(in, pc, state);
-      switch (in.op) {
-        case Op::kRet:
-          break;
-        case Op::kJump:
-          flow_to(static_cast<std::size_t>(in.aux), state);
-          break;
-        case Op::kJumpIfFalse:
-        case Op::kBranchEmpty:
-          flow_to(static_cast<std::size_t>(in.aux), state);
-          flow_to(pc + 1, state);
-          break;
-        default:
-          flow_to(pc + 1, state);
-          break;
-      }
+      for (const std::size_t succ : successors(in, pc, n)) flow_to(succ, state);
     }
   }
 

@@ -13,6 +13,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -561,7 +562,15 @@ TEST(ServeCache, DiskInsertIsAtomicAndLeavesNoTmp) {
   EXPECT_EQ(images, 1u);
   EXPECT_EQ(temporaries, 0u);
 
-  // And a fresh process (a fresh Server) rehydrates it.
+  // And a fresh process (a fresh Server) rehydrates it, reading the image
+  // without publishing it again: the disk hit leaves the file (its inode)
+  // as it found it.
+  std::filesystem::path image;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".pvcm") image = entry.path();
+  }
+  struct stat before {};
+  ASSERT_EQ(::stat(image.c_str(), &before), 0);
   ServerOptions options;
   options.cache_dir = dir;
   Server warm(options);
@@ -570,6 +579,9 @@ TEST(ServeCache, DiskInsertIsAtomicAndLeavesNoTmp) {
   EXPECT_TRUE(reply.get("ok").as_bool(false)) << reply.dump();
   EXPECT_EQ(reply.get("result").as_string(), "25");
   EXPECT_TRUE(reply.get("cached").as_bool(false));
+  struct stat after {};
+  ASSERT_EQ(::stat(image.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
   std::filesystem::remove_all(dir);
 }
 

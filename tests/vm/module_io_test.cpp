@@ -199,6 +199,39 @@ TEST(ModuleIO, FileRoundtripAndMissingFile) {
   EXPECT_TRUE(missing.report.has("B215")) << missing.report.to_text();
 }
 
+TEST(ModuleIO, WriteModuleFileNeverRewritesAnOpenImage) {
+  // A reader that opened image A keeps reading exactly A while a writer
+  // publishes image B on the same path: write_module_file renames a new
+  // file into place instead of truncating the one the reader holds.
+  const std::string path =
+      ::testing::TempDir() + "/module_io_test_publish.pvcm";
+  auto a = compile_program(kProgram);
+  auto b = compile_program("fun twice(xs: seq(int)): seq(int) = "
+                           "[x <- xs : 2 * x]",
+                           "twice([1, 2])");
+  const std::string a_bytes = module_bytes(*a, 1);
+  const std::string b_bytes = module_bytes(*b, 2);
+  ASSERT_NE(a_bytes, b_bytes);
+
+  write_module_file(path, *a, 1);
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader.good());
+  write_module_file(path, *b, 2);
+  std::ostringstream seen;
+  seen << reader.rdbuf();
+  // (Compared as a bool: gtest would print both binary images.)
+  EXPECT_TRUE(seen.str() == a_bytes)
+      << "the open stream read " << seen.str().size()
+      << " bytes that are not image A (" << a_bytes.size() << " bytes)";
+
+  // The path itself now holds B.
+  std::ifstream fresh(path, std::ios::binary);
+  std::ostringstream now;
+  now << fresh.rdbuf();
+  EXPECT_TRUE(now.str() == b_bytes);
+  std::remove(path.c_str());
+}
+
 TEST(ModuleIO, RoundtripIsIdentityOnTheExampleCorpus) {
   // The property test over real programs: for every example in the
   // repository, serialize . deserialize is the identity (checked via the
