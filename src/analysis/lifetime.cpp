@@ -1024,7 +1024,9 @@ std::string plan_to_text(const FunctionPlan& plan) {
     std::string regs;
     for (std::size_t r = 0; r < plan.reg_slot.size(); ++r) {
       if (plan.reg_slot[r] == static_cast<std::int32_t>(i)) {
-        regs += (regs.empty() ? "" : ",") + ("r" + std::to_string(r));
+        if (!regs.empty()) regs += ',';
+        regs += 'r';
+        regs += std::to_string(r);
       }
     }
     if (!regs.empty()) s += "  <- " + regs;

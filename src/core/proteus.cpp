@@ -1,6 +1,5 @@
 #include "core/proteus.hpp"
 
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -20,32 +19,73 @@ using lang::TypePtr;
 /// a run_* call.
 using RunScope = obs::MaybeTracerScope;
 
+namespace {
+
+/// The calling convention's argument count check, shared by every run_*
+/// call: a wrong count is the caller's error, not the program's.
+void require_count(const std::string& fn, std::size_t expected,
+                   std::size_t got) {
+  if (got == expected) return;
+  std::string msg = "'";
+  msg += fn;
+  msg += "' called with wrong argument count: expected ";
+  msg += std::to_string(expected);
+  msg += ", got ";
+  msg += std::to_string(got);
+  throw SignatureError(msg);
+}
+
+/// Runs `run` as one governed run_* call: fresh cost counters, the
+/// Session's tracer and budget installed for its duration. A trap is
+/// counted as rt.trap.T00x in `cost.metrics` and propagates.
+template <class Run>
+auto governed(RunCost& cost, obs::Tracer* tracer, const rt::ExecBudget& budget,
+              Run&& run) -> decltype(run()) {
+  cost = RunCost{};
+  RunScope tracing(tracer);
+  rt::GovernorScope governor(budget);
+  try {
+    return run();
+  } catch (const rt::RuntimeTrap& trap) {
+    cost.metrics.add(std::string("rt.trap.") + trap.code(), 1);
+    throw;
+  }
+}
+
+/// The literal text of a VM result.
+std::string text(const kernels::VValue& v, const TypePtr& type) {
+  std::string s;
+  kernels::encode(v, type, s);
+  return s;
+}
+
+}  // namespace
+
 namespace detail {
 
-/// A run's arguments, converted afresh for every attempt of the ladder
-/// (docs/ROBUSTNESS.md): the VM gets buffers it alone owns, the conversion
-/// is charged to the run's budget, and an injected fault striking during
-/// it is absorbed by the same ladder. Boxed arguments (the public boxed
-/// API) convert through from_boxed; literal text (the daemon) through the
-/// signature-driven codec, with parse_value for text outside its subset.
+/// A VM run's arguments, converted to the flat representation inside the
+/// governed run (docs/ROBUSTNESS.md): the VM gets buffers it alone owns
+/// and the conversion is charged to the run's budget. Boxed arguments
+/// (the public boxed API) convert through from_boxed; literal text (the
+/// daemon) through the signature-driven codec, with parse_value for text
+/// outside its subset.
 class ArgSource {
  public:
   ArgSource(const std::string& fn, const std::vector<TypePtr>& params,
             const ValueList& boxed)
       : fn_(fn), params_(params), boxed_(&boxed) {
-    require_count(boxed.size());
+    require_count(fn, params.size(), boxed.size());
   }
 
   ArgSource(const std::string& fn, const std::vector<TypePtr>& params,
             std::span<const std::string_view> text, std::uint64_t* fallbacks)
       : fn_(fn), params_(params), text_(text),
         fallbacks_(fallbacks) {
-    require_count(text.size());
+    require_count(fn, params.size(), text.size());
   }
 
   /// Flat arguments for the VM.
   std::vector<kernels::VValue> flat() {
-    if (fallbacks_ != nullptr) *fallbacks_ = 0;
     std::vector<kernels::VValue> out;
     out.reserve(params_.size());
     for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -54,30 +94,7 @@ class ArgSource {
     return out;
   }
 
-  /// Boxed arguments for the reference interpreter.
-  ValueList boxed() {
-    if (boxed_ != nullptr) return *boxed_;
-    if (fallbacks_ != nullptr) *fallbacks_ = 0;
-    ValueList out;
-    out.reserve(params_.size());
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      out.push_back(kernels::to_boxed(flat_arg(i), params_[i]));
-    }
-    return out;
-  }
-
  private:
-  void require_count(std::size_t n) const {
-    if (n == params_.size()) return;
-    std::string msg = "'";
-    msg += fn_;
-    msg += "' called with wrong argument count: expected ";
-    msg += std::to_string(params_.size());
-    msg += ", got ";
-    msg += std::to_string(n);
-    throw SignatureError(msg);
-  }
-
   kernels::VValue flat_arg(std::size_t i) {
     if (boxed_ != nullptr) return convert((*boxed_)[i], i);
     if (std::optional<kernels::VValue> v = kernels::decode(text_[i], params_[i])) {
@@ -109,26 +126,6 @@ class ArgSource {
 };
 
 }  // namespace detail
-
-namespace {
-
-/// The boxed form of an attempt's result.
-template <class Outcome>
-Value boxed(Outcome out, const TypePtr& type) {
-  if (Value* v = std::get_if<Value>(&out)) return std::move(*v);
-  return kernels::to_boxed(std::get<kernels::VValue>(out), type);
-}
-
-/// The literal text of an attempt's result.
-template <class Outcome>
-std::string text(const Outcome& out, const TypePtr& type) {
-  if (const Value* v = std::get_if<Value>(&out)) return interp::to_text(*v);
-  std::string s;
-  kernels::encode(std::get<kernels::VValue>(out), type, s);
-  return s;
-}
-
-}  // namespace
 
 Session::Session(std::string_view program_source,
                  std::string_view entry_source,
@@ -181,71 +178,44 @@ TypePtr Session::result_type(const std::string& name) const {
   return signature(&name).result;
 }
 
-const char* Session::engine_name(Engine engine) {
-  switch (engine) {
-    case Engine::kVm:
-      return "vm";
-    case Engine::kVmO0:
-      return "vm-o0";
-    case Engine::kInterp:
-      break;
-  }
-  return "interp";
-}
-
-Session::Outcome Session::run_ladder(std::span<const Engine> rungs,
-                                     const std::string* name,
-                                     detail::ArgSource* args) {
-  cost_ = RunCost{};
-  degradations_.clear();
-  RunScope tracing(tracer_);
-  // One governor scope spans the whole ladder: a fallback attempt runs
-  // under the same deadline and budget as the attempt it replaces.
-  rt::GovernorScope governor(budget_);
-  // rt.* events are buffered here and merged after publish_metrics (which
-  // clears the registry) so they survive into last_cost().metrics.
-  std::map<std::string, std::uint64_t> rt_events;
-  auto merge_events = [&] {
-    for (const auto& [event, count] : rt_events) cost_.metrics.add(event, count);
-  };
-  for (std::size_t i = 0;; ++i) {
-    const char* engine = engine_name(rungs[i]);
-    try {
-      Outcome result = attempt(rungs[i], name, args);
-      merge_events();
-      return result;
-    } catch (const rt::RuntimeTrap& trap) {
-      rt_events[std::string("rt.trap.") + trap_code(trap.trap())] += 1;
-      const bool can_retry = fallback_ && i + 1 < rungs.size() &&
-                             rt::retryable(trap.trap());
-      if (!can_retry) {
-        degradations_.push_back(std::string("trap in ") + engine + ": " +
-                                trap.what());
-        merge_events();
-        throw;
-      }
-      const char* next = engine_name(rungs[i + 1]);
-      rt_events[std::string("rt.fallback.") + engine] += 1;
-      degradations_.push_back(std::string(engine) + " -> " + next +
-                              " after " + trap.what());
-      if (obs::Tracer* t = obs::tracer()) {
-        t->instant("run", std::string("rt.fallback.") + engine, trap.what());
-      }
+kernels::VValue Session::vm_run(const std::string* name,
+                                detail::ArgSource* args) {
+  return governed(cost_, tracer_, budget_, [&] {
+    std::vector<kernels::VValue> vargs;
+    if (name != nullptr) vargs = args->flat();
+    // The pipeline verified the module at assembly time and
+    // vm::load_module at load; re-verifying on every run would tax the
+    // dispatch benches.
+    vm::VM machine(module_, {prim_options_, vm_profile_, /*verify=*/false,
+                             vm_arena_, vm_admission_});
+    vl::reset_stats();
+    kernels::VValue result;
+    {
+      obs::Span span("run", "run.vm");
+      result = name != nullptr ? machine.call_function(*name, std::move(vargs))
+                               : machine.eval_entry();
+      cost_.vm_ops = machine.stats();
+      cost_.vector_work = vl::stats();
+      span.counter("elements", cost_.vector_work.element_work);
+      span.counter("segments", cost_.vector_work.segment_work);
+      span.counter("instructions", cost_.vm_ops.instructions);
+      span.counter("calls", cost_.vm_ops.calls);
     }
-  }
+    publish_metrics(cost_, "vm");
+    return result;
+  });
 }
 
-Session::Outcome Session::attempt(Engine engine, const std::string* name,
-                                  detail::ArgSource* args) {
-  cost_ = RunCost{};
-  if (engine == Engine::kInterp) {
-    ValueList boxed_args;
-    if (name != nullptr) boxed_args = args->boxed();
+Value Session::interp_run(const std::string* name, const ValueList& args) {
+  PROTEUS_REQUIRE(EvalError, compiled_ != nullptr,
+                  "the reference interpreter needs the source program; "
+                  "this session wraps a bare module");
+  return governed(cost_, tracer_, budget_, [&] {
     interp::Interpreter interp(compiled_->checked);
     Value result;
     {
       obs::Span span("run", "run.reference");
-      result = name != nullptr ? interp.call_function(*name, boxed_args)
+      result = name != nullptr ? interp.call_function(*name, args)
                                : interp.eval(compiled_->entry_checked);
       cost_.reference = interp.stats();
       span.counter("iterations", cost_.reference.iterations);
@@ -254,69 +224,19 @@ Session::Outcome Session::attempt(Engine engine, const std::string* name,
     }
     publish_metrics(cost_, "ref");
     return result;
-  }
-  std::vector<kernels::VValue> vargs;
-  if (name != nullptr) vargs = args->flat();
-  // The pipeline verified the modules at assembly time and
-  // vm::load_module at load; re-verifying on every run would tax the
-  // dispatch benches.
-  vm::VM machine(engine == Engine::kVm ? module_ : compiled_->module_o0,
-                 {prim_options_, vm_profile_, /*verify=*/false, vm_arena_,
-                  vm_admission_});
-  vl::reset_stats();
-  kernels::VValue result;
-  {
-    obs::Span span("run", "run.vm");
-    result = name != nullptr ? machine.call_function(*name, std::move(vargs))
-                             : machine.eval_entry();
-    cost_.vm_ops = machine.stats();
-    cost_.vector_work = vl::stats();
-    span.counter("elements", cost_.vector_work.element_work);
-    span.counter("segments", cost_.vector_work.segment_work);
-    span.counter("instructions", cost_.vm_ops.instructions);
-    span.counter("calls", cost_.vm_ops.calls);
-  }
-  publish_metrics(cost_, "vm");
-  return result;
-}
-
-Session::Outcome Session::run_vm_ladder(const std::string* name,
-                                        detail::ArgSource* args) {
-  // vm -O1 -> vm -O0 (when the optimizer changed the module) -> reference
-  // interpreter; a bare module has the VM alone.
-  static constexpr Engine kFull[] = {Engine::kVm, Engine::kVmO0,
-                                     Engine::kInterp};
-  static constexpr Engine kNoO0[] = {Engine::kVm, Engine::kInterp};
-  std::span<const Engine> rungs = kNoO0;
-  if (compiled_ == nullptr) {
-    rungs = rungs.first(1);
-  } else if (compiled_->module_o0 != nullptr &&
-             compiled_->module_o0 != module_) {
-    rungs = kFull;
-  }
-  return run_ladder(rungs, name, args);
-}
-
-Session::Outcome Session::run_interp(const std::string* name,
-                                     detail::ArgSource* args) {
-  PROTEUS_REQUIRE(EvalError, compiled_ != nullptr,
-                  "the reference interpreter needs the source program; "
-                  "this session wraps a bare module");
-  static constexpr Engine kRungs[] = {Engine::kInterp};
-  return run_ladder(kRungs, name, args);
+  });
 }
 
 Value Session::run_reference(const std::string& name,
                              const ValueList& args) {
-  const vm::Signature& sig = signature(&name);
-  detail::ArgSource source(name, sig.params, args);
-  return boxed(run_interp(&name, &source), sig.result);
+  require_count(name, signature(&name).params.size(), args.size());
+  return interp_run(&name, args);
 }
 
 Value Session::run_vm(const std::string& name, const ValueList& args) {
   const vm::Signature& sig = signature(&name);
   detail::ArgSource source(name, sig.params, args);
-  return boxed(run_vm_ladder(&name, &source), sig.result);
+  return kernels::to_boxed(vm_run(&name, &source), sig.result);
 }
 
 std::string Session::run_vm_text(const std::string& name,
@@ -324,23 +244,23 @@ std::string Session::run_vm_text(const std::string& name,
   decode_fallbacks_ = 0;
   const vm::Signature& sig = signature(&name);
   detail::ArgSource source(name, sig.params, args, &decode_fallbacks_);
-  return text(run_vm_ladder(&name, &source), sig.result);
+  return text(vm_run(&name, &source), sig.result);
 }
 
 Value Session::run_entry_reference() {
-  const vm::Signature& sig = signature(nullptr);
-  return boxed(run_interp(nullptr, nullptr), sig.result);
+  (void)signature(nullptr);  // a session without an entry throws here
+  return interp_run(nullptr, {});
 }
 
 Value Session::run_entry_vm() {
   const vm::Signature& sig = signature(nullptr);
-  return boxed(run_vm_ladder(nullptr, nullptr), sig.result);
+  return kernels::to_boxed(vm_run(nullptr, nullptr), sig.result);
 }
 
 std::string Session::run_entry_vm_text() {
   decode_fallbacks_ = 0;
   const vm::Signature& sig = signature(nullptr);
-  return text(run_vm_ladder(nullptr, nullptr), sig.result);
+  return text(vm_run(nullptr, nullptr), sig.result);
 }
 
 Value parse_value(std::string_view literal) {

@@ -14,6 +14,8 @@
 // Both engines take and return boxed interp::Values so results are
 // directly comparable; cost counters for each engine are exposed for the
 // machine-independent measurements the Proteus methodology prescribes.
+// Each run_* call runs exactly one engine: a runtime trap (budget,
+// cancellation, injected fault) propagates as rt::RuntimeTrap.
 // Argument and result types come from the module's vm::Signatures, so a
 // Session can also wrap a bare deserialized module (no source forms) and
 // run it on the VM. run_vm_text is the serving form of run_vm: literal
@@ -34,7 +36,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "interp/interp.hpp"
@@ -57,11 +58,12 @@ class SignatureError : public EvalError {
 };
 
 namespace detail {
-class ArgSource;  // a run's arguments, converted afresh per attempt
+class ArgSource;  // a run's arguments, converted inside the governed run
 }  // namespace detail
 
 /// Cost counters from the most recent run_* call on a Session. Reset at
-/// the start of every run_* call, so it never mixes two runs.
+/// the start of every run_* call, so it never mixes two runs. A run that
+/// traps leaves only "rt.trap.T00x" = 1 in `metrics`.
 ///
 /// The engine-specific structs stay the fast hot-path counters; after
 /// the run they are published into `metrics` under the unified schema of
@@ -92,9 +94,9 @@ class Session {
 
   /// Wraps a deserialized VCODE module (vm::load_module, which verifies
   /// it) with no AST in the process: `proteusc --load-module` and the
-  /// daemon's on-disk cache hits. Only the VM can run it — the fallback
-  /// rungs re-execute source forms a bare module does not carry — so a
-  /// trap propagates as rt::RuntimeTrap, and run_reference* throw.
+  /// daemon's on-disk cache hits. Only the VM can run it: the reference
+  /// interpreter needs source forms a bare module does not carry, so
+  /// run_reference* throw EvalError.
   explicit Session(std::shared_ptr<const vm::Module> module);
 
   /// Runs function `name` on the reference interpreter.
@@ -112,8 +114,8 @@ class Session {
   /// into the flat representation, driven by the function's signature;
   /// text outside its literal subset goes through parse_value instead
   /// (counted by last_decode_fallbacks()). The result is rendered straight
-  /// from the flat value by kernels::encode. Same ladder, budget, metrics
-  /// and result text as interp::to_text(run_vm(name, parsed arguments)).
+  /// from the flat value by kernels::encode. Same budget, metrics and
+  /// result text as interp::to_text(run_vm(name, parsed arguments)).
   [[nodiscard]] std::string run_vm_text(
       const std::string& name, std::span<const std::string_view> args);
 
@@ -161,20 +163,6 @@ class Session {
   void set_budget(const rt::ExecBudget& budget) { budget_ = budget; }
   [[nodiscard]] const rt::ExecBudget& budget() const { return budget_; }
 
-  /// Enables/disables the graceful-degradation ladder (default on).
-  /// With fallback on, a retryable trap (an injected fault) in the
-  /// optimized VM path retries on the -O0 module (when the optimizer
-  /// changed it), then on the reference interpreter. With fallback off,
-  /// every trap propagates. A Session over a bare module has no rung
-  /// below the VM.
-  void set_fallback(bool enabled) { fallback_ = enabled; }
-
-  /// Human-readable record of every degradation (and the final trap, if
-  /// any) taken by the most recent run_* call. Empty for healthy runs.
-  [[nodiscard]] const std::vector<std::string>& last_degradations() const {
-    return degradations_;
-  }
-
   /// All intermediate forms (checked / canonical / flat / vector). Only
   /// for Sessions built from source or a compilation.
   [[nodiscard]] const xform::Compiled& compiled() const { return *compiled_; }
@@ -193,27 +181,18 @@ class Session {
   [[nodiscard]] lang::TypePtr result_type(const std::string& name) const;
 
  private:
-  /// One rung of the degradation ladder.
-  enum class Engine : std::uint8_t { kVm, kVmO0, kInterp };
-  static const char* engine_name(Engine engine);
-  /// What an attempt produced: the VM's flat value or the interpreter's
-  /// boxed one.
-  using Outcome = std::variant<kernels::VValue, interp::Value>;
-
   /// The calling convention of function `*name`, or of the entry
   /// expression when `name` is null.
   const vm::Signature& signature(const std::string* name) const;
-  /// Runs function `*name` (or the entry when `name` is null) down the
-  /// given rungs, taking the arguments of each attempt from `args`.
-  Outcome run_ladder(std::span<const Engine> rungs, const std::string* name,
-                     detail::ArgSource* args);
-  Outcome attempt(Engine engine, const std::string* name,
-                  detail::ArgSource* args);
-  Outcome run_vm_ladder(const std::string* name, detail::ArgSource* args);
-  Outcome run_interp(const std::string* name, detail::ArgSource* args);
+  /// Runs function `*name` (or the entry when `name` is null) on the VM,
+  /// converting its arguments from `args` inside the governed run.
+  kernels::VValue vm_run(const std::string* name, detail::ArgSource* args);
+  /// Runs function `*name` (or the entry) on the reference interpreter.
+  interp::Value interp_run(const std::string* name,
+                           const interp::ValueList& args);
 
   std::shared_ptr<const xform::Compiled> compiled_;  ///< null over a module
-  std::shared_ptr<const vm::Module> module_;         ///< the -O1 module
+  std::shared_ptr<const vm::Module> module_;         ///< the module run_vm runs
   kernels::PrimOptions prim_options_;
   bool vm_profile_ = false;
   bool vm_arena_ = false;
@@ -221,8 +200,6 @@ class Session {
   obs::Tracer* tracer_ = nullptr;
   RunCost cost_;
   rt::ExecBudget budget_;
-  bool fallback_ = true;
-  std::vector<std::string> degradations_;
   std::uint64_t decode_fallbacks_ = 0;
 };
 

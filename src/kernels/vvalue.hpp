@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -29,17 +30,17 @@ class VValue {
  public:
   VValue() : node_(Int{0}) {}
 
-  static VValue ints(Int v) { return VValue(Node{v}); }
-  static VValue reals(Real v) { return VValue(Node{v}); }
-  static VValue bools(bool v) { return VValue(Node{v}); }
+  static VValue ints(Int v) { return VValue(std::in_place_type<Int>, v); }
+  static VValue reals(Real v) { return VValue(std::in_place_type<Real>, v); }
+  static VValue bools(bool v) { return VValue(std::in_place_type<bool>, v); }
   static VValue seq(Array elements) {
-    return VValue(Node{SeqRep{std::move(elements)}});
+    return VValue(std::in_place_type<SeqRep>, std::move(elements));
   }
   static VValue tuple(std::vector<VValue> components) {
-    return VValue(Node{TupleRep{std::move(components)}});
+    return VValue(std::in_place_type<TupleRep>, std::move(components));
   }
   static VValue fun(std::string name) {
-    return VValue(Node{FunRep{std::move(name)}});
+    return VValue(std::in_place_type<FunRep>, std::move(name));
   }
 
   [[nodiscard]] bool is_int() const {
@@ -84,7 +85,11 @@ class VValue {
   };
   using Node = std::variant<Int, Real, bool, SeqRep, TupleRep, FunRep>;
 
-  explicit VValue(Node node) : node_(std::move(node)) {}
+  // Builds the alternative in place: moving a temporary Node instead
+  // trips GCC 12's -Wmaybe-uninitialized once inlined under -fsanitize.
+  template <class T, class... Args>
+  explicit VValue(std::in_place_type_t<T> tag, Args&&... args)
+      : node_(tag, std::forward<Args>(args)...) {}
 
   Node node_;
 };

@@ -10,19 +10,17 @@
 //   sock-write:N the Nth guarded socket write acts as a broken pipe -> S007
 //   sock-stall:N the Nth guarded socket read acts as a stalled peer -> S008
 //
-// Every site is ONE-SHOT: a fired countdown disarms itself, so the
-// degradation ladder's retry (and the rest of a test suite run with
-// PROTEUS_FAULT in the environment) executes clean. Plans come from the
-// PROTEUS_FAULT environment variable (parsed at static initialization,
-// like PROTEUS_BACKEND), the proteusc/proteusd --inject flag, or
-// arm_faults().
+// Every site is ONE-SHOT: a fired countdown disarms itself, so the run it
+// trapped is contained and the next run executes clean
+// (docs/ROBUSTNESS.md, "Containment"). Plans come from the PROTEUS_FAULT
+// environment variable (parsed at static initialization, like
+// PROTEUS_BACKEND), the proteusc/proteusd --inject flag, or arm_faults().
 //
 // The reference interpreter never touches the vl layer, so it is immune
-// to alloc/kernel injection by construction — which is exactly what makes
-// it the ladder's last rung and the exception-safety sweep's oracle. The
-// sock-* sites are consumed only by proteusd's TCP connection wrappers
-// (docs/SERVING.md "Overload & lifecycle"), so evaluation engines never
-// observe them.
+// to alloc/kernel injection by construction — which makes it the
+// containment tests' oracle. The sock-* sites are consumed only by
+// proteusd's TCP connection wrappers (docs/SERVING.md "Overload &
+// lifecycle"), so evaluation engines never observe them.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +61,7 @@ void disarm_faults() noexcept;
 
 /// Injection site for the VCODE optimizer: throws T008 when the `opt`
 /// countdown fires. Called by the pipeline's optimize-vcode stage, which
-/// degrades to the retained -O0 module on the trap.
+/// keeps the -O0 module on the trap.
 void maybe_fail_opt();
 
 namespace detail {

@@ -13,7 +13,7 @@ namespace proteus::rt {
 
 namespace detail {
 
-thread_local GovernorState* t_state = nullptr;
+constinit thread_local GovernorState* t_state = nullptr;
 
 std::atomic<bool> g_active{false};
 std::atomic<std::uint64_t> g_resident{0};

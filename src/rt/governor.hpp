@@ -84,7 +84,9 @@ struct GovernorState {
 };
 
 /// The innermost budget of the current thread (null: ungoverned thread).
-extern thread_local GovernorState* t_state;
+/// constinit: statically initialized, so reads need no TLS wrapper call
+/// (UBSan reported a null GovernorState* load through the wrapper).
+extern constinit thread_local GovernorState* t_state;
 
 /// `g_active` gates the process-global slow-path causes: cancellation
 /// pending, faults armed, or a trip deferred from a parallel region.

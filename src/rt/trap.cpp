@@ -33,17 +33,6 @@ const char* trap_reason(Trap t) noexcept {
   return "unknown trap";
 }
 
-bool retryable(Trap t) noexcept {
-  switch (t) {
-    case Trap::kInjectAlloc:
-    case Trap::kInjectKernel:
-    case Trap::kInjectOpt:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 
 std::string format_what(Trap trap, const std::string& detail,

@@ -38,15 +38,10 @@ enum class Trap : std::uint8_t {
 /// Human-readable one-line reason for the code.
 [[nodiscard]] const char* trap_reason(Trap t) noexcept;
 
-/// True for traps a fallback engine can absorb. Injected faults are
-/// one-shot (the site disarms after firing), so a retry runs clean;
-/// budget traps (T001-T005) are deterministic and would trip again, so
-/// the degradation ladder re-throws them instead of wasting the deadline.
-[[nodiscard]] bool retryable(Trap t) noexcept;
-
 /// The structured trap exception. Not an EvalError: a trap means the
 /// *runtime environment* refused the execution, not that the program is
-/// wrong — callers that want to degrade catch this type specifically.
+/// wrong — callers that report it structurally (proteusc's exit code 4,
+/// proteusd's "trap" reply) catch this type specifically.
 class RuntimeTrap : public Error {
  public:
   RuntimeTrap(Trap trap, const std::string& detail, std::string site,

@@ -56,8 +56,8 @@ CacheEntry ModuleCache::insert(std::uint64_t key, CacheEntry entry) {
     } else if (it->second.compiled == nullptr && entry.compiled != nullptr) {
       // First writer wins, with one exception: a full compilation
       // upgrades a module-only entry rehydrated from disk, so later
-      // evaluations of that source regain the degradation ladder. Its
-      // image is already on disk.
+      // replies for that source carry its compile notes and report
+      // "engine":"vm". Its image is already on disk.
       it->second = std::move(entry);
     }
     surviving = it->second;

@@ -6,9 +6,9 @@
 //
 // Two tiers:
 //
-//   * memory — the full xform::Compiled (shared_ptr, never copied): a hit
-//     serves evaluation through a regular Session with the whole
-//     degradation ladder available. This is the hot tier concurrent
+//   * memory — the full xform::Compiled (shared_ptr, never copied) and
+//     its module: a hit serves evaluation through a Session over the
+//     module, exactly as a disk hit does. This is the hot tier concurrent
 //     requests share.
 //   * disk (optional) — the serialized VCODE module image
 //     (vm/module_io.hpp) under <dir>/<hex key>.pvcm: survives restarts

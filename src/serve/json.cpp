@@ -221,13 +221,15 @@ class Parser {
     (void)eat('[');
     Json::Array out;
     skip_ws();
-    if (eat(']')) return Json(std::move(out));
+    // Built in place: returning a Json temporary trips GCC 12's
+    // -Wmaybe-uninitialized on its variant once inlined in Release.
+    if (eat(']')) return std::make_optional<Json>(std::move(out));
     while (true) {
       std::optional<Json> v = value(depth + 1);
       if (!v.has_value()) return std::nullopt;
       out.push_back(std::move(*v));
       skip_ws();
-      if (eat(']')) return Json(std::move(out));
+      if (eat(']')) return std::make_optional<Json>(std::move(out));
       if (!eat(',')) {
         fail("expected ',' or ']' in array");
         return std::nullopt;
@@ -239,7 +241,7 @@ class Parser {
     (void)eat('{');
     Json::Object out;
     skip_ws();
-    if (eat('}')) return Json(std::move(out));
+    if (eat('}')) return std::make_optional<Json>(std::move(out));
     while (true) {
       skip_ws();
       std::optional<std::string> key = raw_string();
@@ -253,7 +255,7 @@ class Parser {
       if (!v.has_value()) return std::nullopt;
       out[std::move(*key)] = std::move(*v);
       skip_ws();
-      if (eat('}')) return Json(std::move(out));
+      if (eat('}')) return std::make_optional<Json>(std::move(out));
       if (!eat(',')) {
         fail("expected ',' or '}' in object");
         return std::nullopt;

@@ -537,7 +537,7 @@ std::optional<CacheEntry> Server::obtain(const Json& req, std::uint64_t* key,
     *error = error_value("compile", code, e.what());
   } catch (const rt::RuntimeTrap& trap) {
     // A compile-time trap (e.g. a deadline inherited from an enclosing
-    // scope, or an injected optimizer fault with fallback exhausted).
+    // scope) that the -O0 fallback could not absorb.
     count(std::string("serve.trap.") + trap.code());
     *error = error_value("trap", trap.code(), trap.what());
   } catch (const Error& e) {
@@ -587,10 +587,9 @@ Json Server::do_eval(const Json& req) {
                                         "eval needs \"fun\" or \"entry\""));
   }
 
-  // Argument literals decode inside the run, in each ladder attempt
-  // (charged to the request's budget, like the values the run computes)
-  // and under try: a bad literal is the client's error, reported
-  // structurally.
+  // Argument literals decode inside the run (charged to the request's
+  // budget, like the values the run computes) and under try: a bad
+  // literal is the client's error, reported structurally.
   std::string budget_error;
   const rt::ExecBudget budget =
       effective_budget(req, options_.max_budget, &budget_error);
@@ -609,11 +608,9 @@ Json Server::do_eval(const Json& req) {
     args.emplace_back(a.as_string());
   }
   try {
-    // Disk-rehydrated entries carry only the module: no source forms in
-    // this process, so the run is VM-only, driven by the module's
-    // serialized signatures.
-    Session session = entry->compiled != nullptr ? Session(entry->compiled)
-                                                 : Session(entry->module);
+    // Both tiers run the entry's module, driven by its signatures; the
+    // source forms of a memory-tier entry are never needed to evaluate.
+    Session session(entry->module);
     session.set_budget(budget);
     session.set_arena(options_.arena);
     session.set_admission(options_.admission);
@@ -644,13 +641,6 @@ Json Server::do_eval(const Json& req) {
     reply["engine"] = entry->compiled != nullptr ? "vm" : "vm-module";
     reply["result"] = std::move(result);
     reply["metrics"] = metrics_object(run_metrics);
-    if (!session.last_degradations().empty()) {
-      Json::Array lines;
-      for (const std::string& d : session.last_degradations()) {
-        lines.emplace_back(d);
-      }
-      reply["degradations"] = Json(std::move(lines));
-    }
     return Json(std::move(reply));
   } catch (const rt::RuntimeTrap& trap) {
     // The request exhausted ITS budget; the daemon is healthy and the

@@ -138,6 +138,9 @@ Compiled compile(std::string_view program_source,
     }
   }
 
+  // The unoptimized module: what out.module falls back to when the
+  // optimizer traps or the verifier rejects its output.
+  std::shared_ptr<const vm::Module> unoptimized;
   {
     obs::Span span("compile", "vm-assemble");
     std::shared_ptr<vm::Module> module =
@@ -165,8 +168,8 @@ Compiled compile(std::string_view program_source,
       sig.present = true;
       sig.result = out.entry_checked->type;
     }
-    out.module = module;
-    out.module_o0 = out.module;
+    unoptimized = module;
+    out.module = unoptimized;
   }
 
   if (options.optimize_vcode) {
@@ -175,11 +178,11 @@ Compiled compile(std::string_view program_source,
       rt::maybe_fail_opt();  // deterministic fault injection (--inject=opt:N)
       out.module = vm::optimize_module(*out.module, &out.fusion);
     } catch (const rt::RuntimeTrap& trap) {
-      // First rung of the degradation ladder: a resource trap (or an
-      // injected fault) inside the optimizer is survivable — keep the
-      // already-assembled -O0 module and record the downgrade.
+      // A resource trap (or an injected fault) inside the optimizer is
+      // survivable: keep the already-assembled -O0 module and record the
+      // downgrade.
       out.fusion = vm::FuseStats{};
-      out.module = out.module_o0;
+      out.module = unoptimized;
       out.compile_fallbacks.push_back(
           std::string("optimize-vcode trap: kept -O0 module: ") +
           trap.what());
@@ -197,7 +200,7 @@ Compiled compile(std::string_view program_source,
     analysis::Report vcode = vm::verify_module(*out.module);
     span.counter("diagnostics", vcode.size());
     bool rejected = !vcode.ok();
-    if (rejected && out.module != out.module_o0) {
+    if (rejected && out.module != unoptimized) {
       // The *optimized* module failed verification: distrust the
       // optimizer's output, fall back to -O0, and verify that instead.
       // Only an -O0 rejection is fatal.
@@ -208,7 +211,7 @@ Compiled compile(std::string_view program_source,
                    "optimized module rejected; reverting to -O0");
       }
       out.fusion = vm::FuseStats{};
-      out.module = out.module_o0;
+      out.module = unoptimized;
       vcode = vm::verify_module(*out.module);
       rejected = !vcode.ok();
     }
@@ -220,20 +223,13 @@ Compiled compile(std::string_view program_source,
 
   if (options.plan_memory) {
     obs::Span span("compile", "plan-memory");
-    // Attach a memory plan to both modules (they may be the same object).
-    // The const_pointer_cast is safe: the pipeline is the sole owner of
-    // the freshly assembled modules at this point.
-    const auto attach = [](std::shared_ptr<const vm::Module>& m)
-        -> analysis::Report {
-      analysis::PlanResult pr = analysis::plan_module(*m);
-      std::const_pointer_cast<vm::Module>(m)->plan =
-          std::make_shared<const analysis::MemoryPlan>(std::move(pr.plan));
-      return std::move(pr.report);
-    };
-    out.memory_report = attach(out.module);
-    if (out.module_o0 != out.module) {
-      (void)attach(out.module_o0);  // -O1's findings are the reported set
-    }
+    // Attach a memory plan to the module that runs. The
+    // const_pointer_cast is safe: the pipeline is the sole owner of the
+    // freshly assembled module at this point.
+    analysis::PlanResult pr = analysis::plan_module(*out.module);
+    std::const_pointer_cast<vm::Module>(out.module)->plan =
+        std::make_shared<const analysis::MemoryPlan>(std::move(pr.plan));
+    out.memory_report = std::move(pr.report);
     span.counter("diagnostics", out.memory_report.size());
   }
 

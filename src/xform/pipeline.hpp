@@ -44,7 +44,7 @@ struct PipelineOptions {
   /// this off).
   bool verify_vcode = true;
   /// Run the buffer-lifetime / memory-plan analyzer (analysis/lifetime.hpp)
-  /// over the final module(s) and attach the resulting MemoryPlan to them
+  /// over the final module and attach the resulting MemoryPlan to it
   /// (vm::Module::plan) — the artifact behind plan-backed arena execution,
   /// admission control, and `proteusc --analyze=memory`. M3xx findings
   /// land in Compiled::memory_report (warnings only; never fatal).
@@ -75,14 +75,9 @@ struct Compiled {
   /// options.optimize_vcode is on this is the optimized module.
   std::shared_ptr<const vm::Module> module;
 
-  /// The unoptimized (-O0) module, always retained so the runtime's
-  /// degradation ladder can re-run a program without superinstructions
-  /// after a fused-path trap. Pointer-equal to `module` when the
-  /// optimizer was off or fell back (docs/ROBUSTNESS.md).
-  std::shared_ptr<const vm::Module> module_o0;
-
   /// Human-readable notes for every compile-time degradation taken
-  /// (optimizer trap, verifier rejection of the optimized module).
+  /// (optimizer trap, verifier rejection of the optimized module): each
+  /// left `module` the unoptimized (-O0) one (docs/ROBUSTNESS.md).
   /// Empty on a healthy compile.
   std::vector<std::string> compile_fallbacks;
 

@@ -312,9 +312,10 @@ TEST(Codec, ShortRealLiteralsConvertExactly) {
   for (int i = 0; i < 200000; ++i) {
     std::string s = std::to_string(rng() % 100000000);
     const std::size_t point = rng() % s.size();
-    if (point > 0) s.insert(point, ".");
+    if (point > 0) s.insert(s.begin() + static_cast<std::ptrdiff_t>(point), '.');
     if (point == 0 || rng() % 2 == 0) {
-      s += "e" + std::to_string(static_cast<int>(rng() % 50) - 25);
+      s += 'e';
+      s += std::to_string(static_cast<int>(rng() % 50) - 25);
     }
     double expected = 0;
     std::from_chars(s.data(), s.data() + s.size(), expected);

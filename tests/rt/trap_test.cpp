@@ -27,19 +27,6 @@ TEST(Trap, EveryCodeHasAReason) {
   }
 }
 
-TEST(Trap, OnlyInjectedFaultsAreRetryable) {
-  // Budget traps are deterministic — retrying the same work would trip
-  // again — while injected faults are one-shot, so a retry runs clean.
-  EXPECT_FALSE(retryable(Trap::kMemory));
-  EXPECT_FALSE(retryable(Trap::kSteps));
-  EXPECT_FALSE(retryable(Trap::kDepth));
-  EXPECT_FALSE(retryable(Trap::kDeadline));
-  EXPECT_FALSE(retryable(Trap::kCancelled));
-  EXPECT_TRUE(retryable(Trap::kInjectAlloc));
-  EXPECT_TRUE(retryable(Trap::kInjectKernel));
-  EXPECT_TRUE(retryable(Trap::kInjectOpt));
-}
-
 TEST(Trap, WhatCarriesCodeSiteAndCounters) {
   RuntimeTrap t(Trap::kMemory, "resident bytes over budget", "vl.alloc",
                 /*bytes=*/4096, /*steps=*/17);
@@ -62,8 +49,9 @@ TEST(Trap, VmTrapsCarryThePc) {
 }
 
 TEST(Trap, IsAProteusErrorButNotAnEvalError) {
-  // Engine-degradation code catches RuntimeTrap specifically; generic
-  // error reporting still catches it as proteus::Error.
+  // Structured trap reporting (proteusc exit 4, proteusd's "trap" reply)
+  // catches RuntimeTrap specifically; generic error reporting still
+  // catches it as proteus::Error.
   RuntimeTrap t(Trap::kSteps, "steps", "vm", 0, 9);
   const Error& as_error = t;
   EXPECT_NE(std::string(as_error.what()).find("T002"), std::string::npos);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "rt/fault.hpp"
 
 namespace proteus::serve {
 namespace {
@@ -182,6 +183,36 @@ TEST(ServeServer, BudgetTrapIsPerRequestAndTheServerKeepsServing) {
 
   Json metrics = server.handle_request(request({{"op", "metrics"}}));
   EXPECT_GE(metrics.get("metrics").get("serve.trap.T003").as_int(), 1);
+}
+
+TEST(ServeServer, InjectedKernelFaultIsATrapReplyAndTheNextEvalIsClean) {
+  Server server;
+  Json compiled = server.handle_request(request(
+      {{"op", "compile"},
+       {"source", "fun sqs(n: int): seq(int) = [i <- [1 .. n] : i * i]"}}));
+  ASSERT_TRUE(compiled.get("ok").as_bool()) << compiled.dump();
+  const Json eval = request({{"op", "eval"},
+                             {"key", compiled.get("key")},
+                             {"fun", "sqs"},
+                             {"args", args_of({"5"})}});
+
+  // A one-shot fault is contained, not absorbed: the eval that hits it
+  // gets a structured trap reply...
+  rt::arm_faults(rt::parse_fault_plan("kernel:1"));
+  Json trapped = server.handle_request(eval);
+  EXPECT_FALSE(rt::faults_armed());
+  rt::disarm_faults();
+  ASSERT_FALSE(trapped.get("ok").as_bool(true)) << trapped.dump();
+  EXPECT_EQ(trapped.get("error").get("kind").as_string(), "trap");
+  EXPECT_EQ(trapped.get("error").get("code").as_string(), "T007");
+
+  // ...and the next eval of the same cached program runs clean.
+  Json fine = server.handle_request(eval);
+  ASSERT_TRUE(fine.get("ok").as_bool()) << fine.dump();
+  EXPECT_EQ(fine.get("result").as_string(), "[1,4,9,16,25]");
+
+  Json metrics = server.handle_request(request({{"op", "metrics"}}));
+  EXPECT_EQ(metrics.get("metrics").get("serve.trap.T007").as_int(), 1);
 }
 
 TEST(ServeServer, ClientBudgetCannotExceedTheServerCeiling) {

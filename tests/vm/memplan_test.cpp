@@ -118,12 +118,10 @@ TEST(MemPlan, ModuleSessionHonorsTheArena) {
 
 TEST(MemPlan, TrapsAreIdenticalUnderTheArena) {
   // A budget small enough that quicksort trips T001 mid-run: both
-  // allocators must surface the same trap code (no fallback, so the
-  // trap propagates).
+  // allocators must surface the same trap code.
   const std::string arg = pseudo_random_seq(2000, 997);
   for (const bool use_arena : {false, true}) {
     Session s(kQuicksort);
-    s.set_fallback(false);
     s.set_arena(use_arena);
     rt::ExecBudget budget;
     budget.max_resident_bytes = 4096;
@@ -141,7 +139,6 @@ TEST(MemPlan, AdmissionRejectsOversizedCallsUpFront) {
   // A bounded one-pass map: the plan knows its peak, so admission can
   // reject before any element work happens.
   Session s("fun double(xs: seq(int)): seq(int) = [x <- xs : 2 * x]");
-  s.set_fallback(false);
   s.set_admission(true);
   rt::ExecBudget budget;
   budget.max_resident_bytes = 256;  // below the plan's static bound

@@ -110,9 +110,7 @@ TEST(VmExec, ErrorParityWithTreeExecutor) {
   // Unknown function and wrong arity must throw the EvalErrors the tree
   // executor threw (messages recorded from it; only the assertion detail
   // after the wrong-arity text names engine internals); runaway recursion
-  // trips the execution governor's depth budget (rt::RuntimeTrap T003,
-  // not retryable — the degradation ladder must NOT mask it behind a
-  // fallback engine).
+  // trips the execution governor's depth budget (rt::RuntimeTrap T003).
   Session s("fun spin(n: int): int = spin(n + 1)");
   vm::VM machine(s.compiled().module);
   const auto message = [&](const char* fn) -> std::string {
@@ -140,7 +138,7 @@ TEST(VmExec, ErrorParityWithTreeExecutor) {
               0u)
         << e.what();
   }
-  EXPECT_EQ(s.last_degradations().size(), 1u);
+  EXPECT_EQ(s.last_cost().metrics.get("rt.trap.T003"), 1u);
 }
 
 TEST(VmExec, EmptyFramesAndEmptyLiterals) {

@@ -27,8 +27,6 @@
 //   --budget-deadline-ms N  wall-clock deadline per run (trap T004)
 //   --inject SPEC      deterministic fault injection, e.g. alloc:3,kernel:7
 //                      (also via the PROTEUS_FAULT environment variable)
-//   --no-fallback      disable the graceful-degradation ladder: traps
-//                      propagate instead of retrying on a simpler engine
 //   --emit-module FILE write the compiled VCODE module image (vm/module_io)
 //   --load-module FILE run a module image instead of compiling source
 //   --module-cache DIR AOT module cache keyed by source+options hash,
@@ -36,8 +34,8 @@
 //
 // Exit codes: 0 success; 1 compile or runtime error; 2 usage error;
 // 3 static analysis / bytecode verification rejected the program;
-// 4 resource trap (budget exceeded, cancelled, or injected fault with no
-//   fallback left) — see docs/ROBUSTNESS.md.
+// 4 runtime trap (budget exceeded, cancelled, or an injected fault fired
+//   during the run) — see docs/ROBUSTNESS.md.
 //
 // Examples:
 //   proteusc examples/programs/sort.p --call quicksort '[3,1,2]'
@@ -127,16 +125,14 @@ namespace {
       "  --budget-deadline-ms N  wall-clock deadline per run (T004)\n"
       "  --inject SPEC       deterministic fault injection, e.g.\n"
       "                      alloc:3,kernel:7,opt:1 (also via PROTEUS_FAULT)\n"
-      "  --no-fallback       disable the graceful-degradation ladder: traps\n"
-      "                      propagate instead of retrying simpler engines\n"
       "\n"
       "  --help              show this help\n"
       "\n"
       "exit codes: 0 success; 1 compile or runtime error; 2 usage error;\n"
       "            3 static analysis / bytecode verification rejected the\n"
       "              program (one line per diagnostic on stderr);\n"
-      "            4 resource trap: a --budget-* limit was exceeded or an\n"
-      "              injected fault had no fallback left (docs/ROBUSTNESS.md)\n";
+      "            4 runtime trap: a --budget-* limit was exceeded or an\n"
+      "              injected fault fired during the run (docs/ROBUSTNESS.md)\n";
   std::exit(err.empty() ? 0 : 2);
 }
 
@@ -193,7 +189,6 @@ int main(int argc, char** argv) {
   std::string trace_json;
   proteus::rt::ExecBudget budget;
   std::string inject;
-  bool fallback = true;
   std::string emit_module;
   std::string load_module;
   std::string module_cache;
@@ -272,8 +267,6 @@ int main(int argc, char** argv) {
                                      "--budget-deadline-ms");
     } else if (a == "--inject") {
       inject = next("--inject");
-    } else if (a == "--no-fallback") {
-      fallback = false;
     } else if (a == "--emit-module") {
       emit_module = next("--emit-module");
     } else if (a == "--load-module") {
@@ -465,7 +458,6 @@ int main(int argc, char** argv) {
                          : proteus::Session(source, entry, options);
     if (tracing) session.set_tracer(&tracer);
     session.set_budget(budget);
-    session.set_fallback(fallback);
     session.set_arena(arena);
     session.set_admission(admission);
     // Null when running a module image.
@@ -567,9 +559,6 @@ int main(int argc, char** argv) {
         usage("nothing to run: give --entry or --call (or --dump)");
       }
       timing.observe("run." + eng + ".duration_us", elapsed_us(run_start));
-      for (const std::string& note : session.last_degradations()) {
-        std::cerr << "proteusc: [degraded] " << note << '\n';
-      }
       if (stats) {
         if (stats_json) {
           std::ostringstream os;
@@ -657,8 +646,8 @@ int main(int argc, char** argv) {
     return 3;
   } catch (const proteus::rt::RuntimeTrap& e) {
     // A resource budget was exceeded, cancellation was requested, or an
-    // injected fault had no fallback left: a distinct exit code so
-    // harnesses can tell "out of budget" from "broken program".
+    // injected fault fired: a distinct exit code so harnesses can tell
+    // "the runtime refused the run" from "broken program".
     std::cerr << "proteusc: resource trap: " << e.what() << '\n';
     return 4;
   } catch (const proteus::Error& e) {
