@@ -1,30 +1,27 @@
-// bench_vm_memplan — the plan-backed arena allocator (Session::set_arena)
-// against the default per-Vec heap path on the bytecode VM (-O1, warm).
+// bench_vm_memplan — the memory plan on the bytecode VM (-O1, warm): the
+// default run, which clears the registers the plan proves dead at their
+// last use, against the plan's static peak bound.
 //
 // Two workload families bracket the analyzer:
 //
-//   quicksort  — recursive divide-and-conquer that churns same-sized
-//                intermediate buffers (the arena's best case: freed
-//                partitions are recycled into the next level's builds,
-//                so vl.buffer_allocs should drop by >= 50%); its plan
-//                bound is "unbounded" (recursion), so the record also
-//                documents that admission stays inert;
+//   quicksort  — recursive divide-and-conquer; its plan bound is
+//                "unbounded" (recursion), so the record documents that
+//                admission stays inert;
 //   fma_chain  — a flat elementwise map whose plan carries a finite
 //                affine peak bound, checked here against the governor's
 //                observed resident-byte watermark (bound >= observed is
 //                the soundness claim admission control relies on).
 //
 // Each record in BENCH_vm_memplan.json carries, besides wall time and
-// the usual vl.* registry (including vl.buffer_allocs and the
-// vl.arena.* family), three plan fields:
+// the usual vl.* registry, three plan fields:
 //
 //   plan.bounded              1 if the function's peak bound is finite
 //   plan.peak_bound_bytes     the bound evaluated at this run's N (0 if
 //                             unbounded)
 //   rt.peak_resident_bytes    the governor's watermark for the last run
 //
-// so the CI gate can assert both the >= 50% allocation drop and
-// bound >= observed without re-running anything.
+// so the CI gate can assert bound >= observed without re-running
+// anything.
 #include <cstdint>
 #include <string>
 
@@ -52,15 +49,14 @@ const char* kFmaChain = R"(
     [x <- v : (x * 3 + 1) * (x - 2) + x * x]
 )";
 
-/// Runs `fn(arg)` on the VM with the arena off or on, under a generous
-/// (never-tripping) budget so the governor's resident watermark is
-/// exact, and records wall time + the plan fields described above.
+/// Runs `fn(arg)` on the VM under a generous (never-tripping) budget so
+/// the governor's resident watermark is exact, and records wall time +
+/// the plan fields described above.
 void run_memplan(benchmark::State& state, const char* source,
-                 const std::string& fn, bool arena) {
+                 const std::string& fn) {
   const auto n = static_cast<int>(state.range(0));
   interp::Value input = random_int_seq(11, n, 0, 1 << 30);
   Session session(source);
-  session.set_arena(arena);
   rt::ExecBudget budget;
   budget.max_resident_bytes = 1ull << 32;  // governs; never trips
   session.set_budget(budget);
@@ -84,8 +80,6 @@ void run_memplan(benchmark::State& state, const char* source,
   report_cost(state, session);
   state.counters["buffer_allocs"] = static_cast<double>(
       session.last_cost().vector_work.buffer_allocs);
-  state.counters["arena_recycled"] = static_cast<double>(
-      session.last_cost().vector_work.arena_recycled);
   state.counters["peak_resident"] = static_cast<double>(observed);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 
@@ -94,31 +88,19 @@ void run_memplan(benchmark::State& state, const char* source,
   metrics.set("plan.peak_bound_bytes",
               bound.is_top() ? 0 : bound.eval(static_cast<std::uint64_t>(n)));
   metrics.set("rt.peak_resident_bytes", observed);
-  JsonReporter::instance().record("vm_memplan",
-                                  arena ? "vm-arena" : "vm-heap",
-                                  state.range(0), best, metrics);
+  JsonReporter::instance().record("vm_memplan", "vm", state.range(0), best,
+                                  metrics);
 }
 
-void BM_quicksort_heap(benchmark::State& s) {
-  run_memplan(s, kQuicksort, "quicksort", false);
+void BM_quicksort(benchmark::State& s) {
+  run_memplan(s, kQuicksort, "quicksort");
 }
-void BM_quicksort_arena(benchmark::State& s) {
-  run_memplan(s, kQuicksort, "quicksort", true);
-}
-void BM_fma_chain_heap(benchmark::State& s) {
-  run_memplan(s, kFmaChain, "fma_chain", false);
-}
-void BM_fma_chain_arena(benchmark::State& s) {
-  run_memplan(s, kFmaChain, "fma_chain", true);
+void BM_fma_chain(benchmark::State& s) {
+  run_memplan(s, kFmaChain, "fma_chain");
 }
 
-// The acceptance bar: >= 50% fewer buffer allocations on quicksort at
-// n = 100k with bit-identical output (the identity is asserted by
-// tests/vm/memplan_test.cpp; this bench records the counts).
-BENCHMARK(BM_quicksort_heap)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_quicksort_arena)->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fma_chain_heap)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_fma_chain_arena)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_quicksort)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_fma_chain)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

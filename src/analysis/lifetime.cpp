@@ -7,8 +7,7 @@
 //   3. a forward "physically held" pass mirroring the planned VM exactly
 //      (held' = (held ∪ def) \ deaths), whose per-pc byte sum plus the
 //      in-flight allocation gives the raw peak,
-//   4. greedy interval coloring of flat-vector registers into slots,
-//   5. M3xx wasteful-pattern warnings.
+//   4. M3xx wasteful-pattern warnings.
 //
 // Interprocedural: call summaries (result value + raw peak, both in terms
 // of the callee's input scale) resolve bottom-up in passes; functions in
@@ -38,6 +37,9 @@ using lang::Prim;
 
 constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
 
+/// Element kind of a flat buffer (the three CVL scalar carriers).
+enum class ElemKind : std::uint8_t { kInt, kReal, kBool, kUnknown };
+
 std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
   return a > kSat - b ? kSat : a + b;
 }
@@ -56,14 +58,14 @@ constexpr std::uint64_t kPlanSlack = 4096;
 /// Merge-count at one pc after which changed bounds widen to top.
 constexpr std::uint32_t kWidenLimit = 8;
 
-std::uint64_t width_of(SlotKind k) {
-  return k == SlotKind::kBool ? 1 : 8;
+std::uint64_t width_of(ElemKind k) {
+  return k == ElemKind::kBool ? 1 : 8;
 }
 
 /// Abstract register contents for the size pass.
 struct AbsVal {
   enum Tag : std::uint8_t { kUnset, kScalar, kFlat, kTop } tag = kUnset;
-  SlotKind kind = SlotKind::kUnknown;
+  ElemKind kind = ElemKind::kUnknown;
   /// kFlat: element-count bound. kScalar: upper bound on the (integer)
   /// value itself — this is what carries `length(v)` into the count
   /// operand of `range1`/`dist`, the T1 codegen for every comprehension.
@@ -73,20 +75,20 @@ struct AbsVal {
 
   static AbsVal unset() { return {}; }
   static AbsVal top() {
-    return {kTop, SlotKind::kUnknown, SymBound::top(), false, 0};
+    return {kTop, ElemKind::kUnknown, SymBound::top(), false, 0};
   }
-  static AbsVal scalar(SlotKind k) {
+  static AbsVal scalar(ElemKind k) {
     return {kScalar, k, SymBound::top(), false, 0};
   }
-  static AbsVal scalar_capped(SlotKind k, SymBound cap) {
+  static AbsVal scalar_capped(ElemKind k, SymBound cap) {
     return {kScalar, k, cap, false, 0};
   }
   static AbsVal scalar_int(std::int64_t v) {
-    return {kScalar, SlotKind::kInt,
+    return {kScalar, ElemKind::kInt,
             SymBound::konst(v < 0 ? 0 : static_cast<std::uint64_t>(v)), true,
             v};
   }
-  static AbsVal flat(SlotKind k, SymBound elems) {
+  static AbsVal flat(ElemKind k, SymBound elems) {
     return {kFlat, k, elems, false, 0};
   }
 
@@ -99,7 +101,7 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
   if (a.tag != b.tag) return AbsVal::top();
   if (a.tag == AbsVal::kScalar) {
     AbsVal out = AbsVal::scalar_capped(
-        a.kind == b.kind ? a.kind : SlotKind::kUnknown, a.elems.max(b.elems));
+        a.kind == b.kind ? a.kind : ElemKind::kUnknown, a.elems.max(b.elems));
     if (a.has_value && b.has_value && a.value == b.value) {
       out.has_value = true;
       out.value = a.value;
@@ -107,7 +109,7 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
     return out;
   }
   if (a.tag == AbsVal::kFlat) {
-    return AbsVal::flat(a.kind == b.kind ? a.kind : SlotKind::kUnknown,
+    return AbsVal::flat(a.kind == b.kind ? a.kind : ElemKind::kUnknown,
                         a.elems.max(b.elems));
   }
   return a;  // kTop
@@ -135,7 +137,7 @@ AbsVal flat_or_top(const AbsVal& v) {
 /// Two flat values laid end to end (combine, concat).
 AbsVal end_to_end(const AbsVal& v, const AbsVal& u) {
   if (v.tag != AbsVal::kFlat || u.tag != AbsVal::kFlat) return AbsVal::top();
-  return AbsVal::flat(v.kind == u.kind ? v.kind : SlotKind::kUnknown,
+  return AbsVal::flat(v.kind == u.kind ? v.kind : ElemKind::kUnknown,
                       v.elems.plus(u.elems));
 }
 
@@ -172,36 +174,36 @@ SymBound leaves_of(const AbsVal& v) {
   return SymBound::top();
 }
 
-SlotKind kind_of_type(const lang::TypePtr& t) {
+ElemKind kind_of_type(const lang::TypePtr& t) {
   switch (t->kind()) {
     case lang::TypeKind::kInt:
-      return SlotKind::kInt;
+      return ElemKind::kInt;
     case lang::TypeKind::kReal:
-      return SlotKind::kReal;
+      return ElemKind::kReal;
     case lang::TypeKind::kBool:
-      return SlotKind::kBool;
+      return ElemKind::kBool;
     default:
-      return SlotKind::kUnknown;
+      return ElemKind::kUnknown;
   }
 }
 
-SlotKind kind_of_array(const seq::Array& a) {
+ElemKind kind_of_array(const seq::Array& a) {
   switch (a.kind()) {
     case seq::Array::Kind::kInt:
-      return SlotKind::kInt;
+      return ElemKind::kInt;
     case seq::Array::Kind::kReal:
-      return SlotKind::kReal;
+      return ElemKind::kReal;
     case seq::Array::Kind::kBool:
-      return SlotKind::kBool;
+      return ElemKind::kBool;
     default:
-      return SlotKind::kUnknown;
+      return ElemKind::kUnknown;
   }
 }
 
 AbsVal abstract_constant(const kernels::VValue& v) {
   if (v.is_int()) return AbsVal::scalar_int(v.as_int());
-  if (v.is_real()) return AbsVal::scalar(SlotKind::kReal);
-  if (v.is_bool()) return AbsVal::scalar(SlotKind::kBool);
+  if (v.is_real()) return AbsVal::scalar(ElemKind::kReal);
+  if (v.is_bool()) return AbsVal::scalar(ElemKind::kBool);
   if (v.is_seq()) {
     const seq::Array& a = v.as_seq();
     if (seq::spine_depth(a) == 0 && a.kind() != seq::Array::Kind::kTuple &&
@@ -218,7 +220,7 @@ AbsVal abstract_constant(const kernels::VValue& v) {
 
 /// Element kind of a prim's result: fixed for comparisons, logic and
 /// conversions, otherwise the kind of its operands.
-SlotKind result_kind(Prim p, SlotKind operands) {
+ElemKind result_kind(Prim p, ElemKind operands) {
   switch (p) {
     case Prim::kEq:
     case Prim::kNe:
@@ -229,12 +231,12 @@ SlotKind result_kind(Prim p, SlotKind operands) {
     case Prim::kAnd:
     case Prim::kOr:
     case Prim::kNot:
-      return SlotKind::kBool;
+      return ElemKind::kBool;
     case Prim::kToReal:
     case Prim::kSqrt:
-      return SlotKind::kReal;
+      return ElemKind::kReal;
     case Prim::kToInt:
-      return SlotKind::kInt;
+      return ElemKind::kInt;
     default:
       return operands;
   }
@@ -248,7 +250,7 @@ AbsVal map_result(Prim root, std::size_t n_args, const std::uint16_t* a,
                   const std::vector<AbsVal>& state, IsFrame&& is_frame) {
   SymBound elems = SymBound::konst(0);
   bool any_frame = false;
-  SlotKind frame_kind = SlotKind::kUnknown;
+  ElemKind frame_kind = ElemKind::kUnknown;
   for (std::size_t i = 0; i < n_args; ++i) {
     if (!is_frame(i)) continue;
     const AbsVal& v = state[a[i]];
@@ -256,7 +258,7 @@ AbsVal map_result(Prim root, std::size_t n_args, const std::uint16_t* a,
     any_frame = true;
     if (v.tag == AbsVal::kFlat) {
       elems = elems.max(v.elems);
-      if (frame_kind == SlotKind::kUnknown) frame_kind = v.kind;
+      if (frame_kind == ElemKind::kUnknown) frame_kind = v.kind;
     } else {
       elems = SymBound::top();
     }
@@ -396,7 +398,7 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
         }
       }
       return AbsVal::scalar(result_kind(
-          in.prim, in.args_count > 0 ? state[a[0]].kind : SlotKind::kUnknown));
+          in.prim, in.args_count > 0 ? state[a[0]].kind : ElemKind::kUnknown));
     }
     case Op::kElementwise: {
       // Result length = frame length. A *lifted* operand is a frame
@@ -425,19 +427,19 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
         const std::int64_t hi = state[a[1]].value;
         const std::uint64_t len =
             hi < lo ? 0 : static_cast<std::uint64_t>(hi - lo) + 1;
-        return AbsVal::flat(SlotKind::kInt, SymBound::konst(len));
+        return AbsVal::flat(ElemKind::kInt, SymBound::konst(len));
       }
       if (in.prim == Prim::kRange && in.args_count == 2 &&
           state[a[0]].has_value && state[a[0]].value >= 1 &&
           state[a[1]].tag == AbsVal::kScalar) {
         // [lo..hi] with lo >= 1 known: count <= max(hi, 0) <= cap(hi).
-        return AbsVal::flat(SlotKind::kInt, state[a[1]].elems);
+        return AbsVal::flat(ElemKind::kInt, state[a[1]].elems);
       }
       if (in.prim == Prim::kRange1 && in.args_count == 1 &&
           state[a[0]].tag == AbsVal::kScalar) {
         // [1..c]: the count IS the operand's value, so its cap bounds it
         // (this is how `length -> range1 -> gather` stays finite).
-        return AbsVal::flat(SlotKind::kInt, state[a[0]].elems);
+        return AbsVal::flat(ElemKind::kInt, state[a[0]].elems);
       }
       if (in.prim == Prim::kDist && in.args_count == 2) {
         const AbsVal& c = state[a[0]];
@@ -457,7 +459,7 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
         return AbsVal::top();  // dist of a non-scalar replicates structure
       }
       if (in.prim == Prim::kRange || in.prim == Prim::kRange1) {
-        return AbsVal::flat(SlotKind::kInt, SymBound::top());
+        return AbsVal::flat(ElemKind::kInt, SymBound::top());
       }
       return AbsVal::top();
     }
@@ -508,26 +510,26 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
       if (in.depth != 0) {
         // Segmented reduction: one scalar per segment of a nested operand
         // the flat domain does not size.
-        return AbsVal::flat(SlotKind::kUnknown, SymBound::top());
+        return AbsVal::flat(ElemKind::kUnknown, SymBound::top());
       }
       switch (in.prim) {
         case Prim::kLength:
           // The length *value* is capped by the operand's element bound —
           // the hinge that sizes every downstream range1/dist.
           return AbsVal::scalar_capped(
-              SlotKind::kInt, in.args_count > 0 &&
+              ElemKind::kInt, in.args_count > 0 &&
                                       state[a[0]].tag == AbsVal::kFlat
                                   ? state[a[0]].elems
                                   : SymBound::top());
         case Prim::kAnyV:
         case Prim::kAllV:
         case Prim::kAnyTrue:
-          return AbsVal::scalar(SlotKind::kBool);
+          return AbsVal::scalar(ElemKind::kBool);
         default:
           return AbsVal::scalar(in.args_count > 0 &&
                                         state[a[0]].tag == AbsVal::kFlat
                                     ? state[a[0]].kind
-                                    : SlotKind::kUnknown);
+                                    : ElemKind::kUnknown);
       }
     case Op::kSegment: {
       if (in.depth != 0) return AbsVal::top();
@@ -541,7 +543,7 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
     }
     case Op::kEmptyFrame:
       // Zero leaves under a constant-size descriptor spine.
-      return AbsVal::flat(SlotKind::kUnknown, SymBound::konst(0));
+      return AbsVal::flat(ElemKind::kUnknown, SymBound::konst(0));
     case Op::kSeqCons: {
       if (in.depth != 0) return AbsVal::top();
       if (in.args_count == 0) {
@@ -553,7 +555,7 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
             return AbsVal::flat(kind_of_type(t->elem()), SymBound::konst(0));
           }
         }
-        return AbsVal::flat(SlotKind::kUnknown, SymBound::konst(0));
+        return AbsVal::flat(ElemKind::kUnknown, SymBound::konst(0));
       }
       const AbsVal& first = state[a[0]];
       if (first.tag == AbsVal::kScalar) {
@@ -596,7 +598,6 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
   const std::size_t n = fn.code.size();
   const std::size_t n_regs = fn.n_regs;
   out.plan.death_off.assign(n + 1, 0);
-  out.plan.reg_slot.assign(n_regs, -1);
   if (n == 0) {
     out.summary = Summary{};
     return out;
@@ -770,75 +771,14 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
     out.summary.result = AbsVal::top();
   }
   out.summary.peak = raw_peak;
-  // Published bound: live + in-flight, doubled to cover the evaluation
-  // arena's pooled dead buffers (the arena caps its pool at bound/2), plus
-  // fixed slack. See docs/VM.md.
+  // Published bound: live + in-flight, doubled, plus fixed slack. The
+  // factor 2 stays until a corpus-wide observed-vs-bound check justifies
+  // 1x, because halving it changes which calls admission rejects. See
+  // docs/VM.md.
   out.plan.peak_bytes =
       raw_peak.plus(raw_peak).plus(SymBound::konst(kPlanSlack));
 
-  // --- 5. slot coloring ------------------------------------------------------
-  {
-    std::vector<AbsVal> joined(n_regs, AbsVal::unset());
-    std::vector<std::size_t> first_def(n_regs, n);
-    std::vector<std::size_t> last_touch(n_regs, 0);
-    std::vector<std::uint8_t> defined(n_regs, 0);
-    for (std::size_t r = 0; r < fn.n_params; ++r) {
-      first_def[r] = 0;
-      defined[r] = 1;
-    }
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (reached[pc] == 0) continue;
-      const Instr& in = fn.code[pc];
-      for (std::size_t r = 0; r < n_regs; ++r) {
-        joined[r] = join(joined[r], in_state[pc][r]);
-      }
-      const std::uint16_t* a = fn.arg_pool.data() + in.args_off;
-      for (std::size_t i = 0; i < in.args_count; ++i) {
-        defined[a[i]] = 1;
-        last_touch[a[i]] = std::max(last_touch[a[i]], pc);
-      }
-      if (writes_dst(in.op)) {
-        defined[in.dst] = 1;
-        first_def[in.dst] = std::min(first_def[in.dst], pc);
-        last_touch[in.dst] = std::max(last_touch[in.dst], pc);
-      }
-    }
-    std::vector<std::size_t> order;
-    for (std::size_t r = 0; r < n_regs; ++r) {
-      if (defined[r] != 0 && joined[r].tag == AbsVal::kFlat &&
-          first_def[r] < n) {
-        order.push_back(r);
-      }
-    }
-    std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-      return first_def[x] != first_def[y] ? first_def[x] < first_def[y]
-                                          : x < y;
-    });
-    std::vector<std::size_t> busy_until;  // parallel to plan.slots
-    for (const std::size_t r : order) {
-      std::int32_t slot = -1;
-      for (std::size_t s = 0; s < out.plan.slots.size(); ++s) {
-        if (out.plan.slots[s].kind == joined[r].kind &&
-            busy_until[s] < first_def[r]) {
-          slot = static_cast<std::int32_t>(s);
-          break;
-        }
-      }
-      if (slot < 0) {
-        out.plan.slots.push_back(SlotPlan{joined[r].kind, joined[r].elems});
-        busy_until.push_back(last_touch[r]);
-        slot = static_cast<std::int32_t>(out.plan.slots.size() - 1);
-      } else {
-        out.plan.slots[static_cast<std::size_t>(slot)].elems =
-            out.plan.slots[static_cast<std::size_t>(slot)].elems.max(
-                joined[r].elems);
-        busy_until[static_cast<std::size_t>(slot)] = last_touch[r];
-      }
-      out.plan.reg_slot[r] = slot;
-    }
-  }
-
-  // --- 6. M3xx wasteful-pattern warnings ------------------------------------
+  // --- 5. M3xx wasteful-pattern warnings ------------------------------------
   if (report != nullptr) {
     const auto warn = [&](const char* code, std::string msg, std::size_t pc) {
       report->warning(code,
@@ -956,20 +896,6 @@ std::string SymBound::to_text() const {
   return s;
 }
 
-const char* slot_kind_name(SlotKind k) {
-  switch (k) {
-    case SlotKind::kInt:
-      return "int";
-    case SlotKind::kReal:
-      return "real";
-    case SlotKind::kBool:
-      return "bool";
-    case SlotKind::kUnknown:
-      return "any";
-  }
-  return "any";
-}
-
 PlanResult plan_module(const vm::Module& m) {
   PlanResult out;
   const std::size_t n = m.functions.size();
@@ -1013,26 +939,8 @@ std::uint64_t input_scale(const std::vector<kernels::VValue>& args) {
 }
 
 std::string plan_to_text(const FunctionPlan& plan) {
-  std::string s;
-  s += "// memory plan: peak <= " + plan.peak_bytes.to_text() +
-       " bytes, " + std::to_string(plan.static_allocs) + " static allocs, " +
-       std::to_string(plan.slots.size()) + " slots\n";
-  for (std::size_t i = 0; i < plan.slots.size(); ++i) {
-    s += "//   slot " + std::to_string(i) + ": " +
-         slot_kind_name(plan.slots[i].kind) +
-         ", elems <= " + plan.slots[i].elems.to_text();
-    std::string regs;
-    for (std::size_t r = 0; r < plan.reg_slot.size(); ++r) {
-      if (plan.reg_slot[r] == static_cast<std::int32_t>(i)) {
-        if (!regs.empty()) regs += ',';
-        regs += 'r';
-        regs += std::to_string(r);
-      }
-    }
-    if (!regs.empty()) s += "  <- " + regs;
-    s += "\n";
-  }
-  return s;
+  return "// memory plan: peak <= " + plan.peak_bytes.to_text() + " bytes, " +
+         std::to_string(plan.static_allocs) + " static allocs\n";
 }
 
 }  // namespace proteus::analysis

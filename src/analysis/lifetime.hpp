@@ -16,11 +16,9 @@
 //
 // into a per-function MemoryPlan:
 //
-//   * deaths[pc]       — registers whose value is dead after pc; the VM's
-//                        planned path clears them so buffers return to the
-//                        evaluation arena at their last use,
-//   * register→slot    — a greedy interval coloring of flat-vector
-//                        registers into arena slots with size classes,
+//   * deaths[pc]       — registers whose value is dead after pc; the VM
+//                        clears them so sole-owner buffers are freed at
+//                        their last use,
 //   * peak_bytes       — a static peak-resident-bytes bound for one call
 //                        (admission control: docs/SERVING.md),
 //   * static_allocs    — how many instructions of the function allocate a
@@ -30,7 +28,7 @@
 // stores, reduce-only materializations, redundant copies). The plan is
 // serialized into PVCM images (vm/module_io.*, B217 consistency check),
 // rendered by disasm and `proteusc --analyze=memory`, and consumed by the
-// VM's plan-backed arena (vl/arena.hpp). See docs/ANALYSIS.md.
+// VM's death clearing and admission control. See docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -77,34 +75,17 @@ struct SymBound {
   bool operator==(const SymBound&) const = default;
 };
 
-/// Element kind a plan slot holds (the three CVL scalar carriers).
-enum class SlotKind : std::uint8_t { kInt, kReal, kBool, kUnknown };
-
-[[nodiscard]] const char* slot_kind_name(SlotKind k);
-
-/// One arena slot: the registers colored onto it all hold flat vectors of
-/// this kind, never live simultaneously, with `elems` bounding the element
-/// count of any buffer the slot ever holds.
-struct SlotPlan {
-  SlotKind kind = SlotKind::kUnknown;
-  SymBound elems;
-  bool operator==(const SlotPlan&) const = default;
-};
-
 /// The memory plan of one compiled function (parallel to its code).
 struct FunctionPlan {
   /// CSR layout over pcs (death_off has code.size()+1 entries): the
   /// registers in death_regs[death_off[pc], death_off[pc+1]) hold values
-  /// that are dead once pc's instruction has read its operands. The VM's
-  /// planned path resets them so sole-owner buffers recycle immediately.
+  /// that are dead once pc's instruction has read its operands. The VM
+  /// resets them so sole-owner buffers are freed immediately.
   std::vector<std::uint32_t> death_off;
   std::vector<std::uint16_t> death_regs;
-  /// Register -> slot index, -1 for scalar / untracked registers.
-  std::vector<std::int32_t> reg_slot;
-  std::vector<SlotPlan> slots;
   /// Static peak-resident bound for one call of this function, covering
-  /// live buffers, the in-flight allocation, callee peaks, and the
-  /// evaluation arena's pooled (dead but recyclable) buffers.
+  /// live buffers, the in-flight allocation and callee peaks (doubled,
+  /// plus slack; see lifetime.cpp).
   SymBound peak_bytes;
   /// Instructions of this function that allocate a fresh buffer.
   std::uint32_t static_allocs = 0;
@@ -137,8 +118,8 @@ struct PlanResult {
 [[nodiscard]] std::uint64_t input_scale(
     const std::vector<kernels::VValue>& args);
 
-/// Renders one function's plan as the disassembler's summary block
-/// (slot table, peak bound, static allocation count).
+/// Renders one function's plan as the disassembler's summary line
+/// (peak bound, static allocation count).
 [[nodiscard]] std::string plan_to_text(const FunctionPlan& plan);
 
 }  // namespace proteus::analysis

@@ -186,8 +186,11 @@ kernels::VValue Session::vm_run(const std::string* name,
     // The pipeline verified the module at assembly time and
     // vm::load_module at load; re-verifying on every run would tax the
     // dispatch benches.
-    vm::VM machine(module_, {prim_options_, vm_profile_, /*verify=*/false,
-                             vm_arena_, vm_admission_});
+    vm::VM machine(module_, {.prims = prim_options_,
+                             .profile = vm_profile_,
+                             .verify = false,
+                             .clear_dead = true,
+                             .admission = vm_admission_});
     vl::reset_stats();
     kernels::VValue result;
     {

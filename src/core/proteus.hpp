@@ -138,13 +138,6 @@ class Session {
   /// (one clock read per instruction; off by default).
   void set_vm_profile(bool enabled) { vm_profile_ = enabled; }
 
-  /// Enables plan-backed arena execution on subsequent run_vm calls:
-  /// dead registers clear at their statically known last use and freed
-  /// buffers recycle through a per-evaluation arena sized from the
-  /// memory plan (vl.buffer_allocs drops; results are bit-identical).
-  /// Off by default. See docs/VM.md.
-  void set_arena(bool enabled) { vm_arena_ = enabled; }
-
   /// Enables plan-based admission control on subsequent run_vm calls:
   /// a call whose static peak-resident bound already exceeds the
   /// budget's max_resident_bytes traps T001 up front. Off by default.
@@ -195,7 +188,6 @@ class Session {
   std::shared_ptr<const vm::Module> module_;         ///< the module run_vm runs
   kernels::PrimOptions prim_options_;
   bool vm_profile_ = false;
-  bool vm_arena_ = false;
   bool vm_admission_ = false;
   obs::Tracer* tracer_ = nullptr;
   RunCost cost_;

@@ -9,10 +9,6 @@ void publish_vl(obs::MetricsRegistry& m, const vl::VectorStats& s) {
   m.set("vl.element_work", s.element_work);
   m.set("vl.segment_work", s.segment_work);
   m.set("vl.buffer_allocs", s.buffer_allocs);
-  m.set("vl.arena.recycled", s.arena_recycled);
-  m.set("vl.arena.heap_fallbacks", s.arena_heap_fallbacks);
-  m.set("vl.arena.slots", s.arena_slots);
-  m.set("vl.arena.bytes_planned", s.arena_bytes_planned);
 }
 
 void publish_per_prim(obs::MetricsRegistry& m, std::string_view prefix,

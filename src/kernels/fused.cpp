@@ -397,14 +397,13 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     if (!stolen) inputs[s] = VValue::seq(std::move(owned));
   }
   if (!stolen) {
-    bool recycled = false;
     switch (out_kind) {
-      case K::kInt: out_i = IntVec(n); recycled = out_i.recycled(); break;
-      case K::kReal: out_r = RealVec(n); recycled = out_r.recycled(); break;
-      case K::kBool: out_b = BoolVec(n); recycled = out_b.recycled(); break;
+      case K::kInt: out_i = IntVec(n); break;
+      case K::kReal: out_r = RealVec(n); break;
+      case K::kBool: out_b = BoolVec(n); break;
       case K::kOther: corrupt();
     }
-    st.record_alloc(recycled);  // the chain's single full-length allocation
+    st.record_alloc();  // the chain's single full-length allocation
   }
   void* out_base = nullptr;
   switch (out_kind) {

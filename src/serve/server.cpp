@@ -239,10 +239,6 @@ obs::MetricsRegistry Server::metrics() const {
                      queue_depth_.load(std::memory_order_relaxed));
   snapshot.set_gauge("serve.active_conns",
                      active_conns_.load(std::memory_order_relaxed));
-  snapshot.set_gauge("vl.arena.slots",
-                     arena_slots_.load(std::memory_order_relaxed));
-  snapshot.set_gauge("vl.arena.bytes_planned",
-                     arena_bytes_planned_.load(std::memory_order_relaxed));
   return snapshot;
 }
 
@@ -612,7 +608,6 @@ Json Server::do_eval(const Json& req) {
     // source forms of a memory-tier entry are never needed to evaluate.
     Session session(entry->module);
     session.set_budget(budget);
-    session.set_arena(options_.arena);
     session.set_admission(options_.admission);
     std::string result = has_fun ? session.run_vm_text(fun, args)
                                  : session.run_entry_vm_text();
@@ -622,16 +617,8 @@ Json Server::do_eval(const Json& req) {
     if (cache_hit) count("serve.eval.warm");
     count("serve.decode.fallbacks", session.last_decode_fallbacks());
     count("serve.eval.wall_ns", elapsed_ns(start));
-    // Accumulate the allocator counters across evals (OpenMetrics
-    // counters) and remember the plan gauges of this eval.
+    // Accumulate the allocator counter across evals (OpenMetrics counter).
     count("vl.buffer_allocs", run_metrics.get("vl.buffer_allocs"));
-    count("vl.arena.recycled", run_metrics.get("vl.arena.recycled"));
-    count("vl.arena.heap_fallbacks",
-          run_metrics.get("vl.arena.heap_fallbacks"));
-    arena_slots_.store(run_metrics.get("vl.arena.slots"),
-                       std::memory_order_relaxed);
-    arena_bytes_planned_.store(run_metrics.get("vl.arena.bytes_planned"),
-                               std::memory_order_relaxed);
 
     Json::Object reply;
     if (req.has("id")) reply["id"] = req.get("id");

@@ -93,9 +93,6 @@ struct ServerOptions {
   /// Ceiling applied to every request. A request's own "budget" object
   /// may only tighten these (a client cannot out-budget the daemon).
   rt::ExecBudget max_budget;
-  /// Plan-backed arena execution for every eval (proteusd --arena):
-  /// per-evaluation buffer recycling driven by the module's memory plan.
-  bool arena = false;
   /// Plan-based admission control (proteusd --admission): evals whose
   /// static peak-resident bound exceeds the request's max_resident_bytes
   /// budget trap T001 before any work runs. See docs/SERVING.md.
@@ -320,9 +317,6 @@ class Server {
   std::atomic<std::uint64_t> queue_depth_{0};
   std::atomic<std::uint64_t> active_conns_{0};
   std::atomic<std::uint64_t> seq_{0};
-  // Plan gauges from the most recent eval (point-in-time, like inflight).
-  std::atomic<std::uint64_t> arena_slots_{0};
-  std::atomic<std::uint64_t> arena_bytes_planned_{0};
   std::atomic<std::uint64_t> inflight_{0};
   std::chrono::steady_clock::time_point started_;
   std::uint64_t rid_base_ = 0;  ///< request-id namespace, fixed per process

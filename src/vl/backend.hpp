@@ -60,11 +60,6 @@ struct VectorStats {
   std::uint64_t element_work = 0;     ///< total elements touched (work)
   std::uint64_t segment_work = 0;     ///< segments touched by segdesc ops
   std::uint64_t buffer_allocs = 0;    ///< output buffers kernels heap-allocated
-  // Plan-backed arena split (vl/arena.hpp; zero when no scope is active):
-  std::uint64_t arena_recycled = 0;       ///< outputs served from the pool
-  std::uint64_t arena_heap_fallbacks = 0; ///< heap allocs under an active arena
-  std::uint64_t arena_slots = 0;          ///< plan slots of the last root call
-  std::uint64_t arena_bytes_planned = 0;  ///< plan peak bound at input scale
 
   /// Also the governor's kernel charge point: the element count feeds the
   /// rt:: step budget and the injected-kernel fault plan, so this can
@@ -80,19 +75,6 @@ struct VectorStats {
   /// primitive_calls/element_work — which every engine must agree on —
   /// this is optimization-sensitive: fusion and in-place reuse lower it.
   void record_alloc() noexcept { buffer_allocs += 1; }
-
-  /// Arena-aware variant: a recycled output counts toward the pool's
-  /// tally instead of buffer_allocs; a heap allocation that happened
-  /// while an arena was active is additionally a fallback (plan bound
-  /// exceeded, foreign type, or pool empty).
-  void record_alloc(bool recycled) noexcept {
-    if (recycled) {
-      arena_recycled += 1;
-      return;
-    }
-    buffer_allocs += 1;
-    if (arena::active()) arena_heap_fallbacks += 1;
-  }
 
   /// Segmented primitives additionally report how many segments their
   /// descriptor covered — the irregularity measure of a run.

@@ -14,7 +14,7 @@ Vec<T> dist_impl(T value, Size n) {
   T* op = out.data();
   parallel_for(n, [&](Size i) { op[i] = value; });
   stats().record(n);
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 

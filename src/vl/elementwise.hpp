@@ -25,7 +25,7 @@ Vec<R> map(const Vec<T>& a, F&& f) {
   R* op = out.data();
   parallel_for(a.size(), [&](Size i) { op[i] = f(ap[i]); });
   stats().record(a.size());
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 
@@ -38,7 +38,7 @@ Vec<R> zip(const Vec<T>& a, const Vec<U>& b, const char* name, F&& f) {
   R* op = out.data();
   parallel_for(a.size(), [&](Size i) { op[i] = f(ap[i], bp[i]); });
   stats().record(a.size());
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 
@@ -49,7 +49,7 @@ Vec<R> zip_vs(const Vec<T>& a, U b, F&& f) {
   R* op = out.data();
   parallel_for(a.size(), [&](Size i) { op[i] = f(ap[i], b); });
   stats().record(a.size());
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 
@@ -60,7 +60,7 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
   R* op = out.data();
   parallel_for(b.size(), [&](Size i) { op[i] = f(a, bp[i]); });
   stats().record(b.size());
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 
@@ -258,7 +258,7 @@ Vec<T> select(const BoolVec& m, const Vec<T>& a, const Vec<T>& b) {
   T* op = out.data();
   detail::parallel_for(m.size(), [&](Size i) { op[i] = mp[i] ? ap[i] : bp[i]; });
   stats().record(m.size());
-  stats().record_alloc(out.recycled());
+  stats().record_alloc();
   return out;
 }
 

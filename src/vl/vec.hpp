@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "rt/governor.hpp"
-#include "vl/arena.hpp"
 #include "vl/check.hpp"
 
 namespace proteus::vl {
@@ -55,12 +54,10 @@ class Vec {
 
   Vec() = default;
 
-  /// Uninitialized-by-default construction of `n` zero elements. Sized
-  /// construction and copies are the arena's acquisition points: with a
-  /// scope active they reuse a pooled buffer instead of allocating.
-  explicit Vec(Size n) { init_sized(check_size(n), T{}); }
+  /// Construction of `n` zero elements.
+  explicit Vec(Size n) : data_(check_size(n)) { charge(); }
 
-  Vec(Size n, T fill) { init_sized(check_size(n), fill); }
+  Vec(Size n, T fill) : data_(check_size(n), fill) { charge(); }
 
   Vec(std::initializer_list<T> init) : data_(init) { charge(); }
 
@@ -69,12 +66,11 @@ class Vec {
   template <typename It>
   Vec(It first, It last) : data_(first, last) { charge(); }
 
-  Vec(const Vec& other) { init_copy(other.data_); }
+  Vec(const Vec& other) : data_(other.data_) { charge(); }
 
   Vec(Vec&& other) noexcept
       : data_(std::move(other.data_)),
-        charged_(std::exchange(other.charged_, 0)),
-        recycled_(std::exchange(other.recycled_, false)) {}
+        charged_(std::exchange(other.charged_, 0)) {}
 
   Vec& operator=(const Vec& other) {
     if (this != &other) {
@@ -86,25 +82,19 @@ class Vec {
 
   Vec& operator=(Vec&& other) noexcept {
     if (this != &other) {
-      release_storage();
+      rt::release_bytes(charged_);
       data_ = std::move(other.data_);
       charged_ = std::exchange(other.charged_, 0);
-      recycled_ = std::exchange(other.recycled_, false);
     }
     return *this;
   }
 
-  ~Vec() { release_storage(); }
+  ~Vec() { rt::release_bytes(charged_); }
 
   void swap(Vec& other) noexcept {
     data_.swap(other.data_);
     std::swap(charged_, other.charged_);
-    std::swap(recycled_, other.recycled_);
   }
-
-  /// True when this buffer came from the evaluation arena rather than the
-  /// heap (feeds the vl.arena.* stats split; see backend.hpp).
-  [[nodiscard]] bool recycled() const noexcept { return recycled_; }
 
   [[nodiscard]] Size size() const { return static_cast<Size>(data_.size()); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
@@ -183,47 +173,8 @@ class Vec {
     }
   }
 
-  /// Sized construction: an arena hit reuses a pooled buffer whose
-  /// governor charge travels with it (capacity >= n, so assign cannot
-  /// reallocate); a miss takes the original charged-allocation path.
-  void init_sized(std::size_t n, T fill) {
-    std::uint64_t banked = 0;
-    if (arena::try_acquire(n, data_, banked)) {
-      charged_ = banked;
-      recycled_ = true;
-      data_.assign(n, fill);
-      return;
-    }
-    data_.assign(n, fill);
-    charge();
-  }
-
-  void init_copy(const std::vector<T>& src) {
-    std::uint64_t banked = 0;
-    if (arena::try_acquire(src.size(), data_, banked)) {
-      charged_ = banked;
-      recycled_ = true;
-      data_.assign(src.begin(), src.end());
-      return;
-    }
-    data_ = src;
-    charge();
-  }
-
-  /// Destruction / overwrite: donate the buffer (and its outstanding
-  /// charge) to the active arena; otherwise release the charge normally.
-  void release_storage() noexcept {
-    if (charged_ != 0 && arena::try_donate(std::move(data_), charged_)) {
-      charged_ = 0;
-      return;
-    }
-    rt::release_bytes(charged_);
-    charged_ = 0;
-  }
-
   std::vector<T> data_;
   std::uint64_t charged_ = 0;
-  bool recycled_ = false;
 };
 
 using IntVec = Vec<Int>;

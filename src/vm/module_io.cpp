@@ -1,5 +1,6 @@
 #include "vm/module_io.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -576,22 +577,30 @@ void write_plan(Writer& w, const Module& m) {
     for (std::uint32_t x : fp.death_off) w.u32(x);
     w.u32(static_cast<std::uint32_t>(fp.death_regs.size()));
     for (std::uint16_t x : fp.death_regs) w.u16(x);
-    w.u32(static_cast<std::uint32_t>(fp.reg_slot.size()));
-    for (std::int32_t x : fp.reg_slot) w.i32(x);
-    w.u32(static_cast<std::uint32_t>(fp.slots.size()));
-    for (const analysis::SlotPlan& s : fp.slots) {
-      w.u8(static_cast<std::uint8_t>(s.kind));
-      write_bound(w, s.elems);
-    }
   }
 }
 
-/// Decodes the v2 plan section into `plan`; false (reader failed) on
-/// malformed bytes. `n_functions` anchors the per-function record count.
-bool read_plan(Reader& r, std::size_t n_functions,
+/// True when the death table of `fp` can be walked for `fn`: one CSR
+/// row per pc plus the end, offsets from 0 that never decrease and end at
+/// death_regs.size(), and every dying register inside the frame. The VM
+/// clears these registers on every run, verified load or not.
+bool deaths_in_range(const analysis::FunctionPlan& fp, const Function& fn) {
+  const std::vector<std::uint32_t>& off = fp.death_off;
+  if (off.size() != fn.code.size() + 1 || off.front() != 0 ||
+      off.back() != fp.death_regs.size() ||
+      !std::is_sorted(off.begin(), off.end())) {
+    return false;
+  }
+  return std::all_of(fp.death_regs.begin(), fp.death_regs.end(),
+                     [&](std::uint16_t r) { return r < fn.n_regs; });
+}
+
+/// Decodes the plan section into `plan`; false (reader failed) on
+/// malformed bytes or a death table out of range of its function.
+bool read_plan(Reader& r, const std::vector<Function>& functions,
                analysis::MemoryPlan& plan) {
-  plan.functions.resize(n_functions);
-  for (std::size_t i = 0; i < n_functions && r.ok(); ++i) {
+  plan.functions.resize(functions.size());
+  for (std::size_t i = 0; i < functions.size() && r.ok(); ++i) {
     analysis::FunctionPlan& fp = plan.functions[i];
     fp.peak_bytes = read_bound(r);
     fp.static_allocs = r.u32();
@@ -605,24 +614,7 @@ bool read_plan(Reader& r, std::size_t n_functions,
     for (std::uint32_t j = 0; j < n_regs && r.ok(); ++j) {
       fp.death_regs.push_back(r.u16());
     }
-    const std::uint32_t n_slots_map = r.count32(4);
-    fp.reg_slot.reserve(r.ok() ? n_slots_map : 0);
-    for (std::uint32_t j = 0; j < n_slots_map && r.ok(); ++j) {
-      fp.reg_slot.push_back(r.i32());
-    }
-    const std::uint32_t n_slots = r.count32(17);  // bound + kind
-    fp.slots.reserve(r.ok() ? n_slots : 0);
-    for (std::uint32_t j = 0; j < n_slots && r.ok(); ++j) {
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(analysis::SlotKind::kUnknown)) {
-        r.fail();
-        break;
-      }
-      analysis::SlotPlan sp;
-      sp.kind = static_cast<analysis::SlotKind>(kind);
-      sp.elems = read_bound(r);
-      fp.slots.push_back(sp);
-    }
+    if (r.ok() && !deaths_in_range(fp, functions[i])) r.fail();
   }
   return r.ok();
 }
@@ -782,7 +774,7 @@ ModuleLoadResult load_module(std::string_view bytes, bool verify) {
     if (r.ok() && has_plan > 1) r.fail();
     if (r.ok() && has_plan == 1) {
       analysis::MemoryPlan plan;
-      if (read_plan(r, module->functions.size(), plan)) {
+      if (read_plan(r, module->functions, plan)) {
         module->plan =
             std::make_shared<const analysis::MemoryPlan>(std::move(plan));
       }
@@ -821,8 +813,8 @@ ModuleLoadResult load_module(std::string_view bytes, bool verify) {
     // never trusted: recompute it from the (now verified) bytecode and
     // demand byte-for-byte agreement. plan_module is deterministic, so a
     // faithful image always passes; any divergence is tampering or a
-    // writer/reader skew (B217). Loads with verify=false skip this and
-    // the VM falls back to its own structural plan check.
+    // writer/reader skew (B217). Loads with verify=false skip this; the
+    // decoder's range check (B215) still keeps every clear in bounds.
     if (module->plan != nullptr) {
       analysis::PlanResult recomputed = analysis::plan_module(*module);
       if (!(recomputed.plan == *module->plan)) {

@@ -23,11 +23,11 @@
 // diagnostics in the returned report, and the decoded module is then
 // re-proved safe to dispatch by the existing bytecode verifier
 // (vm/verify.hpp), exactly as if it had come from the assembler. An
-// embedded memory plan is likewise untrusted: at a verifying load it is
-// recomputed from the decoded bytecode and compared — any divergence is
-// B217 (plan/bytecode mismatch), so a tampered plan can never steer the
-// VM's plan-backed register clearing. A
-// loaded module therefore enjoys the same soundness guarantee as a
+// embedded memory plan is likewise untrusted: every load rejects a death
+// table that indexes outside its function (B215), and a verifying load
+// also recomputes the plan from the decoded bytecode and compares — any
+// divergence is B217 (plan/bytecode mismatch), so a tampered plan can
+// never steer the VM's register clearing out of bounds. A loaded module therefore enjoys the same soundness guarantee as a
 // freshly compiled one, or it is rejected with a structured report —
 // never a crash (see tests/vm/module_io_test.cpp's truncation sweep).
 #pragma once
@@ -48,8 +48,9 @@ inline constexpr std::uint32_t kModuleMagic = 0x4D435650u;
 
 /// Bump on any layout change; the loader rejects other versions (B216).
 /// v2 added the memory-plan section (analysis/lifetime.hpp) after the
-/// entry index, guarded by the B217 plan/bytecode consistency check.
-inline constexpr std::uint32_t kModuleVersion = 2;
+/// entry index, guarded by the B217 plan/bytecode consistency check; v3
+/// dropped its register-to-slot coloring.
+inline constexpr std::uint32_t kModuleVersion = 3;
 
 /// FNV-1a 64-bit over `source` and an options tag: the cache key of the
 /// module caches. Stable across processes and platforms, so on-disk cache

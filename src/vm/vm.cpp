@@ -1,13 +1,11 @@
 #include "vm/vm.hpp"
 
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "analysis/lifetime.hpp"
 #include "obs/tracer.hpp"
 #include "rt/governor.hpp"
-#include "vl/arena.hpp"
 #include "vl/backend.hpp"
 #include "vl/check.hpp"
 #include "vm/verify.hpp"
@@ -20,11 +18,6 @@ using Clock = std::chrono::steady_clock;
 namespace {
 
 const std::vector<std::uint8_t> kAllFrames;  // empty lifted set
-
-/// Arena cap when the plan's bound is unbounded (flattened recursion):
-/// generous enough that quicksort-scale workloads recycle freely, small
-/// enough that a pathological run cannot bank unbounded memory.
-constexpr std::uint64_t kDefaultArenaCap = std::uint64_t{256} << 20;
 
 [[noreturn]] void unknown_function(const std::string& name) {
   throw EvalError("vector executor: unknown function '" + name +
@@ -40,11 +33,11 @@ VM::VM(std::shared_ptr<const Module> module, VMOptions options)
 }
 
 const analysis::FunctionPlan* VM::plan_of(std::uint32_t index) const {
-  if (!options_.arena || module_->plan == nullptr) return nullptr;
+  if (module_->plan == nullptr) return nullptr;
   if (index >= module_->plan->functions.size()) return nullptr;
   const analysis::FunctionPlan& fp = module_->plan->functions[index];
-  // A plan out of step with the code (hand-edited module, loader with
-  // verification off) is ignored rather than trusted.
+  // A plan out of step with the code (a hand-built module) is ignored
+  // rather than trusted; decoded images were range-checked at load.
   if (fp.death_off.size() !=
       module_->functions[index].code.size() + 1) {
     return nullptr;
@@ -52,51 +45,31 @@ const analysis::FunctionPlan* VM::plan_of(std::uint32_t index) const {
   return &fp;
 }
 
-void VM::admit_root(const analysis::FunctionPlan* fp,
-                    const std::vector<VValue>& args, const std::string& name,
-                    std::uint64_t* arena_cap) {
-  *arena_cap = 0;
-  if (fp == nullptr && !options_.admission) return;
-  // Admission consults the plan even when arena execution is off.
-  const analysis::MemoryPlan* plan = module_->plan.get();
-  const analysis::FunctionPlan* bound_fp = fp;
-  if (bound_fp == nullptr && plan != nullptr) {
-    auto it = module_->fn_index.find(name);
-    if (it != module_->fn_index.end() &&
-        it->second < plan->functions.size()) {
-      bound_fp = &plan->functions[it->second];
-    }
-  }
-  if (bound_fp == nullptr) return;
-  const std::uint64_t n = analysis::input_scale(args);
-  const analysis::SymBound& bound = bound_fp->peak_bytes;
-  if (options_.admission && !bound.is_top()) {
-    const std::uint64_t limit = rt::max_resident_limit();
-    if (limit != 0 && bound.eval(n) > limit) {
-      rt::raise(rt::Trap::kMemory,
-                "admission: static peak bound " +
-                    std::to_string(bound.eval(n)) + " bytes for '" + name +
-                    "' exceeds the resident-byte budget (" +
-                    std::to_string(limit) + ")",
-                "vm.admit");
-    }
-  }
-  if (fp != nullptr) {
-    // The arena banks at most half the published bound, so live buffers
-    // plus pooled ones stay within it (docs/VM.md).
-    *arena_cap = bound.is_top() ? kDefaultArenaCap : bound.eval(n) / 2;
-    vl::stats().arena_slots = fp->slots.size();
-    vl::stats().arena_bytes_planned = bound.is_top() ? 0 : bound.eval(n);
+const analysis::FunctionPlan* VM::deaths_of(std::uint32_t index) const {
+  return options_.clear_dead ? plan_of(index) : nullptr;
+}
+
+void VM::admit_root(std::uint32_t index, const std::vector<VValue>& args,
+                    const std::string& name) const {
+  if (!options_.admission) return;
+  const analysis::FunctionPlan* fp = plan_of(index);
+  if (fp == nullptr || fp->peak_bytes.is_top()) return;
+  const std::uint64_t bound = fp->peak_bytes.eval(analysis::input_scale(args));
+  const std::uint64_t limit = rt::max_resident_limit();
+  if (limit != 0 && bound > limit) {
+    rt::raise(rt::Trap::kMemory,
+              "admission: static peak bound " + std::to_string(bound) +
+                  " bytes for '" + name +
+                  "' exceeds the resident-byte budget (" +
+                  std::to_string(limit) + ")",
+              "vm.admit");
   }
 }
 
 VValue VM::call_function(const std::string& name, std::vector<VValue> args) {
   auto it = module_->fn_index.find(name);
   if (it == module_->fn_index.end()) unknown_function(name);
-  std::uint64_t arena_cap = 0;
-  admit_root(plan_of(it->second), args, name, &arena_cap);
-  std::optional<vl::arena::Scope> scope;
-  if (arena_cap != 0) scope.emplace(arena_cap);
+  admit_root(it->second, args, name);
   return invoke(it->second, std::move(args), name);
 }
 
@@ -105,12 +78,8 @@ VValue VM::eval_entry() {
                   "vm: module has no compiled entry expression");
   const auto entry = static_cast<std::uint32_t>(module_->entry);
   const Function& fn = module_->functions[entry];
-  const analysis::FunctionPlan* fp = plan_of(entry);
-  std::uint64_t arena_cap = 0;
-  admit_root(fp, {}, fn.name, &arena_cap);
-  std::optional<vl::arena::Scope> scope;
-  if (arena_cap != 0) scope.emplace(arena_cap);
-  return run(fn, std::vector<VValue>(fn.n_regs), fp);
+  admit_root(entry, {}, fn.name);
+  return run(fn, std::vector<VValue>(fn.n_regs), deaths_of(entry));
 }
 
 VValue VM::invoke(std::uint32_t index, std::vector<VValue> args,
@@ -125,7 +94,7 @@ VValue VM::invoke(std::uint32_t index, std::vector<VValue> args,
   }
   stats_.calls += 1;
   args.resize(fn.n_regs);
-  VValue result = run(fn, std::move(args), plan_of(index));
+  VValue result = run(fn, std::move(args), deaths_of(index));
   --call_depth_;
   return result;
 }
@@ -134,10 +103,10 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
                const analysis::FunctionPlan* fp) {
   const Instr* code = fn.code.data();
   const bool profile = options_.profile;
-  // Plan-backed last-use clearing: after pc's operands are consumed, the
-  // registers the plan proves dead reset to the default VValue. Dropping
-  // the last reference destroys the backing buffers, which the active
-  // arena scope then recycles (vl/arena.hpp).
+  // Death clearing: after pc's operands are consumed, the registers the
+  // plan proves dead reset to the default VValue. Dropping the last
+  // reference frees the backing buffers at their last use instead of at
+  // the frame's return.
   const auto clear_dead = [&](std::size_t at) {
     if (fp == nullptr) return;
     for (std::uint32_t i = fp->death_off[at]; i < fp->death_off[at + 1];

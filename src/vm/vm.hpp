@@ -34,12 +34,12 @@ struct VMOptions {
   /// analysis::AnalysisError when the module is rejected. Callers holding
   /// a module the pipeline already verified may pass false.
   bool verify = true;
-  /// Execute on the memory plan (requires Module::plan): dead registers
-  /// clear at their statically known last use and a per-evaluation arena
-  /// (vl/arena.hpp) recycles the freed buffers, pre-sized from the plan's
-  /// peak bound. Off by default — plan-backed and heap execution are
-  /// bit-identical, but pooled buffers shift `charge_bytes` timing.
-  bool arena = false;
+  /// Clear the registers the memory plan proves dead at their statically
+  /// known last use, so sole-owner buffers are freed there rather than at
+  /// the frame's return (needs a Module::plan matching the code; without
+  /// one the run keeps every register). Results and counts are identical
+  /// either way; only the resident peak differs.
+  bool clear_dead = true;
   /// Plan-based admission control: reject a call up front (T001) when the
   /// plan's static peak bound at the arguments' input scale already
   /// exceeds the thread's resident-byte budget. Off by default (bounds
@@ -95,16 +95,18 @@ class VM {
   kernels::VValue invoke(std::uint32_t index,
                          std::vector<kernels::VValue> args,
                          const std::string& name);
-  /// The plan of function `index` when plan-backed execution is on and the
-  /// module carries a matching plan; null otherwise.
+  /// The plan of function `index` when the module carries one matching
+  /// its code; null otherwise.
   [[nodiscard]] const analysis::FunctionPlan* plan_of(
       std::uint32_t index) const;
-  /// Root-call setup shared by the public entry points: plan-based
-  /// admission (T001 before any work) and the result of the peak bound
-  /// evaluated at the arguments' input scale (for the arena cap).
-  void admit_root(const analysis::FunctionPlan* fp,
+  /// plan_of(index) when death clearing is on; null otherwise.
+  [[nodiscard]] const analysis::FunctionPlan* deaths_of(
+      std::uint32_t index) const;
+  /// Plan-based admission for a root call (T001 before any work) when
+  /// VMOptions::admission is on.
+  void admit_root(std::uint32_t index,
                   const std::vector<kernels::VValue>& args,
-                  const std::string& name, std::uint64_t* arena_cap);
+                  const std::string& name) const;
 
   std::shared_ptr<const Module> module_;
   VMOptions options_;

@@ -45,7 +45,7 @@ struct PipelineOptions {
   bool verify_vcode = true;
   /// Run the buffer-lifetime / memory-plan analyzer (analysis/lifetime.hpp)
   /// over the final module and attach the resulting MemoryPlan to it
-  /// (vm::Module::plan) — the artifact behind plan-backed arena execution,
+  /// (vm::Module::plan) — the artifact behind the VM's death clearing,
   /// admission control, and `proteusc --analyze=memory`. M3xx findings
   /// land in Compiled::memory_report (warnings only; never fatal).
   bool plan_memory = true;

@@ -1,8 +1,8 @@
 // Randomized differential testing: generate well-typed P programs from a
 // seeded grammar, compile them through the full pipeline, and require the
-// reference interpreter and the bytecode VM (at -O1, -O0, and on the
-// plan-backed arena) to agree on random inputs (a thrown EvalError from
-// every engine also counts as agreement).
+// reference interpreter and the bytecode VM (at -O1 and -O0, both
+// clearing dead registers on the memory plan) to agree on random inputs
+// (a thrown EvalError from every engine also counts as agreement).
 //
 // The generator sticks to total operations plus guarded conditionals, so
 // almost every program runs to completion; sizes are kept small enough
@@ -56,18 +56,7 @@ void expect_engines_agree(Session& s, const std::string& fn,
                           Session* unfused = nullptr) {
   Outcome ref = run(s, fn, args, Engine::kRef);
   Outcome bc = run(s, fn, args, Engine::kVm);
-  // The plan-backed arena VM must agree bit-for-bit with the heap VM,
-  // including on which programs throw.
-  s.set_arena(true);
-  Outcome arena = run(s, fn, args, Engine::kVm);
-  s.set_arena(false);
   EXPECT_EQ(ref.threw, bc.threw) << "input " << input << " (vm)";
-  EXPECT_EQ(bc.threw, arena.threw) << "input " << input << " (vm arena)";
-  if (!bc.threw && !arena.threw) {
-    EXPECT_EQ(bc.value, arena.value)
-        << "input " << input << ": vm heap " << interp::to_text(bc.value)
-        << " vs vm arena " << interp::to_text(arena.value);
-  }
   if (!ref.threw && !bc.threw) {
     EXPECT_EQ(ref.value, bc.value)
         << "input " << input << ": ref " << interp::to_text(ref.value)

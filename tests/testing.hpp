@@ -26,14 +26,6 @@ inline interp::Value both(Session& session, const std::string& fn,
   EXPECT_EQ(reference, bytecode)
       << fn << ": reference " << interp::to_text(reference) << " vs vm "
       << interp::to_text(bytecode);
-  // And once more with the plan-backed arena allocator: recycling
-  // buffers through memory-plan slots must be observationally invisible.
-  session.set_arena(true);
-  interp::Value arena = session.run_vm(fn, args);
-  session.set_arena(false);
-  EXPECT_EQ(reference, arena)
-      << fn << ": reference " << interp::to_text(reference)
-      << " vs arena vm " << interp::to_text(arena);
   return reference;
 }
 

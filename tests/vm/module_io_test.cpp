@@ -8,9 +8,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "analysis/lifetime.hpp"
 #include "core/proteus.hpp"
 #include "testing.hpp"
 
@@ -32,6 +35,27 @@ std::shared_ptr<const Module> compile_program(
     std::string_view source, std::string_view entry = "sqs(4)") {
   Session session(source, entry);
   return session.compiled().module;
+}
+
+/// True when every death table of `m`'s plan can be walked by the VM:
+/// one CSR row per pc, offsets from 0 to death_regs.size() that never
+/// decrease, and every dying register inside its function's frame.
+bool plan_in_range(const Module& m) {
+  if (m.plan == nullptr) return true;
+  if (m.plan->functions.size() != m.functions.size()) return false;
+  for (std::size_t f = 0; f < m.functions.size(); ++f) {
+    const analysis::FunctionPlan& fp = m.plan->functions[f];
+    const std::vector<std::uint32_t>& off = fp.death_off;
+    if (off.size() != m.functions[f].code.size() + 1) return false;
+    if (off.front() != 0 || off.back() != fp.death_regs.size()) return false;
+    for (std::size_t pc = 0; pc + 1 < off.size(); ++pc) {
+      if (off[pc] > off[pc + 1]) return false;
+    }
+    for (const std::uint16_t r : fp.death_regs) {
+      if (r >= m.functions[f].n_regs) return false;
+    }
+  }
+  return true;
 }
 
 TEST(ModuleIO, RoundtripBytesAreAFixedPoint) {
@@ -172,12 +196,45 @@ TEST(ModuleIO, EveryCorruptedPlanByteIsRejected) {
     EXPECT_TRUE(r.report.has("B215") || r.report.has("B216") ||
                 r.report.has("B217"))
         << "flipped plan byte " << i << ": " << r.report.to_text();
+
+    // A trusting load skips B217, but the VM still clears the plan's dead
+    // registers: the decoder either rejects the flip or yields a plan
+    // whose every clear stays inside its frame.
+    ModuleLoadResult trusting = load_module(mutated, /*verify=*/false);
+    if (trusting.ok()) {
+      EXPECT_TRUE(plan_in_range(*trusting.module))
+          << "flipped plan byte " << i << " loaded out of range";
+    } else {
+      EXPECT_TRUE(trusting.report.has("B215"))
+          << "flipped plan byte " << i << ": " << trusting.report.to_text();
+    }
   }
 
-  // And the plan-less image still loads (plans are optional in v2).
+  // And the plan-less image still loads (plans are optional).
   ModuleLoadResult r = load_module(without);
   EXPECT_TRUE(r.ok()) << r.report.to_text();
   EXPECT_EQ(r.module->plan, nullptr);
+}
+
+TEST(ModuleIO, UnverifiedLoadRejectsADeathRegisterOutsideTheFrame) {
+  // verify=false skips the bytecode verifier and B217, so the decoder is
+  // the only guard between a tampered death table and the VM's clears.
+  auto module = compile_program(kProgram);
+  ASSERT_NE(module->plan, nullptr);
+  Module tampered = *module;
+  auto plan = std::make_shared<analysis::MemoryPlan>(*module->plan);
+  std::size_t fi = 0;
+  while (fi < plan->functions.size() &&
+         plan->functions[fi].death_regs.empty()) {
+    ++fi;
+  }
+  ASSERT_LT(fi, plan->functions.size());
+  plan->functions[fi].death_regs[0] = tampered.functions[fi].n_regs;
+  tampered.plan = std::move(plan);
+
+  ModuleLoadResult r = load_module(module_bytes(tampered), /*verify=*/false);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.report.has("B215")) << r.report.to_text();
 }
 
 TEST(ModuleIO, FileRoundtripAndMissingFile) {

@@ -85,16 +85,13 @@ namespace {
       "                      docs/ANALYSIS.md), exit 0 (clean) / 3 (rejected);\n"
       "                      json output includes the \"memory\" section\n"
       "  --analyze=memory    print the per-function memory plan (peak bound,\n"
-      "                      arena slots, static allocs) and the M3xx\n"
-      "                      advisories of the buffer-lifetime analyzer\n"
+      "                      static allocs) and the M3xx advisories of\n"
+      "                      the buffer-lifetime analyzer\n"
       "\n"
       "compilation:\n"
       "  -O0 / -O1           disable / enable (default) the VCODE optimizer\n"
       "  --no-verify-vcode   skip bytecode verification of the module\n"
       "  --naive             disable the Section 4.5 optimizations (ablation)\n"
-      "  --arena             plan-backed arena execution on the vm engine:\n"
-      "                      buffers recycle through a per-run arena sized\n"
-      "                      from the memory plan (docs/VM.md)\n"
       "  --admission         trap T001 up front when the plan's static\n"
       "                      peak-resident bound exceeds --budget-mem\n"
       "\n"
@@ -178,7 +175,6 @@ int main(int argc, char** argv) {
   bool analyze = false;
   bool analyze_json = false;
   bool analyze_memory = false;
-  bool arena = false;
   bool admission = false;
   bool verify_vcode = true;
   bool optimize_vcode = true;
@@ -233,8 +229,6 @@ int main(int argc, char** argv) {
     } else if (a == "--analyze=memory") {
       analyze = true;
       analyze_memory = true;
-    } else if (a == "--arena") {
-      arena = true;
     } else if (a == "--admission") {
       admission = true;
     } else if (a == "--no-verify-vcode") {
@@ -423,8 +417,7 @@ int main(int argc, char** argv) {
             mem << "{\"name\":\""
                 << proteus::obs::json_escape(module->functions[i].name)
                 << "\",\"peak_bytes\":\"" << fp.peak_bytes.to_text()
-                << "\",\"static_allocs\":" << fp.static_allocs
-                << ",\"slots\":" << fp.slots.size() << '}';
+                << "\",\"static_allocs\":" << fp.static_allocs << '}';
           }
         }
         mem << "]}";
@@ -458,7 +451,6 @@ int main(int argc, char** argv) {
                          : proteus::Session(source, entry, options);
     if (tracing) session.set_tracer(&tracer);
     session.set_budget(budget);
-    session.set_arena(arena);
     session.set_admission(admission);
     // Null when running a module image.
     const proteus::xform::Compiled* compiled = session.compiled_ptr().get();

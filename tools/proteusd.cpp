@@ -92,9 +92,6 @@ void usage(std::ostream& os) {
         "                         and disk-loaded modules\n"
         "\n"
         "memory plan (docs/ANALYSIS.md, docs/VM.md):\n"
-        "  --arena                plan-backed arena execution: evals recycle\n"
-        "                         buffers through a per-evaluation arena\n"
-        "                         sized from the module's memory plan\n"
         "  --admission            reject evals whose static peak-resident\n"
         "                         bound exceeds the request's byte budget\n"
         "                         (trap T001 before any work runs)\n"
@@ -243,8 +240,6 @@ int main(int argc, char** argv) {
       options.optimize = false;
     } else if (arg == "--no-verify") {
       options.verify = false;
-    } else if (arg == "--arena") {
-      options.arena = true;
     } else if (arg == "--admission") {
       options.admission = true;
     } else if (arg == "--log-level") {
