@@ -2,14 +2,17 @@
 # module_digest.sh — fingerprints of everything the compiler produces for
 # the example corpus: for each examples/programs/*.p at -O0 and at -O1,
 # the sha256 of the V program (--dump vec), of the derivation (--dump
-# trace) and of the module image (--emit-module: bytecode plus memory
-# plan).
+# trace), of the module image (--emit-module: the bytecode; images carry
+# no memory plan) and of the memory plan (--analyze=memory: the peak
+# bounds, the death-driven static alloc counts and the M3xx advisories).
 #
 #   scripts/module_digest.sh [BUILD_DIR]     (default: build)
 #
 # Run it against two builds and diff the output: a refactor of the
 # compiler, the VCODE optimizer or the memory planner that is meant to
-# leave the output unchanged must print identical lines.
+# leave the output unchanged must print identical lines. A change to the
+# image format (which bumps kModuleVersion) moves only the module lines;
+# a planner change moves only the plan lines.
 set -eu
 
 build=${1:-build}
@@ -28,8 +31,10 @@ for program in "$root"/examples/programs/*.p; do
     "$proteusc" "$program" "$level" --dump vec > "$tmp/vec"
     "$proteusc" "$program" "$level" --dump trace > "$tmp/trace"
     "$proteusc" "$program" "$level" --emit-module "$tmp/module.pvcm"
+    "$proteusc" "$program" "$level" --analyze=memory > "$tmp/plan" 2>&1
     echo "$(digest "$tmp/vec")  $name $level vec"
     echo "$(digest "$tmp/trace")  $name $level trace"
     echo "$(digest "$tmp/module.pvcm")  $name $level module"
+    echo "$(digest "$tmp/plan")  $name $level plan"
   done
 done

@@ -26,9 +26,10 @@
 //
 // plus M3xx warnings for wasteful patterns the optimizer missed (dead
 // stores, reduce-only materializations, redundant copies). The plan is
-// serialized into PVCM images (vm/module_io.*, B217 consistency check),
-// rendered by disasm and `proteusc --analyze=memory`, and consumed by the
-// VM's death clearing and admission control. See docs/ANALYSIS.md.
+// attached by the compile pipeline and derived again by the PVCM loader
+// (vm/module_io.*; images do not store it), rendered by disasm and
+// `proteusc --analyze=memory`, and consumed by the VM's death clearing
+// and admission control. See docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +110,9 @@ struct PlanResult {
 /// Computes the memory plan of a module. The module must be structurally
 /// sound (vm::verify_module passes): the pass indexes operand pools and
 /// register files unguarded, exactly like the verifier's dataflow.
-/// Deterministic: equal modules produce equal plans (the B217 load-time
-/// consistency check in vm/module_io.cpp depends on this).
+/// Deterministic: equal modules produce equal plans (the PVCM loader in
+/// vm/module_io.cpp derives the plan instead of storing it because of
+/// this).
 [[nodiscard]] PlanResult plan_module(const vm::Module& m);
 
 /// Total leaf scalars across an argument list — the concrete N a

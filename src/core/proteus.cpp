@@ -130,16 +130,9 @@ class ArgSource {
 Session::Session(std::string_view program_source,
                  std::string_view entry_source,
                  const xform::PipelineOptions& options)
-    : Session(std::make_shared<const xform::Compiled>(
-                  xform::compile(program_source, entry_source, options)),
-              options) {}
-
-Session::Session(std::shared_ptr<const xform::Compiled> compiled,
-                 const xform::PipelineOptions& options)
-    : compiled_(std::move(compiled)) {
-  PROTEUS_REQUIRE(EvalError, compiled_ != nullptr,
-                  "Session requires a non-null compiled program");
-  module_ = compiled_->module;
+    : compiled_(std::make_shared<const xform::Compiled>(
+          xform::compile(program_source, entry_source, options))),
+      module_(compiled_->module) {
   prim_options_.shared_source_gather =
       options.flatten.broadcast_invariant_seq_args;
 }

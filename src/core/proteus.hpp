@@ -84,17 +84,10 @@ class Session {
                    std::string_view entry_source = {},
                    const xform::PipelineOptions& options = {});
 
-  /// Wraps an already-compiled program. The compilation is shared, not
-  /// copied: this is the compile-once / evaluate-many constructor the
-  /// serving daemon builds per-request Sessions from — N concurrent
-  /// requests against one cached program cost one compile and N cheap
-  /// Session shells (docs/SERVING.md).
-  explicit Session(std::shared_ptr<const xform::Compiled> compiled,
-                   const xform::PipelineOptions& options = {});
-
-  /// Wraps a deserialized VCODE module (vm::load_module, which verifies
-  /// it) with no AST in the process: `proteusc --load-module` and the
-  /// daemon's on-disk cache hits. Only the VM can run it: the reference
+  /// Wraps a VCODE module with no AST in the process: a deserialized one
+  /// (vm::load_module, which verifies and plans it) for `proteusc
+  /// --load-module`, and the cached module of either tier for every eval
+  /// of the serving daemon. Only the VM can run it: the reference
   /// interpreter needs source forms a bare module does not carry, so
   /// run_reference* throw EvalError.
   explicit Session(std::shared_ptr<const vm::Module> module);
@@ -157,11 +150,10 @@ class Session {
   [[nodiscard]] const rt::ExecBudget& budget() const { return budget_; }
 
   /// All intermediate forms (checked / canonical / flat / vector). Only
-  /// for Sessions built from source or a compilation.
+  /// for Sessions built from source.
   [[nodiscard]] const xform::Compiled& compiled() const { return *compiled_; }
 
-  /// The shared compilation itself, e.g. for constructing further
-  /// Sessions over the same program; null for a Session over a module.
+  /// The compilation itself; null for a Session over a module.
   [[nodiscard]] const std::shared_ptr<const xform::Compiled>& compiled_ptr()
       const {
     return compiled_;

@@ -1,8 +1,9 @@
 // cache.hpp — the compile-once module cache of the serving layer.
 //
-// Keyed by vm::source_hash(source, options_tag): the same program text
-// under the same compile options always maps to the same key, across
-// requests, connections, and (through the disk tier) process restarts.
+// Keyed by vm::module_key(source, entry, optimize, verify): the same
+// program text and entry expression under the same compile options always
+// map to the same key, across requests, connections, and (through the
+// disk tier) process restarts.
 //
 // Two tiers:
 //

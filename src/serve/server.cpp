@@ -476,7 +476,6 @@ std::optional<CacheEntry> Server::obtain(const Json& req, std::uint64_t* key,
   const bool has_source = req.get("source").is_string();
   const std::string& source = req.get("source").as_string();
   const std::string& entry_expr = req.get("entry").as_string();
-  const std::string tag = vm::options_tag(options_.optimize, options_.verify);
 
   if (req.has("key")) {
     std::optional<std::uint64_t> parsed =
@@ -489,9 +488,9 @@ std::optional<CacheEntry> Server::obtain(const Json& req, std::uint64_t* key,
     *key = *parsed;
   } else if (has_source) {
     // The entry expression compiles with the program, so it is part of
-    // the identity of the compilation (0x1E = record separator: no P
-    // source can collide across the boundary).
-    *key = vm::source_hash(source + '\x1E' + entry_expr, tag);
+    // the identity of the compilation.
+    *key = vm::module_key(source, entry_expr, options_.optimize,
+                          options_.verify);
   } else {
     *error = error_value("bad_request", "",
                          "request needs \"source\" or \"key\"");
@@ -577,7 +576,7 @@ Json Server::do_eval(const Json& req) {
   const bool has_fun = req.get("fun").is_string();
   const std::string& fun = req.get("fun").as_string();
   if (!has_fun && !req.get("entry").is_string() &&
-      !(entry->compiled == nullptr && entry->module->entry >= 0)) {
+      entry->module->entry < 0) {
     count("serve.errors.bad_request");
     return error_reply(req, error_value("bad_request", "",
                                         "eval needs \"fun\" or \"entry\""));

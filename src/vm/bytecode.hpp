@@ -129,9 +129,9 @@ struct Module {
   std::int32_t entry = -1;
 
   /// Memory plan computed by analysis::plan_module (one FunctionPlan per
-  /// function) — attached by the pipeline's plan-memory stage and by the
-  /// PVCM loader; null for hand-built or unplanned modules. Shared and
-  /// immutable: VMs read it concurrently.
+  /// function) — attached by the pipeline's plan-memory stage and derived
+  /// by the PVCM loader (images do not store it); null for hand-built
+  /// modules. Shared and immutable: VMs read it concurrently.
   std::shared_ptr<const analysis::MemoryPlan> plan;
 
   [[nodiscard]] const Function* find(const std::string& name) const {

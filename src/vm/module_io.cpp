@@ -1,6 +1,5 @@
 #include "vm/module_io.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -540,85 +539,6 @@ bool read_function(Reader& r, Function& f) {
   return r.ok();
 }
 
-void write_bound(Writer& w, const analysis::SymBound& b) {
-  w.u8(b.unbounded ? 1 : 0);
-  w.u64(b.c0);
-  w.u64(b.c1);
-}
-
-analysis::SymBound read_bound(Reader& r) {
-  analysis::SymBound b;
-  const std::uint8_t unbounded = r.u8();
-  if (unbounded > 1) {
-    r.fail();
-    return b;
-  }
-  b.unbounded = unbounded != 0;
-  b.c0 = r.u64();
-  b.c1 = r.u64();
-  if (b.unbounded && (b.c0 != 0 || b.c1 != 0)) {
-    // Canonical encoding only: top is always {0,0,true}. This keeps the
-    // B217 recompute-and-compare byte-exact.
-    r.fail();
-  }
-  return b;
-}
-
-void write_plan(Writer& w, const Module& m) {
-  const analysis::MemoryPlan* plan = m.plan.get();
-  const bool present =
-      plan != nullptr && plan->functions.size() == m.functions.size();
-  w.u8(present ? 1 : 0);
-  if (!present) return;
-  for (const analysis::FunctionPlan& fp : plan->functions) {
-    write_bound(w, fp.peak_bytes);
-    w.u32(fp.static_allocs);
-    w.u32(static_cast<std::uint32_t>(fp.death_off.size()));
-    for (std::uint32_t x : fp.death_off) w.u32(x);
-    w.u32(static_cast<std::uint32_t>(fp.death_regs.size()));
-    for (std::uint16_t x : fp.death_regs) w.u16(x);
-  }
-}
-
-/// True when the death table of `fp` can be walked for `fn`: one CSR
-/// row per pc plus the end, offsets from 0 that never decrease and end at
-/// death_regs.size(), and every dying register inside the frame. The VM
-/// clears these registers on every run, verified load or not.
-bool deaths_in_range(const analysis::FunctionPlan& fp, const Function& fn) {
-  const std::vector<std::uint32_t>& off = fp.death_off;
-  if (off.size() != fn.code.size() + 1 || off.front() != 0 ||
-      off.back() != fp.death_regs.size() ||
-      !std::is_sorted(off.begin(), off.end())) {
-    return false;
-  }
-  return std::all_of(fp.death_regs.begin(), fp.death_regs.end(),
-                     [&](std::uint16_t r) { return r < fn.n_regs; });
-}
-
-/// Decodes the plan section into `plan`; false (reader failed) on
-/// malformed bytes or a death table out of range of its function.
-bool read_plan(Reader& r, const std::vector<Function>& functions,
-               analysis::MemoryPlan& plan) {
-  plan.functions.resize(functions.size());
-  for (std::size_t i = 0; i < functions.size() && r.ok(); ++i) {
-    analysis::FunctionPlan& fp = plan.functions[i];
-    fp.peak_bytes = read_bound(r);
-    fp.static_allocs = r.u32();
-    const std::uint32_t n_off = r.count32(4);
-    fp.death_off.reserve(r.ok() ? n_off : 0);
-    for (std::uint32_t j = 0; j < n_off && r.ok(); ++j) {
-      fp.death_off.push_back(r.u32());
-    }
-    const std::uint32_t n_regs = r.count32(2);
-    fp.death_regs.reserve(r.ok() ? n_regs : 0);
-    for (std::uint32_t j = 0; j < n_regs && r.ok(); ++j) {
-      fp.death_regs.push_back(r.u16());
-    }
-    if (r.ok() && !deaths_in_range(fp, functions[i])) r.fail();
-  }
-  return r.ok();
-}
-
 analysis::Diagnostic structural(std::string code, std::string message) {
   analysis::Diagnostic d;
   d.code = std::move(code);
@@ -652,6 +572,14 @@ std::string options_tag(bool optimize, bool verify) {
   std::string tag = optimize ? "O1" : "O0";
   tag += verify ? ":v" : ":nv";
   return tag;
+}
+
+std::uint64_t module_key(std::string_view source, std::string_view entry,
+                         bool optimize, bool verify) {
+  std::string identity(source);
+  identity += '\x1E';
+  identity += entry;
+  return source_hash(identity, options_tag(optimize, verify));
 }
 
 std::string hash_hex(std::uint64_t hash) {
@@ -698,8 +626,6 @@ std::string module_bytes(const Module& m, std::uint64_t hash) {
   }
 
   w.i32(m.entry);
-
-  write_plan(w, m);
   return w.take();
 }
 
@@ -769,16 +695,6 @@ ModuleLoadResult load_module(std::string_view bytes, bool verify) {
     }
 
     module->entry = r.i32();
-
-    const std::uint8_t has_plan = r.u8();
-    if (r.ok() && has_plan > 1) r.fail();
-    if (r.ok() && has_plan == 1) {
-      analysis::MemoryPlan plan;
-      if (read_plan(r, module->functions, plan)) {
-        module->plan =
-            std::make_shared<const analysis::MemoryPlan>(std::move(plan));
-      }
-    }
   } catch (const std::exception& e) {
     // Representation invariants (descriptor sums, ragged tuples, empty
     // tuples) are enforced by the Array/Type constructors; an image that
@@ -808,24 +724,13 @@ ModuleLoadResult load_module(std::string_view bytes, bool verify) {
     analysis::Report vr = verify_module(*module);
     result.report.merge(vr);
     if (!vr.ok()) return result;
-
-    // An embedded memory plan steers the VM's register clearing, so it is
-    // never trusted: recompute it from the (now verified) bytecode and
-    // demand byte-for-byte agreement. plan_module is deterministic, so a
-    // faithful image always passes; any divergence is tampering or a
-    // writer/reader skew (B217). Loads with verify=false skip this; the
-    // decoder's range check (B215) still keeps every clear in bounds.
-    if (module->plan != nullptr) {
-      analysis::PlanResult recomputed = analysis::plan_module(*module);
-      if (!(recomputed.plan == *module->plan)) {
-        result.report.add(structural(
-            "B217", "embedded memory plan does not match the module's "
-                    "bytecode (stale or tampered plan section)"));
-        return result;
-      }
-    }
   }
 
+  // The memory plan is a pure function of the bytecode, so it is derived
+  // here rather than stored in the image. Unverified bytecode is the
+  // caller's responsibility (see the trust model in module_io.hpp).
+  module->plan = std::make_shared<const analysis::MemoryPlan>(
+      analysis::plan_module(*module).plan);
   result.module = std::move(module);
   return result;
 }

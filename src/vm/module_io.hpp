@@ -22,14 +22,17 @@
 // (malformed/truncated image) or B216 (bad magic / unsupported version)
 // diagnostics in the returned report, and the decoded module is then
 // re-proved safe to dispatch by the existing bytecode verifier
-// (vm/verify.hpp), exactly as if it had come from the assembler. An
-// embedded memory plan is likewise untrusted: every load rejects a death
-// table that indexes outside its function (B215), and a verifying load
-// also recomputes the plan from the decoded bytecode and compares — any
-// divergence is B217 (plan/bytecode mismatch), so a tampered plan can
-// never steer the VM's register clearing out of bounds. A loaded module therefore enjoys the same soundness guarantee as a
+// (vm/verify.hpp), exactly as if it had come from the assembler. A
+// loaded module therefore enjoys the same soundness guarantee as a
 // freshly compiled one, or it is rejected with a structured report —
 // never a crash (see tests/vm/module_io_test.cpp's truncation sweep).
+//
+// The image carries no memory plan: the plan is a pure function of the
+// bytecode, so the loader derives it (analysis::plan_module) for every
+// module it returns, after the verifier has accepted the code. A load
+// with `verify` off skips the verifier, and the caller vouches for the
+// bytecode — for the VM's unchecked register indexing and for the plan
+// derived from it alike.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +50,10 @@ namespace proteus::vm {
 inline constexpr std::uint32_t kModuleMagic = 0x4D435650u;
 
 /// Bump on any layout change; the loader rejects other versions (B216).
-/// v2 added the memory-plan section (analysis/lifetime.hpp) after the
-/// entry index, guarded by the B217 plan/bytecode consistency check; v3
-/// dropped its register-to-slot coloring.
-inline constexpr std::uint32_t kModuleVersion = 3;
+/// v2 added a memory-plan section after the entry index; v3 dropped its
+/// register-to-slot coloring; v4 dropped the section (the loader derives
+/// the plan from the bytecode).
+inline constexpr std::uint32_t kModuleVersion = 4;
 
 /// FNV-1a 64-bit over `source` and an options tag: the cache key of the
 /// module caches. Stable across processes and platforms, so on-disk cache
@@ -64,12 +67,22 @@ inline constexpr std::uint32_t kModuleVersion = 3;
 /// a shared module cache must derive its keys through this one function.
 [[nodiscard]] std::string options_tag(bool optimize, bool verify);
 
+/// The cache key of one compilation: source_hash over the program source
+/// and the entry expression, joined by 0x1E (the record separator, so no P
+/// source can collide across the boundary), under
+/// options_tag(optimize, verify). proteusc --module-cache and proteusd
+/// both derive their keys here.
+[[nodiscard]] std::uint64_t module_key(std::string_view source,
+                                       std::string_view entry, bool optimize,
+                                       bool verify);
+
 /// Rendered as 16 lowercase hex digits (cache file stem / protocol key).
 [[nodiscard]] std::string hash_hex(std::uint64_t hash);
 
 /// Outcome of decoding a module image.
 struct ModuleLoadResult {
-  /// The decoded, verified module; null when `report` carries errors.
+  /// The decoded, verified and planned module; null when `report`
+  /// carries errors.
   std::shared_ptr<const Module> module;
   /// B215/B216 structural findings plus the bytecode verifier's report.
   analysis::Report report;
@@ -85,9 +98,10 @@ void write_module(std::ostream& os, const Module& m, std::uint64_t hash = 0);
 [[nodiscard]] std::string module_bytes(const Module& m,
                                        std::uint64_t hash = 0);
 
-/// Decodes a module image. Never throws on malformed input; with
-/// `verify` (default) the decoded module must also pass the bytecode
-/// verifier before it is surfaced.
+/// Decodes a module image and attaches the memory plan derived from its
+/// bytecode. Never throws on malformed input; with `verify` (default) the
+/// decoded module must also pass the bytecode verifier before it is
+/// planned and surfaced.
 [[nodiscard]] ModuleLoadResult load_module(std::string_view bytes,
                                            bool verify = true);
 

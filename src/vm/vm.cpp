@@ -37,7 +37,7 @@ const analysis::FunctionPlan* VM::plan_of(std::uint32_t index) const {
   if (index >= module_->plan->functions.size()) return nullptr;
   const analysis::FunctionPlan& fp = module_->plan->functions[index];
   // A plan out of step with the code (a hand-built module) is ignored
-  // rather than trusted; decoded images were range-checked at load.
+  // rather than trusted.
   if (fp.death_off.size() !=
       module_->functions[index].code.size() + 1) {
     return nullptr;

@@ -126,7 +126,9 @@ Compiled compile(std::string_view program_source,
     span.counter("functions", out.vec.functions.size());
   }
 
-  if (options.verify_output) {
+  {
+    // The static shape/depth analyzer over the final V program: catches
+    // transformation bugs at compile time instead of run time.
     obs::Span span("compile", "analyze");
     out.analysis = analysis::analyze_program(out.vec);
     if (out.entry_vec != nullptr) {
@@ -221,11 +223,13 @@ Compiled compile(std::string_view program_source,
     }
   }
 
-  if (options.plan_memory) {
+  {
     obs::Span span("compile", "plan-memory");
-    // Attach a memory plan to the module that runs. The
-    // const_pointer_cast is safe: the pipeline is the sole owner of the
-    // freshly assembled module at this point.
+    // Attach the memory plan (analysis/lifetime.hpp) to the module that
+    // runs: the artifact behind the VM's death clearing, admission
+    // control and `proteusc --analyze=memory`. The span name is read by
+    // bench/e2e/traced.cpp. The const_pointer_cast is safe: the pipeline
+    // is the sole owner of the freshly assembled module at this point.
     analysis::PlanResult pr = analysis::plan_module(*out.module);
     std::const_pointer_cast<vm::Module>(out.module)->plan =
         std::make_shared<const analysis::MemoryPlan>(std::move(pr.plan));

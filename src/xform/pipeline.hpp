@@ -29,11 +29,6 @@ struct PipelineOptions {
   /// Section 4.5: rewrite replicated seq_index sources into shared-row
   /// gathers (removes the quadratic replication in flattened recursion).
   bool shared_row_gather = true;
-  /// Run the static shape/depth analyzer (src/analysis) over the final V
-  /// program (cheap; catches transformation bugs at compile time instead
-  /// of run time). The report is retained in Compiled::analysis; errors
-  /// throw analysis::AnalysisError.
-  bool verify_output = true;
   /// Run the VCODE optimizer (src/vm/fuse.hpp) over the assembled
   /// module: elementwise chain fusion into single-pass superinstructions,
   /// copy propagation, dead-move elimination, and last-use marking for
@@ -43,12 +38,6 @@ struct PipelineOptions {
   /// assembled (and optimized) module (proteusc --no-verify-vcode turns
   /// this off).
   bool verify_vcode = true;
-  /// Run the buffer-lifetime / memory-plan analyzer (analysis/lifetime.hpp)
-  /// over the final module and attach the resulting MemoryPlan to it
-  /// (vm::Module::plan) — the artifact behind the VM's death clearing,
-  /// admission control, and `proteusc --analyze=memory`. M3xx findings
-  /// land in Compiled::memory_report (warnings only; never fatal).
-  bool plan_memory = true;
   /// Collect a KIDS-style derivation trace (one line per rule firing)
   /// into Compiled::derivation. Implemented over the obs span/event
   /// model: each firing is a "rule" instant event; with no tracer
@@ -84,15 +73,15 @@ struct Compiled {
   /// Tallies of the VCODE optimizer (zero when optimize_vcode is off).
   vm::FuseStats fusion;
 
-  /// Findings of the static shape/depth analyzer and the bytecode
-  /// verifier (populated when the respective options are on; an error-free
-  /// report may still carry warnings).
+  /// Findings of the static shape/depth analyzer and (when verify_vcode
+  /// is on) the bytecode verifier; an error-free report may still carry
+  /// warnings.
   analysis::Report analysis;
 
-  /// M3xx wasteful-pattern findings of the memory-plan analyzer (when
-  /// options.plan_memory is on). Kept separate from `analysis`: these are
-  /// advisory memory-efficiency observations about the *generated* VCODE,
-  /// not source-program diagnostics, and they never affect exit codes.
+  /// M3xx wasteful-pattern findings of the memory-plan analyzer. Kept
+  /// separate from `analysis`: these are advisory memory-efficiency
+  /// observations about the *generated* VCODE, not source-program
+  /// diagnostics, and they never affect exit codes.
   analysis::Report memory_report;
 
   /// Rule-by-rule derivation log (only when options.collect_trace).

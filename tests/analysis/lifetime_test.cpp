@@ -1,7 +1,7 @@
 // The buffer-lifetime / memory-plan analyzer (analysis/lifetime.hpp):
 // the SymBound domain, liveness-driven death tables,
 // peak-resident bounds, the M3xx wasteful-pattern advisories, and the
-// B217 plan/bytecode consistency check of the module loader.
+// plan the module loader derives for every image it decodes.
 #include "analysis/lifetime.hpp"
 
 #include <gtest/gtest.h>
@@ -254,37 +254,18 @@ TEST(MemoryPlan, DeathTablesNeverKillLiveRegisters) {
 }
 
 TEST(MemoryPlan, SerializedPlanRoundtrips) {
+  // Images carry no plan: the loader derives it from the decoded bytecode,
+  // with or without the verifier, and derives exactly the compiled one.
   auto m = module_of(
       "fun f(xs: seq(int)): seq(int) = [x <- xs : x + 1]", "f([1,2,3])");
   ASSERT_NE(m->plan, nullptr);
-  vm::ModuleLoadResult loaded = vm::load_module(vm::module_bytes(*m));
-  ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
-  ASSERT_NE(loaded.module->plan, nullptr);
-  EXPECT_TRUE(*loaded.module->plan == *m->plan);
-}
-
-TEST(MemoryPlan, B217_TamperedPlanIsRejected) {
-  auto m = module_of(
-      "fun f(xs: seq(int)): seq(int) = [x <- xs : x + 1]", "f([1,2,3])");
-  ASSERT_NE(m->plan, nullptr);
-
-  // Same bytecode, stale/tampered plan: the verifying load must notice.
-  Module tampered = *m;
-  auto plan = std::make_shared<MemoryPlan>(*m->plan);
-  plan->functions[0].static_allocs += 1;
-  tampered.plan = std::move(plan);
-  vm::ModuleLoadResult r = vm::load_module(vm::module_bytes(tampered));
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.report.has("B217")) << r.report.to_text();
-
-  // A trusting load (verify=false) surfaces the plan as-is once its death
-  // table is in range; callers who skip verification own the
-  // consequences, exactly like bytecode.
-  vm::ModuleLoadResult trusting =
-      vm::load_module(vm::module_bytes(tampered), /*verify=*/false);
-  ASSERT_TRUE(trusting.ok());
-  ASSERT_NE(trusting.module->plan, nullptr);
-  EXPECT_FALSE(*trusting.module->plan == *m->plan);
+  for (const bool verify : {true, false}) {
+    vm::ModuleLoadResult loaded =
+        vm::load_module(vm::module_bytes(*m), verify);
+    ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
+    ASSERT_NE(loaded.module->plan, nullptr);
+    EXPECT_TRUE(*loaded.module->plan == *m->plan) << "verify=" << verify;
+  }
 }
 
 TEST(MemoryPlan, PlanTextNamesTheBound) {

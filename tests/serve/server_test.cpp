@@ -100,6 +100,19 @@ TEST(ServeServer, EntryExpressionIsPartOfTheCacheKey) {
   EXPECT_NE(a.get("key").as_string(), b.get("key").as_string());
 }
 
+TEST(ServeServer, EvalByKeyAloneRunsTheCompiledEntry) {
+  // A key-only eval with neither "fun" nor "entry" runs the entry the
+  // module was compiled with, whichever cache tier holds it.
+  Server server;
+  Json compiled = server.handle_request(
+      request({{"op", "compile"}, {"source", kSource}, {"entry", "sq(5)"}}));
+  ASSERT_TRUE(compiled.get("ok").as_bool()) << compiled.dump();
+  Json eval = server.handle_request(request(
+      {{"op", "eval"}, {"key", compiled.get("key").as_string()}}));
+  ASSERT_TRUE(eval.get("ok").as_bool()) << eval.dump();
+  EXPECT_EQ(eval.get("result").as_string(), "25");
+}
+
 TEST(ServeServer, CompileErrorsAndBadArgumentsAreStructured) {
   Server server;
   Json reply = server.handle_request(request(

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/lifetime.hpp"
@@ -37,25 +38,20 @@ std::shared_ptr<const Module> compile_program(
   return session.compiled().module;
 }
 
-/// True when every death table of `m`'s plan can be walked by the VM:
-/// one CSR row per pc, offsets from 0 to death_regs.size() that never
-/// decrease, and every dying register inside its function's frame.
-bool plan_in_range(const Module& m) {
-  if (m.plan == nullptr) return true;
-  if (m.plan->functions.size() != m.functions.size()) return false;
-  for (std::size_t f = 0; f < m.functions.size(); ++f) {
-    const analysis::FunctionPlan& fp = m.plan->functions[f];
-    const std::vector<std::uint32_t>& off = fp.death_off;
-    if (off.size() != m.functions[f].code.size() + 1) return false;
-    if (off.front() != 0 || off.back() != fp.death_regs.size()) return false;
-    for (std::size_t pc = 0; pc + 1 < off.size(); ++pc) {
-      if (off[pc] > off[pc + 1]) return false;
-    }
-    for (const std::uint16_t r : fp.death_regs) {
-      if (r >= m.functions[f].n_regs) return false;
-    }
+/// (path, source) of every example program the corpus tests compile.
+std::vector<std::pair<std::string, std::string>> example_sources() {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const char* path :
+       {"examples/programs/sort.p", "examples/programs/primes.p",
+        "examples/programs/graph.p", "examples/programs/stats.p",
+        "examples/programs/nbody.p", "examples/programs/mandel.p"}) {
+    std::ifstream in(std::string(PROTEUS_SOURCE_DIR) + "/" + path);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    sources.emplace_back(path, buf.str());
   }
-  return true;
+  return sources;
 }
 
 TEST(ModuleIO, RoundtripBytesAreAFixedPoint) {
@@ -167,74 +163,35 @@ TEST(ModuleIO, EveryCorruptedByteIsHandled) {
   }
 }
 
-TEST(ModuleIO, EveryCorruptedPlanByteIsRejected) {
-  // The memory-plan section is stronger than the rest of the image:
-  // a plan either decodes byte-exactly to what the analyzer recomputes
-  // from the decoded bytecode, or the load is rejected. So *every*
-  // corrupted plan byte must yield B215 (malformed), B216 (header), or
-  // B217 (plan/bytecode mismatch) — a flipped plan can never steer the
-  // VM's register clearing.
+TEST(ModuleIO, ImageBytesDoNotDependOnThePlan) {
+  // The memory plan is derived from the bytecode, never stored: a module
+  // serializes to the same image with or without one attached.
   auto module = compile_program(kProgram);
   ASSERT_NE(module->plan, nullptr);
-  const std::string bytes = module_bytes(*module);
-
-  // The plan section is the image's tail: everything after the common
-  // prefix shared with the same module serialized plan-less (the prefix
-  // ends at the u8 has_plan flag).
   Module stripped = *module;
   stripped.plan = nullptr;
-  const std::string without = module_bytes(stripped);
-  ASSERT_LT(without.size(), bytes.size());
-  const std::size_t plan_start = without.size() - 1;  // the has_plan byte
-  ASSERT_EQ(bytes.compare(0, plan_start, without, 0, plan_start), 0);
-
-  for (std::size_t i = plan_start; i < bytes.size(); ++i) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
-    ModuleLoadResult r = load_module(mutated);
-    EXPECT_FALSE(r.ok()) << "flipped plan byte " << i << " decoded";
-    EXPECT_TRUE(r.report.has("B215") || r.report.has("B216") ||
-                r.report.has("B217"))
-        << "flipped plan byte " << i << ": " << r.report.to_text();
-
-    // A trusting load skips B217, but the VM still clears the plan's dead
-    // registers: the decoder either rejects the flip or yields a plan
-    // whose every clear stays inside its frame.
-    ModuleLoadResult trusting = load_module(mutated, /*verify=*/false);
-    if (trusting.ok()) {
-      EXPECT_TRUE(plan_in_range(*trusting.module))
-          << "flipped plan byte " << i << " loaded out of range";
-    } else {
-      EXPECT_TRUE(trusting.report.has("B215"))
-          << "flipped plan byte " << i << ": " << trusting.report.to_text();
-    }
-  }
-
-  // And the plan-less image still loads (plans are optional).
-  ModuleLoadResult r = load_module(without);
-  EXPECT_TRUE(r.ok()) << r.report.to_text();
-  EXPECT_EQ(r.module->plan, nullptr);
+  EXPECT_TRUE(module_bytes(*module) == module_bytes(stripped));
 }
 
-TEST(ModuleIO, UnverifiedLoadRejectsADeathRegisterOutsideTheFrame) {
-  // verify=false skips the bytecode verifier and B217, so the decoder is
-  // the only guard between a tampered death table and the VM's clears.
-  auto module = compile_program(kProgram);
-  ASSERT_NE(module->plan, nullptr);
-  Module tampered = *module;
-  auto plan = std::make_shared<analysis::MemoryPlan>(*module->plan);
-  std::size_t fi = 0;
-  while (fi < plan->functions.size() &&
-         plan->functions[fi].death_regs.empty()) {
-    ++fi;
+TEST(ModuleIO, EveryLoadedModuleIsPlanned) {
+  // The loader derives the plan of every module it returns, verified load
+  // or not, and derives exactly the plan the compiler attached.
+  for (const auto& [path, source] : example_sources()) {
+    SCOPED_TRACE(path);
+    Session session(source);
+    const Module& compiled = *session.compiled().module;
+    ASSERT_NE(compiled.plan, nullptr);
+    Module stripped = compiled;
+    stripped.plan = nullptr;
+    const std::string bytes = module_bytes(stripped);
+    for (const bool verify : {true, false}) {
+      SCOPED_TRACE(verify ? "verify" : "no verify");
+      ModuleLoadResult loaded = load_module(bytes, verify);
+      ASSERT_TRUE(loaded.ok()) << loaded.report.to_text();
+      ASSERT_NE(loaded.module->plan, nullptr);
+      EXPECT_TRUE(*loaded.module->plan == *compiled.plan);
+    }
   }
-  ASSERT_LT(fi, plan->functions.size());
-  plan->functions[fi].death_regs[0] = tampered.functions[fi].n_regs;
-  tampered.plan = std::move(plan);
-
-  ModuleLoadResult r = load_module(module_bytes(tampered), /*verify=*/false);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.report.has("B215")) << r.report.to_text();
 }
 
 TEST(ModuleIO, FileRoundtripAndMissingFile) {
@@ -294,20 +251,10 @@ TEST(ModuleIO, RoundtripIsIdentityOnTheExampleCorpus) {
   // repository, serialize . deserialize is the identity (checked via the
   // fixed-point formulation, which covers every table and pool at once)
   // and the decoded module still satisfies the bytecode verifier.
-  const char* corpus[] = {"examples/programs/sort.p",
-                          "examples/programs/primes.p",
-                          "examples/programs/graph.p",
-                          "examples/programs/stats.p",
-                          "examples/programs/nbody.p",
-                          "examples/programs/mandel.p"};
-  for (const char* path : corpus) {
+  for (const auto& [path, source] : example_sources()) {
     SCOPED_TRACE(path);
-    std::ifstream in(std::string(PROTEUS_SOURCE_DIR) + "/" + path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Session session(buf.str());
-    const std::uint64_t hash = source_hash(buf.str(), options_tag(true, true));
+    Session session(source);
+    const std::uint64_t hash = source_hash(source, options_tag(true, true));
     const std::string bytes =
         module_bytes(*session.compiled().module, hash);
 

@@ -365,9 +365,8 @@ int main(int argc, char** argv) {
       image = loaded.module;
     } else {
       source = read_file(file);
-      module_key = proteus::vm::source_hash(
-          source + '\x1E' + entry,
-          proteus::vm::options_tag(optimize_vcode, verify_vcode));
+      module_key = proteus::vm::module_key(source, entry, optimize_vcode,
+                                           verify_vcode);
       // Only the vm engine can run an image; ref/both compile.
       if (!module_cache.empty() && engine == "vm" && dump.empty() &&
           !analyze && emit_module.empty()) {
