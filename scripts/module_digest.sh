@@ -13,6 +13,16 @@
 # leave the output unchanged must print identical lines. A change to the
 # image format (which bumps kModuleVersion) moves only the module lines;
 # a planner change moves only the plan lines.
+#
+# scripts/module_digest.expected holds the lines of the committed
+# compiler, and CI diffs this script's output against it, so any change
+# to the compiler's output fails there. The lines do not depend on the
+# build type or on PROTEUS_BACKEND. After a change that is meant to move
+# the output, and whose new output was checked, regenerate the file:
+#
+#   scripts/module_digest.sh build > scripts/module_digest.expected
+#
+# and say in the change which lines moved and why.
 set -eu
 
 build=${1:-build}

@@ -308,7 +308,8 @@ class Analyzer {
            const std::vector<char>& resolved)
       : m_(m), summaries_(summaries), resolved_(resolved) {}
 
-  FnResult analyze(std::size_t fi, Report* report);
+  /// Appends the function's M3xx warnings to `warnings`.
+  FnResult analyze(std::size_t fi, std::vector<Diagnostic>* warnings);
 
  private:
   AbsVal transfer_value(const Function& fn, const Instr& in,
@@ -592,7 +593,8 @@ AbsVal Analyzer::transfer_value(const Function& fn, const Instr& in,
   }
 }
 
-FnResult Analyzer::analyze(std::size_t fi, Report* report) {
+FnResult Analyzer::analyze(std::size_t fi,
+                           std::vector<Diagnostic>* warnings) {
   const Function& fn = m_.functions[fi];
   FnResult out;
   const std::size_t n = fn.code.size();
@@ -779,64 +781,63 @@ FnResult Analyzer::analyze(std::size_t fi, Report* report) {
       raw_peak.plus(raw_peak).plus(SymBound::konst(kPlanSlack));
 
   // --- 5. M3xx wasteful-pattern warnings ------------------------------------
-  if (report != nullptr) {
-    const auto warn = [&](const char* code, std::string msg, std::size_t pc) {
-      report->warning(code,
-                      "pc " + std::to_string(pc) + ": " + std::move(msg),
-                      fn.name, {}, "VCODE");
-    };
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (reached[pc] == 0) continue;
-      const Instr& in = fn.code[pc];
-      // M301: a computed value nothing ever reads.
-      if (writes_dst(in.op) && in.op != Op::kCall &&
-          in.op != Op::kCallIndirect &&
-          !live.live_out(pc, in.dst)) {
-        warn("M301",
-             "dead store: r" + std::to_string(in.dst) +
-                 " is written but never read",
+  const auto warn = [&](const char* code, std::string msg, std::size_t pc) {
+    warnings->push_back(Diagnostic{
+        Severity::kWarning, code,
+        "pc " + std::to_string(pc) + ": " + std::move(msg), fn.name, {},
+        "VCODE"});
+  };
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (reached[pc] == 0) continue;
+    const Instr& in = fn.code[pc];
+    // M301: a computed value nothing ever reads.
+    if (writes_dst(in.op) && in.op != Op::kCall &&
+        in.op != Op::kCallIndirect &&
+        !live.live_out(pc, in.dst)) {
+      warn("M301",
+           "dead store: r" + std::to_string(in.dst) +
+               " is written but never read",
+           pc);
+    }
+    // M303: a copy whose source dies at the copy.
+    if (in.op == Op::kMove) {
+      const std::uint16_t src = fn.arg_pool[in.args_off];
+      if (std::binary_search(deaths[pc].begin(), deaths[pc].end(), src)) {
+        warn("M303",
+             "redundant copy: r" + std::to_string(src) +
+                 " dies here; the move could be elided",
              pc);
       }
-      // M303: a copy whose source dies at the copy.
-      if (in.op == Op::kMove) {
-        const std::uint16_t src = fn.arg_pool[in.args_off];
-        if (std::binary_search(deaths[pc].begin(), deaths[pc].end(), src)) {
-          warn("M303",
-               "redundant copy: r" + std::to_string(src) +
-                   " dies here; the move could be elided",
-               pc);
+    }
+    // M302: a buffer materialized only to feed one scalar reduction.
+    if ((in.op == Op::kElementwise || in.op == Op::kFusedMap) &&
+        writes_dst(in.op)) {
+      std::size_t uses = 0;
+      std::size_t use_pc = 0;
+      for (std::size_t q = pc + 1; q < n && uses < 2; ++q) {
+        if (reached[q] == 0) continue;
+        const Instr& user = fn.code[q];
+        const std::uint16_t* ua = fn.arg_pool.data() + user.args_off;
+        for (std::size_t i = 0; i < user.args_count; ++i) {
+          if (ua[i] == in.dst) {
+            ++uses;
+            use_pc = q;
+            break;
+          }
         }
+        if (writes_dst(user.op) && user.dst == in.dst) break;
       }
-      // M302: a buffer materialized only to feed one scalar reduction.
-      if ((in.op == Op::kElementwise || in.op == Op::kFusedMap) &&
-          writes_dst(in.op)) {
-        std::size_t uses = 0;
-        std::size_t use_pc = 0;
-        for (std::size_t q = pc + 1; q < n && uses < 2; ++q) {
-          if (reached[q] == 0) continue;
-          const Instr& user = fn.code[q];
-          const std::uint16_t* ua = fn.arg_pool.data() + user.args_off;
-          for (std::size_t i = 0; i < user.args_count; ++i) {
-            if (ua[i] == in.dst) {
-              ++uses;
-              use_pc = q;
-              break;
-            }
-          }
-          if (writes_dst(user.op) && user.dst == in.dst) break;
-        }
-        if (uses == 1) {
-          const Instr& user = fn.code[use_pc];
-          if (user.op == Op::kReduce && user.depth == 0 &&
-              std::binary_search(deaths[use_pc].begin(),
-                                 deaths[use_pc].end(), in.dst)) {
-            warn("M302",
-                 "r" + std::to_string(in.dst) +
-                     " is materialized only to feed the reduction at pc " +
-                     std::to_string(use_pc) +
-                     " (the fuser missed a fold)",
-                 pc);
-          }
+      if (uses == 1) {
+        const Instr& user = fn.code[use_pc];
+        if (user.op == Op::kReduce && user.depth == 0 &&
+            std::binary_search(deaths[use_pc].begin(),
+                               deaths[use_pc].end(), in.dst)) {
+          warn("M302",
+               "r" + std::to_string(in.dst) +
+                   " is materialized only to feed the reduction at pc " +
+                   std::to_string(use_pc) +
+                   " (the fuser missed a fold)",
+               pc);
         }
       }
     }
@@ -902,25 +903,35 @@ PlanResult plan_module(const vm::Module& m) {
   std::vector<Summary> summaries(n);
   std::vector<char> resolved(n, 0);
 
-  // Bottom-up summary resolution; anything in a call cycle stays
-  // unresolved and composes as unbounded.
+  std::vector<std::vector<Diagnostic>> warnings(n);
+  out.plan.functions.resize(n);
+  Analyzer analyzer(m, summaries, resolved);
+
+  // Bottom-up: a function is analyzed once all its callees are resolved,
+  // so its plan and summary are final. Anything in a call cycle (or
+  // calling into one) stays unresolved, composes as unbounded, and is
+  // analyzed last.
   for (std::size_t pass = 0; pass <= n; ++pass) {
     bool progress = false;
-    Analyzer analyzer(m, summaries, resolved);
     for (std::size_t f = 0; f < n; ++f) {
       if (resolved[f] != 0) continue;
       if (!callees_resolved(m.functions[f], f, resolved)) continue;
-      summaries[f] = analyzer.analyze(f, nullptr).summary;
+      FnResult r = analyzer.analyze(f, &warnings[f]);
+      out.plan.functions[f] = std::move(r.plan);
+      summaries[f] = std::move(r.summary);
       resolved[f] = 1;
       progress = true;
     }
     if (!progress) break;
   }
-
-  Analyzer analyzer(m, summaries, resolved);
-  out.plan.functions.resize(n);
   for (std::size_t f = 0; f < n; ++f) {
-    out.plan.functions[f] = analyzer.analyze(f, &out.report).plan;
+    if (resolved[f] != 0) continue;
+    out.plan.functions[f] = analyzer.analyze(f, &warnings[f]).plan;
+  }
+
+  // Report in function order, whatever order the functions resolved in.
+  for (std::vector<Diagnostic>& fn_warnings : warnings) {
+    for (Diagnostic& d : fn_warnings) out.report.add(std::move(d));
   }
   return out;
 }

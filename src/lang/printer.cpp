@@ -37,6 +37,15 @@ class Printer {
     return os_.str();
   }
 
+  /// Stops descending once `max_chars` characters are out: everything
+  /// written after that lies past the prefix the caller keeps.
+  std::string expr_prefix(const ExprPtr& e, std::size_t max_chars) {
+    limit_ = max_chars;
+    std::string text = expr_text(e);
+    if (text.size() > max_chars) text.resize(max_chars);
+    return text;
+  }
+
   std::string fun_text(const FunDef& f) {
     os_.str("");
     os_ << "fun " << f.name << '(';
@@ -54,6 +63,10 @@ class Printer {
 
  private:
   void render(const ExprPtr& e) {
+    if (limit_ != std::string::npos &&
+        static_cast<std::size_t>(os_.tellp()) >= limit_) {
+      return;
+    }
     // Rendering recurses with the AST; deep (possibly synthesized) trees
     // trap (T003) rather than overrun the C++ stack mid-print.
     rt::NestingGuard nesting(&depth_, "printer");
@@ -248,12 +261,17 @@ class Printer {
   }
 
   std::ostringstream os_;
+  std::size_t limit_ = std::string::npos;  ///< see expr_prefix
   int depth_ = 0;  ///< current AST-recursion depth
 };
 
 }  // namespace
 
 std::string to_text(const ExprPtr& expr) { return Printer().expr_text(expr); }
+
+std::string to_text(const ExprPtr& expr, std::size_t max_chars) {
+  return Printer().expr_prefix(expr, max_chars);
+}
 
 std::string to_text(const FunDef& fun) { return Printer().fun_text(fun); }
 

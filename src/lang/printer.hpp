@@ -14,6 +14,10 @@ namespace proteus::lang {
 /// Renders one expression on a single line.
 [[nodiscard]] std::string to_text(const ExprPtr& expr);
 
+/// The first `max_chars` characters of to_text(expr). Rendering stops
+/// once they are out, so the cost is bounded by the prefix, not the tree.
+[[nodiscard]] std::string to_text(const ExprPtr& expr, std::size_t max_chars);
+
 /// Renders a function definition (multi-line, indented body).
 [[nodiscard]] std::string to_text(const FunDef& fun);
 

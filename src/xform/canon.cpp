@@ -151,7 +151,7 @@ class Canon {
     if (rules_ != nullptr) (*rules_)[rule] += 1;
     obs::Tracer* t = obs::tracer();
     if (t == nullptr) return;
-    std::string text = to_text(e);
+    std::string text = to_text(e, 65);
     if (text.size() > 64) text = text.substr(0, 61) + "...";
     t->instant("rule", rule, std::move(text), {{"depth", 0}});
   }

@@ -1,8 +1,8 @@
 #include "xform/flatten.hpp"
 
-#include <map>
+#include <algorithm>
+#include <limits>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "vl/check.hpp"
@@ -26,10 +26,15 @@ struct VarInfo {
   TypePtr type;  // current (frame) type
 };
 
-/// Lexical transformation context (copied down the tree).
+constexpr Sym kNoSym = std::numeric_limits<Sym>::max();
+
+/// Lexical transformation context. The variables in scope live on the
+/// Flattener's binding stack; a Ctx only says which of them it sees.
 struct Ctx {
-  std::map<std::string, VarInfo> vars;
-  std::string witness;   // a variable holding a conformable depth-j frame
+  /// Frame bindings below this stack index are out of scope: R2c and
+  /// hoisting see only the broadcast variables of the enclosing context.
+  std::size_t frame_floor = 0;
+  Sym witness = kNoSym;  // a variable holding a conformable depth-j frame
   TypePtr witness_type;  // its type (only meaningful when depth >= 1)
 };
 
@@ -67,8 +72,7 @@ class Flattener {
     for (const FunDef& f : input_.functions) {
       transform_function(f);
     }
-    Ctx ctx;
-    Res r = tau(expr, 0, ctx);
+    Res r = tau(expr, 0, Ctx{});
     scan_function_values();
     scan_expr_function_values(expr);
     drain_worklist();
@@ -83,11 +87,11 @@ class Flattener {
   // --- program-level driving --------------------------------------------------
 
   void transform_function(const FunDef& f) {
-    Ctx ctx;
+    Scope scope(*this);
     for (const Param& p : f.params) {
-      ctx.vars[p.name] = VarInfo{VarClass::kBroadcast, p.type};
+      bind(sym(p.name), VarInfo{VarClass::kBroadcast, p.type});
     }
-    Res r = tau(f.body, 0, ctx);
+    Res r = tau(f.body, 0, Ctx{});
     FunDef out = f;
     out.body = r.expr;
     output_.functions.push_back(std::move(out));
@@ -222,11 +226,11 @@ class Flattener {
     }
     ExprPtr iter = nb::iterator(ivar, std::move(domain), std::move(inner));
 
-    Ctx ctx;
+    Scope scope(*this);
     for (const Param& p : ext_params) {
-      ctx.vars[p.name] = VarInfo{VarClass::kBroadcast, p.type};
+      bind(sym(p.name), VarInfo{VarClass::kBroadcast, p.type});
     }
-    Res r = tau(iter, 0, ctx);
+    Res r = tau(iter, 0, Ctx{});
 
     FunDef out;
     out.name = extension_name(base, 1);
@@ -248,7 +252,7 @@ class Flattener {
     rules_[rule] += 1;
     obs::Tracer* t = obs::tracer();
     if (t == nullptr) return;
-    std::string text = to_text(e);
+    std::string text = to_text(e, 65);
     if (text.size() > 64) text = text.substr(0, 61) + "...";
     t->instant("rule", rule, std::move(text),
                {{"depth", static_cast<std::uint64_t>(j)}});
@@ -262,11 +266,7 @@ class Flattener {
           as<RealLit>(e) == nullptr && as<BoolLit>(e) == nullptr) {
         log_rule("hoist", e, j);
       }
-      Ctx base;
-      for (const auto& [name, info] : ctx.vars) {
-        if (info.cls == VarClass::kBroadcast) base.vars.emplace(name, info);
-      }
-      Res r = tau(e, 0, base);
+      Res r = tau(e, 0, broadcast_view());
       return {r.expr, false};
     }
     return std::visit(
@@ -274,22 +274,84 @@ class Flattener {
   }
 
   bool has_free_frame_var(const ExprPtr& e, const Ctx& ctx) {
-    const std::set<std::string>& free = cached_free_vars(e);
-    for (const std::string& name : free) {
-      auto it = ctx.vars.find(name);
-      if (it != ctx.vars.end() && it->second.cls == VarClass::kFrame) {
-        return true;
-      }
-    }
-    return false;
+    const VarSet& free = free_.of(e);
+    return std::any_of(free.begin(), free.end(),
+                       [&](Sym s) { return is_frame(s, ctx); });
   }
 
-  const std::set<std::string>& cached_free_vars(const ExprPtr& e) {
-    // Keyed on the shared_ptr (not the raw address): holding the node
-    // alive prevents a recycled allocation from aliasing a stale entry.
-    auto it = free_cache_.find(e);
-    if (it != free_cache_.end()) return it->second;
-    return free_cache_.emplace(e, free_vars(e)).first->second;
+  /// The frame variables of `ctx` occurring free in `e`, in name order
+  /// (the order their rebinding lets are emitted in).
+  std::vector<Sym> free_frame_vars(const ExprPtr& e, const Ctx& ctx) {
+    std::vector<Sym> out;
+    for (Sym s : free_.of(e)) {
+      if (is_frame(s, ctx)) out.push_back(s);
+    }
+    std::sort(out.begin(), out.end(), [&](Sym a, Sym b) {
+      return symbols_.name(a) < symbols_.name(b);
+    });
+    return out;
+  }
+
+  // --- the binding stack -----------------------------------------------------
+
+  static constexpr std::size_t kUnbound =
+      std::numeric_limits<std::size_t>::max();
+
+  struct Binding {
+    Sym name;
+    VarInfo info;
+    std::size_t shadowed;  // the stack index of the binding this one hides
+  };
+
+  /// Pops every binding made during its lifetime.
+  class Scope {
+   public:
+    explicit Scope(Flattener& f) : f_(f), mark_(f.env_.size()) {}
+    ~Scope() {
+      while (f_.env_.size() > mark_) {
+        f_.innermost_[f_.env_.back().name] = f_.env_.back().shadowed;
+        f_.env_.pop_back();
+      }
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    Flattener& f_;
+    std::size_t mark_;
+  };
+
+  Sym sym(const std::string& name) {
+    const Sym s = symbols_.intern(name);
+    if (s >= innermost_.size()) innermost_.resize(s + 1, kUnbound);
+    return s;
+  }
+
+  void bind(Sym s, VarInfo info) {
+    env_.push_back(Binding{s, std::move(info), innermost_[s]});
+    innermost_[s] = env_.size() - 1;
+  }
+
+  /// A context that sees the broadcast variables bound so far and all
+  /// bindings made from now on; it has no witness.
+  Ctx broadcast_view() const {
+    Ctx ctx;
+    ctx.frame_floor = env_.size();
+    return ctx;
+  }
+
+  /// The innermost binding of `s` visible from `ctx`, or nullptr.
+  const VarInfo* lookup(Sym s, const Ctx& ctx) const {
+    if (s >= innermost_.size() || innermost_[s] == kUnbound) return nullptr;
+    const std::size_t at = innermost_[s];
+    const VarInfo& info = env_[at].info;
+    if (info.cls == VarClass::kFrame && at < ctx.frame_floor) return nullptr;
+    return &info;
+  }
+
+  bool is_frame(Sym s, const Ctx& ctx) const {
+    const VarInfo* info = lookup(s, ctx);
+    return info != nullptr && info->cls == VarClass::kFrame;
   }
 
   // R2b: constants are unchanged (depth-0, broadcast).
@@ -303,32 +365,34 @@ class Flattener {
     return {e, false};
   }
 
-  // R2a: identifiers translate to themselves; frame variables carry their
-  // frame type.
+  // R2a: identifiers translate to themselves (a broadcast one keeps its
+  // node); frame variables carry their frame type.
   Res tau_node(const VarRef& n, const ExprPtr& e, int j, const Ctx& ctx) {
     log_rule("R2a", e, j);
-    auto it = ctx.vars.find(n.name);
-    if (it == ctx.vars.end()) {
+    const VarInfo* info = lookup(sym(n.name), ctx);
+    if (info == nullptr) {
       // Top-level function name used as a value (R2f: functions are fully
       // parameterized, hence independent of surrounding iterators).
       PROTEUS_REQUIRE(TransformError, n.is_function,
                       "unbound variable '" + n.name + "' during flattening");
       return {e, false};
     }
-    const VarInfo& info = it->second;
-    ExprPtr var = nb::var(n.name, info.type);
-    return {var, info.cls == VarClass::kFrame};
+    if (info->cls == VarClass::kBroadcast && equal(info->type, e->type)) {
+      return {e, false};
+    }
+    ExprPtr var = nb::var(n.name, info->type);
+    return {var, info->cls == VarClass::kFrame};
   }
 
   // R2e: let.
   Res tau_node(const Let& n, const ExprPtr& e0, int j, const Ctx& ctx) {
     log_rule("R2e", e0, j);
     Res init = tau(n.init, j, ctx);
-    Ctx inner = ctx;
-    inner.vars[n.var] =
-        VarInfo{init.frame ? VarClass::kFrame : VarClass::kBroadcast,
-                init.expr->type};
-    Res body = tau(n.body, j, inner);
+    Scope scope(*this);
+    bind(sym(n.var), VarInfo{init.frame ? VarClass::kFrame
+                                        : VarClass::kBroadcast,
+                             init.expr->type});
+    Res body = tau(n.body, j, ctx);
     return {nb::let(n.var, init.expr, body.expr), body.frame};
   }
 
@@ -385,18 +449,18 @@ class Flattener {
     Ctx inner = ctx;
     std::string wname = names_.fresh("w");
     ExprPtr witness_init = restrict_ext(mask_var, mask_var, j);
-    inner.witness = wname;
+    inner.witness = sym(wname);
     inner.witness_type = witness_init->type;
 
     std::vector<std::pair<std::string, ExprPtr>> rebinds;
     rebinds.emplace_back(wname, witness_init);
-    inner.vars[wname] = VarInfo{VarClass::kFrame, witness_init->type};
-    for (const std::string& name : cached_free_vars(branch)) {
-      auto it = ctx.vars.find(name);
-      if (it == ctx.vars.end() || it->second.cls != VarClass::kFrame) continue;
-      ExprPtr vvar = nb::var(name, it->second.type);
+    for (Sym s : free_frame_vars(branch, ctx)) {
+      const std::string& name = symbols_.name(s);
+      ExprPtr vvar = nb::var(name, lookup(s, ctx)->type);
       rebinds.emplace_back(name, restrict_ext(vvar, mask_var, j));
     }
+    Scope scope(*this);
+    bind(inner.witness, VarInfo{VarClass::kFrame, witness_init->type});
 
     Res body = tau(branch, j, inner);
     ExprPtr value = body.frame ? body.expr : lift(body.expr, j, inner);
@@ -450,38 +514,34 @@ class Flattener {
                : nb::prim_d(Prim::kRange1, j, {ibvar}, {1},
                             Type::seq_n(Type::seq(Type::int_()), j));
 
-    Ctx inner;
     // Broadcast variables remain visible; stale frame variables (not
     // dist'ed below) are dropped.
-    for (const auto& [name, info] : ctx.vars) {
-      if (info.cls == VarClass::kBroadcast) inner.vars.emplace(name, info);
-    }
+    Scope scope(*this);
+    Ctx inner = broadcast_view();
 
     // dist every frame variable occurring in the body through the new
     // iterator level.
+    const Sym ivar = sym(n.var);
     std::vector<std::pair<std::string, ExprPtr>> rebinds;
     if (j >= 1) {
-      for (const std::string& name : cached_free_vars(n.body)) {
-        if (name == n.var) continue;
-        auto it = ctx.vars.find(name);
-        if (it == ctx.vars.end() || it->second.cls != VarClass::kFrame) {
-          continue;
-        }
-        ExprPtr vvar = nb::var(name, it->second.type);
+      for (Sym s : free_frame_vars(n.body, ctx)) {
+        if (s == ivar) continue;
+        const std::string& name = symbols_.name(s);
+        const TypePtr& type = lookup(s, ctx)->type;
+        ExprPtr vvar = nb::var(name, type);
         ExprPtr dist = nb::prim_d(Prim::kDist, j, {vvar, ibvar}, {1, 1},
-                                  Type::seq_n(strip_seq(it->second.type, j),
-                                              j + 1));
+                                  Type::seq_n(strip_seq(type, j), j + 1));
         rebinds.emplace_back(name, dist);
-        inner.vars[name] = VarInfo{VarClass::kFrame, dist->type};
+        bind(s, VarInfo{VarClass::kFrame, dist->type});
       }
     }
 
     // Bind the index variable and a fresh, unshadowable witness alias.
     const TypePtr index_type = index_frame->type;
-    inner.vars[n.var] = VarInfo{VarClass::kFrame, index_type};
+    bind(ivar, VarInfo{VarClass::kFrame, index_type});
     std::string wname = names_.fresh("w");
-    inner.vars[wname] = VarInfo{VarClass::kFrame, index_type};
-    inner.witness = wname;
+    inner.witness = sym(wname);
+    bind(inner.witness, VarInfo{VarClass::kFrame, index_type});
     inner.witness_type = index_type;
 
     Res body = tau(n.body, j + 1, inner);
@@ -509,6 +569,7 @@ class Flattener {
       any_frame = any_frame || args.back().frame;
     }
     if (!any_frame) {
+      if (unchanged(args, n.args)) return {e, false};
       return {rebuild_prim(n.op, args, e), false};
     }
     std::vector<ExprPtr> exprs;
@@ -526,6 +587,17 @@ class Flattener {
     return {nb::prim_d(n.op, j, std::move(exprs), std::move(lifted),
                        Type::seq_n(e->type, j)),
             true};
+  }
+
+  /// True when every result is its input node. A depth-0 call, tuple or
+  /// sequence over them would copy its input node exactly, so the node is
+  /// returned as it is.
+  static bool unchanged(const std::vector<Res>& results,
+                        const std::vector<ExprPtr>& inputs) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (results[i].expr != inputs[i]) return false;
+    }
+    return true;
   }
 
   ExprPtr rebuild_prim(Prim op, const std::vector<Res>& args,
@@ -549,6 +621,7 @@ class Flattener {
       any_frame = any_frame || args.back().frame;
     }
     if (!any_frame) {
+      if (unchanged(args, n.args)) return {e, false};
       std::vector<ExprPtr> exprs;
       for (const Res& r : args) exprs.push_back(r.expr);
       return {make_expr(FunCall{n.name, 0, std::move(exprs), {}}, e->type,
@@ -584,6 +657,7 @@ class Flattener {
       any_frame = any_frame || args.back().frame;
     }
     if (!any_frame) {
+      if (fn.expr == n.fn && unchanged(args, n.args)) return {e, false};
       std::vector<ExprPtr> exprs;
       for (const Res& r : args) exprs.push_back(r.expr);
       return {make_expr(IndirectCall{fn.expr, 0, std::move(exprs), {}},
@@ -611,6 +685,9 @@ class Flattener {
       elems.push_back(tau(el, j, ctx));
       any_frame = any_frame || elems.back().frame;
     }
+    if (!any_frame && n.depth == 0 && unchanged(elems, n.elems)) {
+      return {e, false};
+    }
     std::vector<ExprPtr> exprs;
     for (Res& r : elems) {
       if (any_frame && !r.frame) r = Res{lift(r.expr, j, ctx), true};
@@ -625,6 +702,7 @@ class Flattener {
   Res tau_node(const TupleGet& n, const ExprPtr& e, int j, const Ctx& ctx) {
     Res tuple = tau(n.tuple, j, ctx);
     if (!tuple.frame) {
+      if (n.depth == 0 && tuple.expr == n.tuple) return {e, false};
       return {make_expr(TupleGet{tuple.expr, n.index, 0}, e->type, e->loc),
               false};
     }
@@ -639,6 +717,9 @@ class Flattener {
     for (const ExprPtr& el : n.elems) {
       elems.push_back(tau(el, j, ctx));
       any_frame = any_frame || elems.back().frame;
+    }
+    if (!any_frame && n.depth == 0 && unchanged(elems, n.elems)) {
+      return {e, false};
     }
     std::vector<ExprPtr> exprs;
     for (Res& r : elems) {
@@ -667,11 +748,11 @@ class Flattener {
   /// (Section 3's uniform conversion, composed from Table 2 and Section 4
   /// primitives.)
   ExprPtr lift(const ExprPtr& value, int j, const Ctx& ctx) {
-    PROTEUS_REQUIRE(TransformError, j >= 1 && !ctx.witness.empty(),
+    PROTEUS_REQUIRE(TransformError, j >= 1 && ctx.witness != kNoSym,
                     "internal: no frame witness available for replication");
     PROTEUS_REQUIRE(TransformError, !value->type->is_fun(),
                     "function values cannot be replicated into frames");
-    ExprPtr w = nb::var(ctx.witness, ctx.witness_type);
+    ExprPtr w = nb::var(symbols_.name(ctx.witness), ctx.witness_type);
     if (j == 1) {
       ExprPtr n = nb::prim(Prim::kLength, {w});
       return nb::prim(Prim::kDist, {value, n});
@@ -692,7 +773,10 @@ class Flattener {
   RuleCounts rules_;
   std::set<std::string> generated_;
   std::vector<std::string> worklist_;
-  std::unordered_map<ExprPtr, std::set<std::string>> free_cache_;
+  Symbols symbols_;
+  FreeVarMemo free_{symbols_};
+  std::vector<Binding> env_;  // the binding stack, innermost last
+  std::vector<std::size_t> innermost_;  // per Sym: its top binding in env_
 };
 
 }  // namespace

@@ -31,63 +31,131 @@ bool is_dist_of_var(const ExprPtr& init, ExprPtr* source, ExprPtr* counts,
   return true;
 }
 
+/// Rebuilds `e` with every child replaced by `f(child)`, in source order,
+/// and returns `e` itself when no child changed. Covers the node kinds of
+/// a flattened program except Let, which each pass treats itself; a Let,
+/// Iterator, Call or LambdaExpr comes back as it is.
+template <typename F>
+ExprPtr map_children(const ExprPtr& e, F&& f) {
+  bool changed = false;
+  const auto map = [&](const ExprPtr& c) {
+    ExprPtr r = c == nullptr ? nullptr : f(c);
+    changed = changed || r != c;
+    return r;
+  };
+  const auto map_all = [&](const std::vector<ExprPtr>& items) {
+    std::vector<ExprPtr> out;
+    out.reserve(items.size());
+    for (const ExprPtr& it : items) out.push_back(map(it));
+    return out;
+  };
+  const auto rebuilt = [&](auto node) {
+    return changed ? make_expr(std::move(node), e->type, e->loc) : e;
+  };
+  return std::visit(
+      [&](const auto& node) -> ExprPtr {
+        using T = std::decay_t<decltype(node)>;
+        if constexpr (std::is_same_v<T, If>) {
+          return rebuilt(
+              If{map(node.cond), map(node.then_expr), map(node.else_expr)});
+        } else if constexpr (std::is_same_v<T, PrimCall>) {
+          return rebuilt(
+              PrimCall{node.op, node.depth, map_all(node.args), node.lifted});
+        } else if constexpr (std::is_same_v<T, FunCall>) {
+          return rebuilt(
+              FunCall{node.name, node.depth, map_all(node.args), node.lifted});
+        } else if constexpr (std::is_same_v<T, IndirectCall>) {
+          return rebuilt(IndirectCall{map(node.fn), node.depth,
+                                      map_all(node.args), node.lifted});
+        } else if constexpr (std::is_same_v<T, TupleExpr>) {
+          return rebuilt(TupleExpr{map_all(node.elems), node.depth});
+        } else if constexpr (std::is_same_v<T, TupleGet>) {
+          return rebuilt(TupleGet{map(node.tuple), node.index, node.depth});
+        } else if constexpr (std::is_same_v<T, SeqExpr>) {
+          return rebuilt(
+              SeqExpr{map_all(node.elems), node.elem_type, node.depth});
+        } else {
+          return e;
+        }
+      },
+      e->node);
+}
+
+/// The uses of a replicated variable `name` = dist^d(source, counts):
+/// rewrites every `seq_index^{d+1}(name, idx)` to
+/// `seq_index_inner^d(source, idx)` and every `length^{d+1}(name)` to
+/// `dist^d(length^d(source), counts)`. Any other use clears `ok`.
+/// Scope-aware: a binder shadowing `name` ends its uses, and below a
+/// binder shadowing the source or the counts any use clears `ok`.
+struct SharedRowUses {
+  const std::string& name;
+  const ExprPtr& source;  // a VarRef
+  const ExprPtr& counts;  // a VarRef
+  int dist_depth;
+  bool ok = true;
+
+  ExprPtr rewrite(const ExprPtr& e, bool blocked) {
+    if (e == nullptr || !ok) return e;
+    if (const auto* var = as<VarRef>(e)) {
+      if (!var->is_function && var->name == name) ok = false;  // bare use
+      return e;
+    }
+    if (const auto* call = as<PrimCall>(e);
+        call != nullptr && !blocked && call->depth == dist_depth + 1 &&
+        !call->args.empty() && is_name(call->args[0])) {
+      if (call->op == Prim::kSeqIndex && call->args.size() == 2) {
+        ExprPtr idx = rewrite(call->args[1], blocked);
+        return make_expr(PrimCall{Prim::kSeqIndexInner, dist_depth,
+                                  {source, std::move(idx)},
+                                  {1, 1}},
+                         e->type, e->loc);
+      }
+      if (call->op == Prim::kLength && call->args.size() == 1) {
+        // lengths of replicated rows == replicated lengths of the rows
+        ExprPtr row_lengths = make_expr(
+            PrimCall{Prim::kLength, dist_depth, {source}, {1}},
+            Type::seq_n(Type::int_(), dist_depth), e->loc);
+        return make_expr(PrimCall{Prim::kDist, dist_depth,
+                                  {std::move(row_lengths), counts},
+                                  {1, 1}},
+                         e->type, e->loc);
+      }
+    }
+    if (const auto* let = as<Let>(e)) {
+      ExprPtr init = rewrite(let->init, blocked);
+      ExprPtr body = let->body;
+      if (let->var != name) {
+        body = rewrite(body, blocked ||
+                                 let->var == as<VarRef>(source)->name ||
+                                 let->var == as<VarRef>(counts)->name);
+      }
+      if (init == let->init && body == let->body) return e;
+      return make_expr(Let{let->var, std::move(init), std::move(body)},
+                       e->type, e->loc);
+    }
+    return map_children(
+        e, [&](const ExprPtr& c) { return rewrite(c, blocked); });
+  }
+
+  bool is_name(const ExprPtr& e) const {
+    const auto* var = as<VarRef>(e);
+    return var != nullptr && !var->is_function && var->name == name;
+  }
+};
+
 class SharedRows {
  public:
   ExprPtr rewrite(const ExprPtr& e) {
-    if (e == nullptr) return nullptr;
-    return std::visit(
-        [&](const auto& node) { return rewrite_node(node, e); }, e->node);
-  }
-
- private:
-  template <typename T>
-  ExprPtr rewrite_node(const T& node, const ExprPtr& e) {
-    if constexpr (std::is_same_v<T, Let>) {
-      return rewrite_let(node, e);
-    } else if constexpr (std::is_same_v<T, IntLit> ||
-                         std::is_same_v<T, RealLit> ||
-                         std::is_same_v<T, BoolLit> ||
-                         std::is_same_v<T, VarRef>) {
-      return e;
-    } else if constexpr (std::is_same_v<T, If>) {
-      return make_expr(If{rewrite(node.cond), rewrite(node.then_expr),
-                          rewrite(node.else_expr)},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, PrimCall>) {
-      return make_expr(
-          PrimCall{node.op, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, FunCall>) {
-      return make_expr(
-          FunCall{node.name, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IndirectCall>) {
-      return make_expr(IndirectCall{rewrite(node.fn), node.depth,
-                                    rewrite_all(node.args), node.lifted},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleExpr>) {
-      return make_expr(TupleExpr{rewrite_all(node.elems), node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleGet>) {
-      return make_expr(TupleGet{rewrite(node.tuple), node.index, node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, SeqExpr>) {
-      return make_expr(
-          SeqExpr{rewrite_all(node.elems), node.elem_type, node.depth},
-          e->type, e->loc);
-    } else {
+    if (const auto* let = as<Let>(e)) return rewrite_let(*let, e);
+    if (as<Iterator>(e) != nullptr || as<Call>(e) != nullptr ||
+        as<LambdaExpr>(e) != nullptr) {
       throw TransformError(
           "optimizer expects flattened input (Iterator/Call/Lambda found)");
     }
+    return map_children(e, [&](const ExprPtr& c) { return rewrite(c); });
   }
 
-  std::vector<ExprPtr> rewrite_all(const std::vector<ExprPtr>& items) {
-    std::vector<ExprPtr> out;
-    out.reserve(items.size());
-    for (const ExprPtr& it : items) out.push_back(rewrite(it));
-    return out;
-  }
-
+ private:
   ExprPtr rewrite_let(const Let& node, const ExprPtr& e) {
     ExprPtr init = rewrite(node.init);
     ExprPtr body = rewrite(node.body);
@@ -96,207 +164,65 @@ class SharedRows {
     ExprPtr counts;
     int dist_depth = 0;
     if (is_dist_of_var(init, &source, &counts, &dist_depth)) {
-      bool all_uses_are_sources = true;
-      ExprPtr replaced = replace_uses(body, node.var, source, counts,
-                                      dist_depth, &all_uses_are_sources);
-      if (all_uses_are_sources) {
+      SharedRowUses uses{node.var, source, counts, dist_depth};
+      ExprPtr replaced = uses.rewrite(body, false);
+      if (uses.ok) {
         // Every use became a shared-row gather; the replication is dead.
         return replaced;
       }
     }
+    if (init == node.init && body == node.body) return e;
     return make_expr(Let{node.var, std::move(init), std::move(body)}, e->type,
                      e->loc);
   }
+};
 
-  /// Replaces every `seq_index^{j+1}(V, idx)` use of `name` with
-  /// `seq_index_inner^j(source, idx)` and every `length^{j+1}(V)` with
-  /// `dist^j(length^j(source), counts)`. Any other use of `name` clears
-  /// `*ok`. Scope-aware: shadowing binders stop the substitution.
-  ExprPtr replace_uses(const ExprPtr& e, const std::string& name,
-                       const ExprPtr& source, const ExprPtr& counts,
-                       int dist_depth, bool* ok) {
-    if (e == nullptr || !*ok) return e;
-    if (const auto* var = as<VarRef>(e)) {
-      if (!var->is_function && var->name == name) *ok = false;  // bare use
+/// Removes dead lets in one descent: each call also returns the free set
+/// of what it returns, and a let is dead when its variable is not in the
+/// set of its (already cleaned) body.
+class DeadLets {
+ public:
+  ExprPtr rewrite(const ExprPtr& e, VarSet& free) {
+    if (e == nullptr) {
+      free.clear();
       return e;
     }
-    if (const auto* call = as<PrimCall>(e)) {
-      if (call->op == Prim::kSeqIndex && call->depth == dist_depth + 1 &&
-          call->args.size() == 2) {
-        const auto* src = as<VarRef>(call->args[0]);
-        if (src != nullptr && !src->is_function && src->name == name) {
-          ExprPtr idx = replace_uses(call->args[1], name, source, counts,
-                                     dist_depth, ok);
-          return make_expr(PrimCall{Prim::kSeqIndexInner, dist_depth,
-                                    {source, std::move(idx)},
-                                    {1, 1}},
-                           e->type, e->loc);
-        }
-      }
-      if (call->op == Prim::kLength && call->depth == dist_depth + 1 &&
-          call->args.size() == 1) {
-        const auto* src = as<VarRef>(call->args[0]);
-        if (src != nullptr && !src->is_function && src->name == name) {
-          // lengths of replicated rows == replicated lengths of the rows
-          ExprPtr row_lengths = make_expr(
-              PrimCall{Prim::kLength, dist_depth, {source}, {1}},
-              Type::seq_n(Type::int_(), dist_depth), e->loc);
-          return make_expr(PrimCall{Prim::kDist, dist_depth,
-                                    {std::move(row_lengths), counts},
-                                    {1, 1}},
-                           e->type, e->loc);
-        }
-      }
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : call->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(PrimCall{call->op, call->depth, std::move(args),
-                                call->lifted},
-                       e->type, e->loc);
-    }
     if (const auto* let = as<Let>(e)) {
-      ExprPtr init = replace_uses(let->init, name, source, counts, dist_depth, ok);
-      // A binder shadowing the replicated variable, the shared source, or
-      // the replication counts ends the region where the rewrite is sound.
-      const auto* src_var = as<VarRef>(source);
-      const auto* cnt_var = as<VarRef>(counts);
-      ExprPtr body = let->body;
-      if (let->var == name) {
-        // Occurrences below refer to the inner binding; nothing to do.
-      } else if ((src_var != nullptr && let->var == src_var->name) ||
-                 (cnt_var != nullptr && let->var == cnt_var->name)) {
-        // The shared source (or its counts) is shadowed below; remaining
-        // uses of the replicated variable there cannot be rewritten.
-        if (occurs_free(let->body, name)) *ok = false;
-      } else {
-        body = replace_uses(let->body, name, source, counts, dist_depth, ok);
-      }
+      ExprPtr body = rewrite(let->body, free);
+      const Sym var = symbols_.intern(let->var);
+      if (!contains_var(free, var)) return body;
+      drop_var(free, var);
+      VarSet init_free;
+      ExprPtr init = rewrite(let->init, init_free);
+      add_vars(free, init_free);
+      if (init == let->init && body == let->body) return e;
       return make_expr(Let{let->var, std::move(init), std::move(body)},
                        e->type, e->loc);
     }
-    if (const auto* cond = as<If>(e)) {
-      return make_expr(
-          If{replace_uses(cond->cond, name, source, counts, dist_depth, ok),
-             replace_uses(cond->then_expr, name, source, counts, dist_depth,
-                          ok),
-             replace_uses(cond->else_expr, name, source, counts, dist_depth,
-                          ok)},
-          e->type, e->loc);
+    if (const auto* var = as<VarRef>(e)) {
+      free.clear();
+      if (!var->is_function) free.push_back(symbols_.intern(var->name));
+      return e;
     }
-    if (const auto* fn = as<FunCall>(e)) {
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : fn->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(FunCall{fn->name, fn->depth, std::move(args),
-                               fn->lifted},
-                       e->type, e->loc);
+    if (as<Iterator>(e) != nullptr || as<Call>(e) != nullptr ||
+        as<LambdaExpr>(e) != nullptr) {
+      // These may legitimately appear when the pass is used on
+      // un-flattened trees; leave them intact.
+      free = untouched_.of(e);
+      return e;
     }
-    if (const auto* in = as<IndirectCall>(e)) {
-      std::vector<ExprPtr> args;
-      for (const ExprPtr& a : in->args) {
-        args.push_back(replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(
-          IndirectCall{replace_uses(in->fn, name, source, counts, dist_depth,
-                                    ok),
-                       in->depth, std::move(args), in->lifted},
-          e->type, e->loc);
-    }
-    if (const auto* tup = as<TupleExpr>(e)) {
-      std::vector<ExprPtr> elems;
-      for (const ExprPtr& a : tup->elems) {
-        elems.push_back(
-            replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(TupleExpr{std::move(elems), tup->depth}, e->type,
-                       e->loc);
-    }
-    if (const auto* get = as<TupleGet>(e)) {
-      return make_expr(
-          TupleGet{replace_uses(get->tuple, name, source, counts, dist_depth,
-                                ok),
-                   get->index, get->depth},
-          e->type, e->loc);
-    }
-    if (const auto* lit = as<SeqExpr>(e)) {
-      std::vector<ExprPtr> elems;
-      for (const ExprPtr& a : lit->elems) {
-        elems.push_back(
-            replace_uses(a, name, source, counts, dist_depth, ok));
-      }
-      return make_expr(SeqExpr{std::move(elems), lit->elem_type, lit->depth},
-                       e->type, e->loc);
-    }
-    return e;  // literals
-  }
-};
-
-}  // namespace
-
-namespace {
-
-class DeadLets {
- public:
-  ExprPtr rewrite(const ExprPtr& e) {
-    if (e == nullptr) return nullptr;
-    return std::visit(
-        [&](const auto& node) { return rewrite_node(node, e); }, e->node);
+    free.clear();
+    return map_children(e, [&](const ExprPtr& c) {
+      VarSet child;
+      ExprPtr r = rewrite(c, child);
+      add_vars(free, child);
+      return r;
+    });
   }
 
  private:
-  template <typename T>
-  ExprPtr rewrite_node(const T& node, const ExprPtr& e) {
-    if constexpr (std::is_same_v<T, Let>) {
-      ExprPtr body = rewrite(node.body);
-      if (!occurs_free(body, node.var)) return body;
-      return make_expr(Let{node.var, rewrite(node.init), std::move(body)},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IntLit> ||
-                         std::is_same_v<T, RealLit> ||
-                         std::is_same_v<T, BoolLit> ||
-                         std::is_same_v<T, VarRef>) {
-      return e;
-    } else if constexpr (std::is_same_v<T, If>) {
-      return make_expr(If{rewrite(node.cond), rewrite(node.then_expr),
-                          rewrite(node.else_expr)},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, PrimCall>) {
-      return make_expr(
-          PrimCall{node.op, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, FunCall>) {
-      return make_expr(
-          FunCall{node.name, node.depth, rewrite_all(node.args), node.lifted},
-          e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, IndirectCall>) {
-      return make_expr(IndirectCall{rewrite(node.fn), node.depth,
-                                    rewrite_all(node.args), node.lifted},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleExpr>) {
-      return make_expr(TupleExpr{rewrite_all(node.elems), node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, TupleGet>) {
-      return make_expr(TupleGet{rewrite(node.tuple), node.index, node.depth},
-                       e->type, e->loc);
-    } else if constexpr (std::is_same_v<T, SeqExpr>) {
-      return make_expr(
-          SeqExpr{rewrite_all(node.elems), node.elem_type, node.depth},
-          e->type, e->loc);
-    } else {
-      // Iterator/Call/Lambda may legitimately appear when the pass is used
-      // on un-flattened trees; leave them intact.
-      return e;
-    }
-  }
-
-  std::vector<ExprPtr> rewrite_all(const std::vector<ExprPtr>& items) {
-    std::vector<ExprPtr> out;
-    out.reserve(items.size());
-    for (const ExprPtr& it : items) out.push_back(rewrite(it));
-    return out;
-  }
+  Symbols symbols_;
+  FreeVarMemo untouched_{symbols_};
 };
 
 }  // namespace
@@ -305,14 +231,19 @@ ExprPtr optimize_shared_rows(const ExprPtr& e) {
   return SharedRows().rewrite(e);
 }
 
-ExprPtr remove_dead_lets(const ExprPtr& e) { return DeadLets().rewrite(e); }
+ExprPtr remove_dead_lets(const ExprPtr& e) {
+  VarSet free;
+  return DeadLets().rewrite(e, free);
+}
 
 Program remove_dead_lets(const Program& program) {
   Program out;
   out.functions.reserve(program.functions.size());
+  DeadLets pass;
+  VarSet free;
   for (const FunDef& f : program.functions) {
     FunDef g = f;
-    g.body = remove_dead_lets(f.body);
+    g.body = pass.rewrite(f.body, free);
     out.functions.push_back(std::move(g));
   }
   return out;

@@ -2,7 +2,10 @@
 // transformed programs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lang/lang.hpp"
+#include "rt/rt.hpp"
 
 namespace proteus::lang {
 namespace {
@@ -58,6 +61,25 @@ TEST(Printer, FunctionDefinition) {
 TEST(Printer, IteratorWithFilter) {
   EXPECT_EQ(to_text(parse_expression("[x <- v | p(x) : f(x)]")),
             "[x <- v | p(x) : f(x)]");
+}
+
+TEST(Printer, PrefixStopsAtTheLimit) {
+  std::string src;
+  for (int i = 0; i < 100; ++i) src += "let x" + std::to_string(i) + " = 1 in ";
+  src += "0";
+  ExprPtr e = parse_expression(src);
+  const std::string full = to_text(e);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{64},
+                        std::size_t{65}, full.size(), full.size() + 10}) {
+    EXPECT_EQ(to_text(e, n), full.substr(0, n)) << n;
+  }
+  // The whole tree is 100 lets deep, so rendering it all traps under a
+  // depth-30 budget (DepthGuard.PrinterTrapsUnderTightDepthBudget); the
+  // 65-character prefix ends a few lets in.
+  rt::ExecBudget b;
+  b.max_depth = 30;
+  rt::GovernorScope scope(b);
+  EXPECT_EQ(to_text(e, 65), full.substr(0, 65));
 }
 
 TEST(Printer, PrimNameTable) {

@@ -4,12 +4,16 @@
 #include "core/proteus.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
+#include "xform/build.hpp"
 #include "xform/optimize.hpp"
 #include "testing.hpp"
 
 namespace proteus::xform {
 namespace {
 
+using lang::ExprPtr;
+using lang::Prim;
+using lang::Type;
 using testing::val;
 
 // The only depth-2 use of `row` is as a seq_index source (the bound #row
@@ -131,6 +135,114 @@ TEST(Optimize, Idempotent) {
   lang::Program again = optimize_shared_rows(flat);
   again = remove_dead_lets(again);
   EXPECT_EQ(lang::to_text(again), lang::to_text(flat));
+}
+
+// Hand-built V fragments for the scoping rules of the shared-row rewrite
+// and of dead-let removal. `V` is bound to dist^1(s, c) and used at depth
+// 2; every other name is free.
+namespace frag {
+
+using lang::ExprPtr;
+using lang::Prim;
+using lang::Type;
+
+ExprPtr var(const char* name, int depth) {
+  return nb::var(name, Type::seq_n(Type::int_(), depth));
+}
+
+ExprPtr dist_v(ExprPtr body) {
+  return nb::let("V",
+                 nb::prim_d(Prim::kDist, 1, {var("s", 2), var("c", 1)},
+                            {1, 1}, Type::seq_n(Type::int_(), 3)),
+                 std::move(body));
+}
+
+ExprPtr index_v() {
+  return nb::prim_d(Prim::kSeqIndex, 2, {var("V", 3), var("i", 2)}, {1, 1},
+                    Type::seq_n(Type::int_(), 2));
+}
+
+ExprPtr length_v() {
+  return nb::prim_d(Prim::kLength, 2, {var("V", 3)}, {1},
+                    Type::seq_n(Type::int_(), 2));
+}
+
+ExprPtr add2(ExprPtr a, ExprPtr b) {
+  return nb::prim_d(Prim::kAdd, 2, {std::move(a), std::move(b)}, {1, 1},
+                    Type::seq_n(Type::int_(), 2));
+}
+
+std::string cleaned(const ExprPtr& e) {
+  return lang::to_text(remove_dead_lets(optimize_shared_rows(e)));
+}
+
+}  // namespace frag
+
+TEST(Optimize, SharedRowRewriteAtDepthTwo) {
+  EXPECT_EQ(frag::cleaned(frag::dist_v(frag::index_v())),
+            "seq_index_inner^1(s, i)");
+  EXPECT_EQ(frag::cleaned(frag::dist_v(frag::length_v())),
+            "dist^1(length^1(s), c)");
+}
+
+TEST(Optimize, LetRebindingTheSourceBlocksTheRewriteBelowIt) {
+  // A use of V under `let s = ...` would gather from the wrong rows.
+  EXPECT_EQ(frag::cleaned(frag::dist_v(
+                nb::let("s", frag::var("i", 2),
+                        frag::add2(frag::index_v(), frag::var("s", 2))))),
+            "let V = dist^1(s, c) in let s = i in add^2(seq_index^2(V, i), s)");
+  // A use of V before the rebinding still rewrites.
+  EXPECT_EQ(frag::cleaned(frag::dist_v(frag::add2(
+                frag::index_v(),
+                nb::let("s", frag::var("i", 2), frag::var("s", 2))))),
+            "add^2(seq_index_inner^1(s, i), let s = i in s)");
+}
+
+TEST(Optimize, LetRebindingTheCountsBlocksTheRewriteBelowIt) {
+  EXPECT_EQ(frag::cleaned(frag::dist_v(
+                nb::let("c", frag::var("k", 1),
+                        frag::add2(frag::length_v(), frag::var("c", 1))))),
+            "let V = dist^1(s, c) in let c = k in add^2(length^2(V), c)");
+}
+
+TEST(Optimize, LetRebindingTheReplicatedVariableEndsItsUses) {
+  // Below the inner `let V`, V is the inner binding: the outer replication
+  // has no uses left and disappears.
+  EXPECT_EQ(frag::cleaned(frag::dist_v(
+                nb::let("V", frag::var("i", 3), frag::index_v()))),
+            "let V = i in seq_index^2(V, i)");
+}
+
+TEST(Optimize, DeadLetUsingTheReplicationStillBlocksTheRewrite) {
+  // The dead let's init is the only non-source use of V. The shared-row
+  // pass runs first and sees it; dead-let removal then drops the let.
+  ExprPtr dead = nb::let(
+      "d",
+      nb::prim_d(Prim::kSum, 2, {frag::var("V", 3)}, {1},
+                 Type::seq_n(Type::int_(), 2)),
+      frag::index_v());
+  EXPECT_EQ(frag::cleaned(frag::dist_v(dead)),
+            "let V = dist^1(s, c) in seq_index^2(V, i)");
+}
+
+TEST(Optimize, DeadLetsFollowShadowing) {
+  const ExprPtr one = nb::int_lit(1);
+  const ExprPtr two = nb::int_lit(2);
+  const ExprPtr x = nb::var("x", Type::int_());
+  // The outer x is shadowed before any use.
+  EXPECT_EQ(lang::to_text(remove_dead_lets(
+                nb::let("x", one, nb::let("x", two, x)))),
+            "let x = 2 in x");
+  // Its only use sits in a let that is itself dead.
+  EXPECT_EQ(lang::to_text(remove_dead_lets(nb::let(
+                "x", one,
+                nb::let("y", x, nb::let("x", two, x))))),
+            "let x = 2 in x");
+  // The inner init still reads the outer binding.
+  EXPECT_EQ(lang::to_text(remove_dead_lets(nb::let(
+                "x", one,
+                nb::let("x", nb::prim(Prim::kAdd, {x, two}), x)))),
+            "let x = 1 in let x = (x + 2) in x");
 }
 
 TEST(Optimize, PaperQuoteBench) {
