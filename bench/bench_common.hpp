@@ -123,7 +123,8 @@ inline std::uint64_t best_wall_ns(::benchmark::State& state, Fn&& fn) {
 ///
 /// `metrics` is the session's unified per-run registry (the same names
 /// `proteusc --stats=json` emits), so work / steps / per-primitive
-/// counters ride along with the wall-clock numbers.
+/// counters ride along with the wall-clock numbers. A workload that runs
+/// several programs names each run's program in a `"case"` field.
 class JsonReporter {
  public:
   static JsonReporter& instance() {
@@ -132,18 +133,22 @@ class JsonReporter {
   }
 
   void record(const std::string& workload, std::string_view engine,
-              std::int64_t n, std::uint64_t wall_ns,
-              const Session& session) {
-    record(workload, engine, n, wall_ns, session.last_cost().metrics);
+              std::int64_t n, std::uint64_t wall_ns, const Session& session,
+              std::string_view run_case = {}) {
+    record(workload, engine, n, wall_ns, session.last_cost().metrics,
+           run_case);
   }
 
   /// For benches whose unit of measurement is not a Session run (e.g.
   /// bench_serve reports the daemon's serve.* counters instead).
   void record(const std::string& workload, std::string_view engine,
               std::int64_t n, std::uint64_t wall_ns,
-              const obs::MetricsRegistry& metrics) {
+              const obs::MetricsRegistry& metrics,
+              std::string_view run_case = {}) {
     std::ostringstream os;
-    os << "{\"engine\":\"" << engine << "\",\"backend\":\""
+    os << '{';
+    if (!run_case.empty()) os << "\"case\":\"" << run_case << "\",";
+    os << "\"engine\":\"" << engine << "\",\"backend\":\""
        << backend_name() << "\",\"n\":" << n << ",\"wall_ns\":" << wall_ns
        << ",\"metrics\":";
     metrics.write_json(os);
@@ -152,7 +157,7 @@ class JsonReporter {
     // iteration count; keep only the final (longest-running) measurement
     // of each configuration.
     std::ostringstream key;
-    key << engine << '/' << backend_name() << '/' << n;
+    key << run_case << '/' << engine << '/' << backend_name() << '/' << n;
     auto& runs = runs_[workload];
     for (auto& [k, json] : runs) {
       if (k == key.str()) {

@@ -1,7 +1,7 @@
 // bench_vm_fusion — VCODE superinstruction fusion (-O1) vs the unfused
 // instruction stream (-O0) on the bytecode VM.
 //
-// Two workload families stress the optimizer from opposite ends:
+// Three workload families stress the optimizer from different sides:
 //
 //   fma_chain  — a long elementwise arithmetic chain over a flat vector
 //                (the best case: one fused kernel replaces seven
@@ -9,15 +9,24 @@
 //   quicksort  — recursive divide-and-conquer where only the pivot
 //                compare chains fuse and most time is in permutation
 //                primitives (the realistic case: fusion must help a
-//                little and hurt nothing).
+//                little and hurt nothing);
+//   count_reachable — examples/programs/graph.p's frontier expansion,
+//                whose iterators over sequences read each element
+//                through an identity gather that -O1 elides.
 //
 // Both sessions compile the identical source; the only difference is
 // PipelineOptions::optimize_vcode, so the wall-clock gap is pure
-// fusion: saved dispatch, saved intermediate allocations (visible as
-// the vl.buffer_allocs metric in BENCH_vm_fusion.json), and in-place
-// execution of last-use operands.
+// optimization: saved dispatch, saved intermediate allocations (visible
+// as the vl.buffer_allocs metric in BENCH_vm_fusion.json), in-place
+// execution of last-use operands, and the elided gathers' element work
+// (vl.element_work, the `work` counter).
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -54,6 +63,35 @@ const char* kQuicksort = R"(
       parts[1] ++ [x <- v | x == pivot : x] ++ parts[2]
 )";
 
+std::string read_program(const char* relative) {
+  std::ifstream in(std::string(PROTEUS_SOURCE_DIR) + "/" + relative);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// graph.p adjacency lists: `n` vertices, each with `degree` distinct
+/// out-neighbours other than itself.
+interp::Value random_graph(std::uint64_t seed, int n, int degree) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<vl::Int> pick(1, n);
+  interp::ValueList rows;
+  rows.reserve(static_cast<std::size_t>(n));
+  for (vl::Int v = 1; v <= n; ++v) {
+    std::vector<vl::Int> out;
+    while (static_cast<int>(out.size()) < degree) {
+      const vl::Int w = pick(rng);
+      if (w != v && std::find(out.begin(), out.end(), w) == out.end()) {
+        out.push_back(w);
+      }
+    }
+    interp::ValueList row;
+    for (const vl::Int w : out) row.push_back(interp::Value::ints(w));
+    rows.push_back(interp::Value::seq(std::move(row)));
+  }
+  return interp::Value::seq(std::move(rows));
+}
+
 xform::PipelineOptions options_for(bool fused) {
   xform::PipelineOptions options;
   options.optimize_vcode = fused;
@@ -63,7 +101,7 @@ xform::PipelineOptions options_for(bool fused) {
 /// Runs `fn(args)` on the VM of a session compiled with or without the
 /// VCODE optimizer and records the best wall time plus the run's metric
 /// registry (vl.buffer_allocs shows the saved intermediates) into
-/// BENCH_vm_fusion.json under engine "vm-O0" / "vm-O1".
+/// BENCH_vm_fusion.json under engine "vm-O0" / "vm-O1" and case `fn`.
 void run_fusion(benchmark::State& state, const std::string& source,
                 bool fused, const std::string& fn,
                 const interp::ValueList& args) {
@@ -79,7 +117,7 @@ void run_fusion(benchmark::State& state, const std::string& source,
       session.compiled().fusion.fused_chains);
   state.SetItemsProcessed(state.iterations() * state.range(0));
   JsonReporter::instance().record("vm_fusion", fused ? "vm-O1" : "vm-O0",
-                                  state.range(0), best, session);
+                                  state.range(0), best, session, fn);
 }
 
 void fma_chain_bench(benchmark::State& state, bool fused) {
@@ -101,12 +139,21 @@ void quicksort_bench(benchmark::State& state, bool fused) {
   run_fusion(state, kQuicksort, fused, "quicksort", {input});
 }
 
+void reach_bench(benchmark::State& state, bool fused) {
+  const int n = static_cast<int>(state.range(0));
+  interp::ValueList args = {random_graph(11, n, 4), interp::Value::ints(1)};
+  run_fusion(state, read_program("examples/programs/graph.p"), fused,
+             "count_reachable", args);
+}
+
 void BM_fma_chain_O0(benchmark::State& s) { fma_chain_bench(s, false); }
 void BM_fma_chain_O1(benchmark::State& s) { fma_chain_bench(s, true); }
 void BM_fma_rounds_O0(benchmark::State& s) { fma_rounds_bench(s, false); }
 void BM_fma_rounds_O1(benchmark::State& s) { fma_rounds_bench(s, true); }
 void BM_quicksort_O0(benchmark::State& s) { quicksort_bench(s, false); }
 void BM_quicksort_O1(benchmark::State& s) { quicksort_bench(s, true); }
+void BM_count_reachable_O0(benchmark::State& s) { reach_bench(s, false); }
+void BM_count_reachable_O1(benchmark::State& s) { reach_bench(s, true); }
 
 // The acceptance bar: >= 1.5x on the elementwise chain at n = 1M+.
 BENCHMARK(BM_fma_chain_O0)->RangeMultiplier(10)->Range(10000, 4000000);
@@ -115,6 +162,8 @@ BENCHMARK(BM_fma_rounds_O0)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_fma_rounds_O1)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_O0)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_O1)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_count_reachable_O0)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_count_reachable_O1)->Arg(400)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

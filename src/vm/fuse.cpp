@@ -33,8 +33,12 @@ class FunctionOptimizer {
   void run() {
     if (fn_.code.empty()) return;
     load();
-    propagate_copies();
-    fuse_chains();
+    // Nothing is compacted until fusion ends, so the first three passes
+    // share one set of block boundaries.
+    const std::vector<std::size_t> starts = block_starts();
+    elide_identity_gathers(starts);
+    propagate_copies(starts);
+    fuse_chains(starts);
     compact();
     while (eliminate_dead()) compact();
     mark_last_uses();
@@ -131,13 +135,107 @@ class FunctionOptimizer {
     return starts;
   }
 
-  // --- pass 1: block-local copy propagation ----------------------------------
+  /// Block-local reaching definitions of the current IR: for every operand
+  /// occurrence, the pc of the in-block instruction whose result it reads
+  /// (-1: the value the register held on entry to the block), read back
+  /// with reach_at(pc, slot). Hands each block's last pc and final defs
+  /// (per register) to `block_end(last, reach)`.
+  template <typename BlockEnd>
+  void scan_reaching_defs(const std::vector<std::size_t>& starts,
+                          BlockEnd&& block_end) {
+    reach_off_.resize(ir_.size());
+    std::size_t off = 0;
+    for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
+      reach_off_[pc] = off;
+      off += ir_[pc].args.size();
+    }
+    reach_.assign(off, -1);
+    std::vector<std::int64_t> reach(fn_.n_regs);
+    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+      const std::size_t lo = starts[b];
+      const std::size_t hi = starts[b + 1];
+      if (lo == hi) continue;
+      std::fill(reach.begin(), reach.end(), -1);
+      for (std::size_t pc = lo; pc < hi; ++pc) {
+        const IInstr& ii = ir_[pc];
+        for (std::size_t s = 0; s < ii.args.size(); ++s) {
+          reach_[reach_off_[pc] + s] = reach[ii.args[s]];
+        }
+        if (writes_dst(ii.in.op)) {
+          reach[ii.in.dst] = static_cast<std::int64_t>(pc);
+        }
+      }
+      block_end(hi - 1, reach);
+    }
+  }
+
+  std::int64_t reach_at(std::size_t pc, std::size_t slot) const {
+    return reach_[reach_off_[pc] + slot];
+  }
+
+  // --- pass 1: identity-gather elision ---------------------------------------
+
+  /// True when `in` is `prim` of family `op` and, at depth 1, reads a
+  /// frame operand.
+  bool applies(const Instr& in, Op op, lang::Prim prim) const {
+    return in.op == op && in.prim == prim &&
+           (in.depth == 0 || lifted_operand(fn_, in, 0));
+  }
+
+  /// True when `d` is an in-block def applying the unary `prim` at
+  /// `depth`.
+  bool defines(std::int64_t d, Op op, lang::Prim prim, int depth) const {
+    if (d < 0) return false;
+    const IInstr& ii = ir_[static_cast<std::size_t>(d)];
+    return ii.in.depth == depth && ii.args.size() == 1 &&
+           applies(ii.in, op, prim);
+  }
+
+  /// R1 iterates `[x <- v : e]` over range1(#v) and reads x as v[i], which
+  /// R2 lowers to seq_index^1(v, range1(length(v))) — and one level down
+  /// (Section 4.5) to seq_index_inner^1(v, range1^1(length^1(v))): a
+  /// gather of every element of v in order, i.e. v itself. Each such
+  /// gather whose index and length are in-block defs reading the same def
+  /// of v becomes a move; copy propagation and dead-code elimination
+  /// remove the rest. The indices are in range by construction, so no
+  /// error is lost.
+  void elide_identity_gathers(const std::vector<std::size_t>& starts) {
+    scan_reaching_defs(starts, [](auto&&...) {});
+    for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
+      IInstr& g = ir_[pc];
+      if (g.in.op != Op::kGather || g.in.depth != 1 || g.args.size() != 2) {
+        continue;
+      }
+      // seq_index^1 reads the one broadcast v (lifted=01);
+      // seq_index_inner^1 reads each slot's own row (lifted=11).
+      const bool inner = g.in.prim == lang::Prim::kSeqIndexInner;
+      if (!inner && g.in.prim != lang::Prim::kSeqIndex) continue;
+      if (lifted_operand(fn_, g.in, 0) != inner ||
+          !lifted_operand(fn_, g.in, 1)) {
+        continue;
+      }
+      const int depth = inner ? 1 : 0;
+      const std::int64_t range = reach_at(pc, 1);
+      if (!defines(range, Op::kBuild, lang::Prim::kRange1, depth)) continue;
+      const std::int64_t len = reach_at(static_cast<std::size_t>(range), 0);
+      if (!defines(len, Op::kReduce, lang::Prim::kLength, depth)) continue;
+      const auto lp = static_cast<std::size_t>(len);
+      if (ir_[lp].args[0] != g.args[0] ||
+          reach_at(lp, 0) != reach_at(pc, 0)) {
+        continue;
+      }
+      g.in = Instr{.op = Op::kMove, .dst = g.in.dst};
+      g.args.resize(1);
+      stats_.elided_gathers += 1;
+    }
+  }
+
+  // --- pass 2: block-local copy propagation ----------------------------------
 
   /// Rewrites uses of move destinations to their sources so the moves go
   /// dead (and chains flow through the original registers, which fusion
   /// can then follow).
-  void propagate_copies() {
-    const std::vector<std::size_t> starts = block_starts();
+  void propagate_copies(const std::vector<std::size_t>& starts) {
     for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
       std::map<std::uint16_t, std::uint16_t> copy;
       for (std::size_t pc = starts[b]; pc < starts[b + 1]; ++pc) {
@@ -157,7 +255,7 @@ class FunctionOptimizer {
     }
   }
 
-  // --- pass 2: elementwise chain fusion --------------------------------------
+  // --- pass 3: elementwise chain fusion --------------------------------------
 
   bool fusible_instr(std::size_t pc) const {
     const IInstr& ii = ir_[pc];
@@ -167,41 +265,29 @@ class FunctionOptimizer {
                static_cast<std::size_t>(lang::prim_arity(ii.in.prim));
   }
 
-  void fuse_chains() {
+  void fuse_chains(const std::vector<std::size_t>& starts) {
     const Liveness live = liveness();
-    const std::vector<std::size_t> starts = block_starts();
     absorbed_.assign(ir_.size(), 0);
-    reach_at_.assign(ir_.size(), {});
     use_count_.assign(ir_.size(), 0);
     escape_.assign(ir_.size(), 0);
 
-    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
-      const std::size_t lo = starts[b];
-      const std::size_t hi = starts[b + 1];
-      if (lo == hi) continue;
-
-      // Forward scan: the in-block reaching def of every operand
-      // occurrence, per-def use counts, and which defs escape the block.
-      std::vector<std::int64_t> reach(fn_.n_regs, -1);
-      for (std::size_t pc = lo; pc < hi; ++pc) {
-        IInstr& ii = ir_[pc];
-        reach_at_[pc].assign(ii.args.size(), -1);
-        for (std::size_t s = 0; s < ii.args.size(); ++s) {
-          const std::int64_t d = reach[ii.args[s]];
-          reach_at_[pc][s] = d;
-          if (d >= 0) use_count_[static_cast<std::size_t>(d)] += 1;
-        }
-        if (writes_dst(ii.in.op)) {
-          reach[ii.in.dst] = static_cast<std::int64_t>(pc);
-        }
-      }
+    // The in-block reaching def of every operand occurrence, per-def use
+    // counts, and which defs escape their block.
+    scan_reaching_defs(starts, [&](std::size_t last,
+                                   const std::vector<std::int64_t>& reach) {
       for (std::size_t r = 0; r < fn_.n_regs; ++r) {
-        if (reach[r] >= 0 && live.live_out(hi - 1, r)) {
+        if (reach[r] >= 0 && live.live_out(last, r)) {
           escape_[static_cast<std::size_t>(reach[r])] = 1;
         }
       }
+    });
+    for (const std::int64_t d : reach_) {
+      if (d >= 0) use_count_[static_cast<std::size_t>(d)] += 1;
+    }
 
-      for (std::size_t pc = hi; pc-- > lo;) {
+    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+      const std::size_t lo = starts[b];
+      for (std::size_t pc = starts[b + 1]; pc-- > lo;) {
         if (fusible_instr(pc) && absorbed_[pc] == 0) try_fuse(pc, lo);
       }
     }
@@ -238,7 +324,7 @@ class FunctionOptimizer {
       const IInstr& ii = ir_[parts[i]];
       for (std::size_t s = 0; s < ii.args.size(); ++s) {
         if (!lifted_operand(fn_, ii.in, s)) continue;
-        const std::int64_t d = reach_at_[parts[i]][s];
+        const std::int64_t d = reach_at(parts[i], s);
         if (!absorbable(d, root, lo)) continue;
         const auto dp = static_cast<std::size_t>(d);
         if (std::find(parts.begin(), parts.end(), dp) != parts.end()) continue;
@@ -263,7 +349,7 @@ class FunctionOptimizer {
       const IInstr& ii = ir_[p];
       std::uint8_t children[2] = {0, 0};
       for (std::size_t s = 0; s < ii.args.size(); ++s) {
-        const std::int64_t d = reach_at_[p][s];
+        const std::int64_t d = reach_at(p, s);
         const auto it = d >= 0 ? node_of.find(static_cast<std::size_t>(d))
                                : node_of.end();
         if (it != node_of.end()) {
@@ -308,28 +394,59 @@ class FunctionOptimizer {
     stats_.eliminated_instrs += parts.size() - 1;
   }
 
-  // --- pass 3: dead move/constant elimination --------------------------------
+  // --- pass 4: dead-code elimination -----------------------------------------
 
+  /// Instructions with no effect but their destination: register moves,
+  /// constants, and the length/range1 an elided gather leaves behind
+  /// (over a frame operand neither throws; only a budget or
+  /// injected-fault trap can stop them).
+  bool pure(const Instr& in) const {
+    switch (in.op) {
+      case Op::kMove:
+      case Op::kConst:
+      case Op::kLoadFun:
+        return true;
+      default:
+        return applies(in, Op::kReduce, lang::Prim::kLength) ||
+               applies(in, Op::kBuild, lang::Prim::kRange1);
+    }
+  }
+
+  /// Removes pure instructions whose destination is dead. Each block is
+  /// swept backward from its live-out set, so a chain of dead defs inside
+  /// one block (move <- range1 <- length) goes in a single round; only
+  /// chains that cross blocks need another.
   bool eliminate_dead() {
     const Liveness live = liveness();
+    const std::vector<std::size_t> starts = block_starts();
+    std::vector<std::uint8_t> needed(fn_.n_regs);
     bool removed_any = false;
-    for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
-      IInstr& ii = ir_[pc];
-      const Op op = ii.in.op;
-      const bool pure =
-          op == Op::kMove || op == Op::kConst || op == Op::kLoadFun;
-      if (!pure) continue;
-      const bool self_move = op == Op::kMove && ii.args[0] == ii.in.dst;
-      if (!self_move && live.live_out(pc, ii.in.dst)) continue;
-      ii.removed = true;
-      removed_any = true;
-      stats_.eliminated_instrs += 1;
-      if (op == Op::kMove) stats_.eliminated_moves += 1;
+    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+      const std::size_t lo = starts[b];
+      const std::size_t hi = starts[b + 1];
+      if (lo == hi) continue;
+      for (std::size_t r = 0; r < fn_.n_regs; ++r) {
+        needed[r] = live.live_out(hi - 1, r) ? 1 : 0;
+      }
+      for (std::size_t pc = hi; pc-- > lo;) {
+        IInstr& ii = ir_[pc];
+        const Op op = ii.in.op;
+        const bool self_move = op == Op::kMove && ii.args[0] == ii.in.dst;
+        if (pure(ii.in) && (self_move || needed[ii.in.dst] == 0)) {
+          ii.removed = true;
+          removed_any = true;
+          stats_.eliminated_instrs += 1;
+          if (op == Op::kMove) stats_.eliminated_moves += 1;
+          continue;
+        }
+        if (writes_dst(op)) needed[ii.in.dst] = 0;
+        for (const std::uint16_t r : ii.args) needed[r] = 1;
+      }
     }
     return removed_any;
   }
 
-  // --- pass 4: last-use marking for in-place execution -----------------------
+  // --- pass 5: last-use marking for in-place execution -----------------------
 
   void mark_last_uses() {
     if (fused_.empty()) return;
@@ -358,7 +475,8 @@ class FunctionOptimizer {
   std::vector<IInstr> ir_;
   std::vector<FusedExpr> fused_;
   std::vector<std::uint8_t> absorbed_;
-  std::vector<std::vector<std::int64_t>> reach_at_;
+  std::vector<std::int64_t> reach_;       ///< see scan_reaching_defs
+  std::vector<std::size_t> reach_off_;    ///< pc -> first slot in reach_
   std::vector<std::size_t> use_count_;
   std::vector<std::uint8_t> escape_;
 };

@@ -184,11 +184,12 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
         break;
     }
 
-    // Kernel opcodes: attribute vl element work (and, when profiling,
-    // wall time) to this opcode family. The span costs one branch per
-    // kernel instruction when no tracer is installed.
+    // Kernel opcodes: attribute vl primitives and element work (and, when
+    // profiling, wall time) to this opcode family. The span costs one
+    // branch per kernel instruction when no tracer is installed.
     obs::Span span("op", op_name(in.op));
     const std::uint64_t work0 = vl::stats().element_work;
+    const std::uint64_t calls0 = vl::stats().primitive_calls;
     const Clock::time_point t0 = profile ? Clock::now() : Clock::time_point{};
     VValue out;
     switch (in.op) {
@@ -239,6 +240,7 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
         const bool any = kernels::any_true_frame(regs[a[0]]);
         clear_dead(at);
         prof.element_work += vl::stats().element_work - work0;
+        prof.primitive_calls += vl::stats().primitive_calls - calls0;
         if (span.active()) {
           span.counter("elements", vl::stats().element_work - work0);
         }
@@ -296,6 +298,7 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
         throw EvalError("vm: corrupt instruction stream");
     }
     prof.element_work += vl::stats().element_work - work0;
+    prof.primitive_calls += vl::stats().primitive_calls - calls0;
     if (span.active()) {
       span.counter("elements", vl::stats().element_work - work0);
     }

@@ -49,9 +49,10 @@ struct VMOptions {
 
 /// Accumulated cost of one opcode across a run.
 struct OpProfile {
-  std::uint64_t count = 0;         ///< instructions dispatched
-  std::uint64_t element_work = 0;  ///< vl element work attributed
-  std::uint64_t nanos = 0;         ///< wall time (VMOptions::profile only)
+  std::uint64_t count = 0;            ///< instructions dispatched
+  std::uint64_t element_work = 0;     ///< vl element work attributed
+  std::uint64_t primitive_calls = 0;  ///< vl primitives attributed
+  std::uint64_t nanos = 0;            ///< wall time (VMOptions::profile only)
 };
 
 /// Execution counters of a VM (vl::stats()-compatible element-work

@@ -1,13 +1,21 @@
 // The VCODE optimizer (vm/fuse.hpp): fusion actually fires on
 // elementwise chains, -O1 and -O0 agree on results AND on the emulated
-// cost model (only the physical buffer_allocs counter may drop),
-// in-place buffer reuse is suppressed when the caller retains the input,
-// and throw behaviour (division by zero mid-chain) survives fusion.
+// cost model (only the physical buffer_allocs counter may drop, plus the
+// exact work of the identity gathers R1's iterators leave, which -O1
+// elides), in-place buffer reuse is suppressed when the caller retains
+// the input, and throw behaviour (division by zero mid-chain) survives
+// fusion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "program_gen.hpp"
 #include "testing.hpp"
 #include "vm/disasm.hpp"
 #include "vm/fuse.hpp"
@@ -22,6 +30,13 @@ using testing::val;
 const char* kChain = R"(
   fun chain(v: seq(int)): seq(int) =
     [x <- v : (x * 3 + 1) * (x - 2) + x * x]
+)";
+
+// The same chain over an index domain: R1 leaves range1(n) as the
+// domain and no gather to elide, so -O1 and -O0 do the same logical work.
+const char* kRangeChain = R"(
+  fun chain(n: int): seq(int) =
+    [i <- [1 .. n] : (i * 3 + 1) * (i - 2) + i * i]
 )";
 
 xform::PipelineOptions unfused_options() {
@@ -73,13 +88,25 @@ TEST(VmFuse, O1AgreesWithO0AndEveryEngine) {
   }
 }
 
+std::size_t count_op(const vm::Module& m, vm::Op op) {
+  std::size_t n = 0;
+  for (const vm::Function& f : m.functions) {
+    for (const vm::Instr& in : f.code) {
+      if (in.op == op) ++n;
+    }
+  }
+  return n;
+}
+
 TEST(VmFuse, CostModelIsEmulatedExactly) {
   // Fusion must be invisible to the logical cost model: primitive calls,
   // element work, and the per-prim tally all match the unfused stream.
   // Only buffer_allocs — the physical counter — drops.
-  Session fused(kChain);
-  Session unfused(kChain, {}, unfused_options());
-  interp::ValueList args = {val("[4,8,15,16,23,42]")};
+  Session fused(kRangeChain);
+  Session unfused(kRangeChain, {}, unfused_options());
+  ASSERT_GT(fused.compiled().fusion.fused_chains, 0u);
+  ASSERT_EQ(fused.compiled().fusion.elided_gathers, 0u);
+  interp::ValueList args = {val("42")};
   (void)fused.run_vm("chain", args);
   const vl::VectorStats f = fused.last_cost().vector_work;
   const vm::VMStats fo = fused.last_cost().vm_ops;
@@ -91,6 +118,203 @@ TEST(VmFuse, CostModelIsEmulatedExactly) {
   EXPECT_EQ(fo.prim_applications, uo.prim_applications);
   EXPECT_EQ(fo.per_prim, uo.per_prim);
   EXPECT_LT(f.buffer_allocs, u.buffer_allocs);
+}
+
+TEST(VmFuse, ElidedGatherDropsExactlyItsOwnWork) {
+  // kChain iterates over v, so R1 reads x as v[i]: -O0 runs
+  // length(v), range1 and the seq_index^1 gather, which -O1 elides. Its
+  // logical work is -O0's minus exactly what those three instructions
+  // recorded in the -O0 per-opcode profile (each opcode family runs once
+  // here), and nothing else moves.
+  Session fused(kChain);
+  Session unfused(kChain, {}, unfused_options());
+  EXPECT_EQ(fused.compiled().fusion.elided_gathers, 1u);
+  interp::ValueList args = {val("[4,8,15,16,23,42]")};
+  const interp::Value got = fused.run_vm("chain", args);
+  const vl::VectorStats f = fused.last_cost().vector_work;
+  const vm::VMStats fo = fused.last_cost().vm_ops;
+  EXPECT_EQ(got, unfused.run_vm("chain", args));
+  const vl::VectorStats u = unfused.last_cost().vector_work;
+  const vm::VMStats uo = unfused.last_cost().vm_ops;
+
+  std::uint64_t elided_work = 0;
+  std::uint64_t elided_calls = 0;
+  for (const vm::Op op : {vm::Op::kReduce, vm::Op::kBuild, vm::Op::kGather}) {
+    const vm::OpProfile& p = uo.per_op[static_cast<std::size_t>(op)];
+    EXPECT_EQ(p.count, 1u) << vm::op_name(op);
+    EXPECT_EQ(fo.per_op[static_cast<std::size_t>(op)].count, 0u)
+        << vm::op_name(op);
+    elided_work += p.element_work;
+    elided_calls += p.primitive_calls;
+  }
+  EXPECT_GT(elided_work, 0u);
+  EXPECT_EQ(f.element_work, u.element_work - elided_work);
+  EXPECT_EQ(f.primitive_calls, u.primitive_calls - elided_calls);
+
+  std::map<lang::Prim, std::uint64_t> per_prim = uo.per_prim;
+  for (const lang::Prim p :
+       {lang::Prim::kLength, lang::Prim::kRange1, lang::Prim::kSeqIndex}) {
+    EXPECT_EQ(per_prim[p], 1u) << lang::prim_name(p);
+    per_prim.erase(p);
+  }
+  EXPECT_EQ(fo.prim_applications, uo.prim_applications - 3);
+  EXPECT_EQ(fo.per_prim, per_prim);
+  EXPECT_EQ(fo.calls, uo.calls);
+  EXPECT_LT(f.buffer_allocs, u.buffer_allocs);
+}
+
+TEST(VmFuse, IdentityGatherIsElidedAtDepthZero) {
+  // [x <- v : x + 1]: seq_index^1(v, range1(length(v))) is v itself.
+  Session s("fun inc(v: seq(int)): seq(int) = [x <- v : x + 1]");
+  EXPECT_EQ(s.compiled().fusion.elided_gathers, 1u);
+  EXPECT_EQ(count_op(*s.compiled().module, vm::Op::kGather), 0u);
+  EXPECT_EQ(count_op(*s.compiled().module, vm::Op::kBuild), 0u);
+  EXPECT_EQ(count_op(*s.compiled().module, vm::Op::kReduce), 0u);
+  analysis::Report r = vm::verify_module(*s.compiled().module);
+  EXPECT_TRUE(r.ok()) << r.to_text();
+  EXPECT_EQ(r.warning_count(), 0u) << r.to_text();
+  Session s0("fun inc(v: seq(int)): seq(int) = [x <- v : x + 1]", {},
+             unfused_options());
+  EXPECT_EQ(count_op(*s0.compiled().module, vm::Op::kGather), 1u);
+  for (const char* input : {"[1,2,3]", "([] : seq(int))", "[-7]"}) {
+    interp::ValueList args = {val(input)};
+    EXPECT_EQ(testing::both(s, "inc", args), s0.run_vm("inc", args)) << input;
+  }
+}
+
+TEST(VmFuse, IdentityGatherIsElidedAtDepthOne) {
+  // One level down the row read is seq_index_inner^1(r, range1^1(
+  // length^1(r))) (the Section 4.5 form): every row, in order.
+  const char* kRows =
+      "fun dbl(m: seq(seq(int))): seq(seq(int)) = "
+      "[r <- m : [x <- r : x * 2]]";
+  Session s(kRows);
+  EXPECT_EQ(s.compiled().fusion.elided_gathers, 2u);
+  EXPECT_EQ(count_op(*s.compiled().module, vm::Op::kGather), 0u);
+  analysis::Report r = vm::verify_module(*s.compiled().module);
+  EXPECT_TRUE(r.ok()) << r.to_text();
+  EXPECT_EQ(r.warning_count(), 0u) << r.to_text();
+  Session s0(kRows, {}, unfused_options());
+  for (const char* input : {"[[1,2],[],[3]]", "([] : seq(seq(int)))",
+                            "[([] : seq(int))]", "[[5,6,7,8]]"}) {
+    interp::ValueList args = {val(input)};
+    EXPECT_EQ(testing::both(s, "dbl", args), s0.run_vm("dbl", args)) << input;
+  }
+}
+
+/// One instruction of a hand-built function: the compiler never emits the
+/// near-miss shapes the negative cases below need.
+struct Step {
+  vm::Instr in;
+  std::vector<std::uint16_t> args;
+};
+
+/// Function `f(r0, r1: seq(int))` of `steps`, with lift sets 0 = {01}
+/// (broadcast source, frame index) and 1 = {11}.
+vm::Module hand_built(const std::vector<Step>& steps) {
+  vm::Function f;
+  f.name = "f";
+  f.n_params = 2;
+  f.lifted_sets = {{0, 1}, {1, 1}};
+  std::uint16_t n_regs = 2;
+  for (const Step& st : steps) {
+    vm::Instr in = st.in;
+    in.args_off = static_cast<std::uint32_t>(f.arg_pool.size());
+    in.args_count = static_cast<std::uint16_t>(st.args.size());
+    f.arg_pool.insert(f.arg_pool.end(), st.args.begin(), st.args.end());
+    for (const std::uint16_t r : st.args) {
+      n_regs = std::max<std::uint16_t>(n_regs, r + 1);
+    }
+    n_regs = std::max<std::uint16_t>(n_regs, in.dst + 1);
+    f.code.push_back(in);
+  }
+  f.n_regs = n_regs;
+  vm::Module m;
+  m.functions.push_back(std::move(f));
+  m.fn_index["f"] = 0;
+  return m;
+}
+
+Step length_of(std::uint16_t dst, std::uint16_t v) {
+  return {{.op = vm::Op::kReduce, .prim = lang::Prim::kLength, .dst = dst},
+          {v}};
+}
+Step range1_of(std::uint16_t dst, std::uint16_t n) {
+  return {{.op = vm::Op::kBuild, .prim = lang::Prim::kRange1, .dst = dst},
+          {n}};
+}
+Step seq_index(std::uint16_t dst, std::uint16_t v, std::uint16_t idx,
+               std::int32_t lifted = 0) {
+  return {{.op = vm::Op::kGather, .prim = lang::Prim::kSeqIndex, .depth = 1,
+           .dst = dst, .lifted = lifted},
+          {v, idx}};
+}
+Step ret(std::uint16_t r) { return {{.op = vm::Op::kRet}, {r}}; }
+
+/// Gathers left in `m` after optimization, and the elision tally.
+std::pair<std::size_t, std::uint64_t> optimize_gathers(const vm::Module& m) {
+  vm::FuseStats stats;
+  std::shared_ptr<const vm::Module> opt = vm::optimize_module(m, &stats);
+  return {count_op(*opt, vm::Op::kGather), stats.elided_gathers};
+}
+
+TEST(VmFuse, IdentityGatherElisionFiresOnItsExactShape) {
+  // The positive control for the near misses below.
+  const vm::Module m =
+      hand_built({length_of(2, 0), range1_of(3, 2), seq_index(4, 0, 3),
+                  ret(4)});
+  EXPECT_EQ(optimize_gathers(m),
+            std::make_pair(std::size_t{0}, std::uint64_t{1}));
+  vm::VM optimized(vm::optimize_module(m));
+  vm::VM plain(std::make_shared<const vm::Module>(m));
+  const lang::TypePtr seq_int = lang::Type::seq(lang::Type::int_());
+  const kernels::VValue v = kernels::from_boxed(val("[3,1,2]"), seq_int);
+  const kernels::VValue w = kernels::from_boxed(val("[9]"), seq_int);
+  EXPECT_EQ(kernels::to_boxed(optimized.call_function("f", {v, w}), seq_int),
+            kernels::to_boxed(plain.call_function("f", {v, w}), seq_int));
+}
+
+TEST(VmFuse, IdentityGatherElisionRejectsNearMisses) {
+  const std::pair<std::size_t, std::uint64_t> kept{1, 0};
+  // v is redefined between the length and the gather.
+  EXPECT_EQ(optimize_gathers(hand_built(
+                {length_of(2, 0), range1_of(3, 2),
+                 {{.op = vm::Op::kMove, .dst = 0}, {1}}, seq_index(4, 0, 3),
+                 ret(4)})),
+            kept);
+  // range1 of a different register's length.
+  EXPECT_EQ(optimize_gathers(hand_built({length_of(2, 1), range1_of(3, 2),
+                                         seq_index(4, 0, 3), ret(4)})),
+            kept);
+  // A per-slot seq_index^1 (lifted=11): slot i reads element i of row i.
+  EXPECT_EQ(optimize_gathers(hand_built({length_of(2, 0), range1_of(3, 2),
+                                         seq_index(4, 0, 3, 1), ret(4)})),
+            kept);
+  // The length sits in a predecessor block.
+  EXPECT_EQ(optimize_gathers(hand_built(
+                {length_of(2, 0), {{.op = vm::Op::kJump, .aux = 2}, {}},
+                 range1_of(3, 2), seq_index(4, 0, 3), ret(4)})),
+            kept);
+}
+
+TEST(VmFuse, IdentityGatherElisionFiresOnRandomPrograms) {
+  // The -O0/-O1 differential of integration/fuzz_test.cpp covers the
+  // elision only if the random programs it compiles contain the shape.
+  std::size_t firing = 0;
+  std::size_t total = 0;
+  for (std::uint64_t seed = 1; seed < 33; ++seed) {
+    for (int variant = 0; variant < 4; ++variant) {
+      Session s(testing::fuzz_program(seed, variant));
+      if (s.compiled().fusion.elided_gathers > 0) ++firing;
+      ++total;
+    }
+  }
+  for (std::uint64_t seed = 1; seed < 25; ++seed) {
+    Session s(testing::helper_program(seed));
+    if (s.compiled().fusion.elided_gathers > 0) ++firing;
+    ++total;
+  }
+  EXPECT_GT(firing, 0u) << "of " << total << " programs";
 }
 
 TEST(VmFuse, OptimizeModuleRoundTrip) {

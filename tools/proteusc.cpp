@@ -587,7 +587,8 @@ int main(int argc, char** argv) {
         std::cerr << "[compile] vcode optimizer: " << f.fused_chains
                   << " fused chains (" << f.fused_prims << " prims), "
                   << f.eliminated_instrs << " instrs eliminated ("
-                  << f.eliminated_moves << " moves)\n";
+                  << f.eliminated_moves << " moves), " << f.elided_gathers
+                  << " identity gathers elided\n";
       }
       proteus::print_histograms_text(std::cerr, timing);
     }
@@ -623,6 +624,7 @@ int main(int argc, char** argv) {
                   << ",\"fused_prims\":" << f.fused_prims
                   << ",\"eliminated_instrs\":" << f.eliminated_instrs
                   << ",\"eliminated_moves\":" << f.eliminated_moves
+                  << ",\"elided_gathers\":" << f.elided_gathers
                   << "}}}\n";
       }
     }
