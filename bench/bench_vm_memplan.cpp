@@ -1,31 +1,20 @@
 // bench_vm_memplan — the memory plan on the bytecode VM (-O1, warm): the
 // default run, which clears the registers the plan proves dead at their
-// last use, against the plan's static peak bound.
+// last use, and the resident peak it leaves.
 //
-// Two workload families bracket the analyzer:
+// Two workload families:
 //
-//   quicksort  — recursive divide-and-conquer; its plan bound is
-//                "unbounded" (recursion), so the record documents that
-//                admission stays inert;
-//   fma_chain  — a flat elementwise map whose plan carries a finite
-//                affine peak bound, checked here against the governor's
-//                observed resident-byte watermark (bound >= observed is
-//                the soundness claim admission control relies on).
+//   quicksort  — recursive divide-and-conquer, where clearing frees each
+//                level's partitions at their last use instead of at the
+//                frame's return;
+//   fma_chain  — a flat elementwise map.
 //
 // Each record in BENCH_vm_memplan.json carries, besides wall time and
-// the usual vl.* registry, three plan fields:
-//
-//   plan.bounded              1 if the function's peak bound is finite
-//   plan.peak_bound_bytes     the bound evaluated at this run's N (0 if
-//                             unbounded)
-//   rt.peak_resident_bytes    the governor's watermark for the last run
-//
-// so the CI gate can assert bound >= observed without re-running
-// anything.
+// the usual vl.* registry, `rt.peak_resident_bytes`: the governor's
+// resident-byte watermark for the last run under death clearing.
 #include <cstdint>
 #include <string>
 
-#include "analysis/lifetime.hpp"
 #include "bench_common.hpp"
 #include "rt/rt.hpp"
 
@@ -50,8 +39,8 @@ const char* kFmaChain = R"(
 )";
 
 /// Runs `fn(arg)` on the VM under a generous (never-tripping) budget so
-/// the governor's resident watermark is exact, and records wall time +
-/// the plan fields described above.
+/// the governor's resident watermark is exact, and records wall time and
+/// the watermark.
 void run_memplan(benchmark::State& state, const char* source,
                  const std::string& fn) {
   const auto n = static_cast<int>(state.range(0));
@@ -68,15 +57,6 @@ void run_memplan(benchmark::State& state, const char* source,
   });
   const std::uint64_t observed = rt::peak_resident_bytes();
 
-  // The function's static peak bound, evaluated at this run's input
-  // scale (N = leaf scalars in the argument list = n here).
-  const auto& module = *session.compiled().module;
-  const auto it = module.fn_index.find(fn);
-  analysis::SymBound bound = analysis::SymBound::top();
-  if (module.plan != nullptr && it != module.fn_index.end()) {
-    bound = module.plan->functions[it->second].peak_bytes;
-  }
-
   report_cost(state, session);
   state.counters["buffer_allocs"] = static_cast<double>(
       session.last_cost().vector_work.buffer_allocs);
@@ -84,9 +64,6 @@ void run_memplan(benchmark::State& state, const char* source,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 
   obs::MetricsRegistry metrics = session.last_cost().metrics;
-  metrics.set("plan.bounded", bound.is_top() ? 0 : 1);
-  metrics.set("plan.peak_bound_bytes",
-              bound.is_top() ? 0 : bound.eval(static_cast<std::uint64_t>(n)));
   metrics.set("rt.peak_resident_bytes", observed);
   JsonReporter::instance().record("vm_memplan", "vm", state.range(0), best,
                                   metrics);

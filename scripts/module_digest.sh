@@ -3,8 +3,8 @@
 # the example corpus: for each examples/programs/*.p at -O0 and at -O1,
 # the sha256 of the V program (--dump vec), of the derivation (--dump
 # trace), of the module image (--emit-module: the bytecode; images carry
-# no memory plan) and of the memory plan (--analyze=memory: the peak
-# bounds, the death-driven static alloc counts and the M3xx advisories).
+# no memory plan) and of the memory plan (--analyze=memory: the static
+# alloc counts and the M3xx advisories).
 #
 #   scripts/module_digest.sh [BUILD_DIR]     (default: build)
 #

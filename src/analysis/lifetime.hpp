@@ -1,35 +1,25 @@
-// lifetime.hpp — static buffer-lifetime and memory-plan analysis over
-// VCODE bytecode.
+// lifetime.hpp — static buffer-lifetime analysis over VCODE bytecode.
 //
 // The paper's flat vector operations make buffer lifetimes statically
 // decidable: every VCODE register has a def / last-use interval in the
-// instruction CFG, and the segment-descriptor representation gives each
-// flat buffer a size that is an affine function of the input scale. This
-// pass combines
-//
-//   * an interprocedural backward liveness / last-use dataflow over the
-//     same instruction-level CFG the bytecode verifier (vm/verify.cpp)
-//     walks for its must-define analysis, and
-//   * a forward symbolic size propagation in an affine domain
-//     c0 + c1*N (N = total leaf scalars of the function's inputs), with
-//     widening at join points and call-summary composition,
-//
-// into a per-function MemoryPlan:
+// instruction CFG. A backward may-liveness over that CFG (the shared
+// vm::Liveness of vm/cfg.hpp, which the optimizer reads too) gives a
+// per-function MemoryPlan:
 //
 //   * deaths[pc]       — registers whose value is dead after pc; the VM
 //                        clears them so sole-owner buffers are freed at
 //                        their last use,
-//   * peak_bytes       — a static peak-resident-bytes bound for one call
-//                        (admission control: docs/SERVING.md),
-//   * static_allocs    — how many instructions of the function allocate a
-//                        fresh buffer,
+//   * static_allocs    — how many reachable instructions of the function
+//                        allocate a fresh buffer,
 //
 // plus M3xx warnings for wasteful patterns the optimizer missed (dead
-// stores, reduce-only materializations, redundant copies). The plan is
-// attached by the compile pipeline and derived again by the PVCM loader
-// (vm/module_io.*; images do not store it), rendered by disasm and
-// `proteusc --analyze=memory`, and consumed by the VM's death clearing
-// and admission control. See docs/ANALYSIS.md.
+// stores, reduce-only materializations, redundant copies). The plan holds
+// no size bound: descriptor lengths are runtime values and flattened
+// recursion is data-dependent, so a bound over the input size is top on
+// the paper's central programs. The plan is attached by the compile
+// pipeline and derived again by the PVCM loader (vm/module_io.*; images
+// do not store it), rendered by disasm and `proteusc --analyze=memory`,
+// and consumed by the VM's death clearing. See docs/ANALYSIS.md.
 #pragma once
 
 #include <cstdint>
@@ -37,44 +27,9 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "kernels/vvalue.hpp"
 #include "vm/bytecode.hpp"
 
 namespace proteus::analysis {
-
-/// Affine symbolic byte/element bound c0 + c1*N, where N is the total
-/// number of leaf scalars across the function's arguments. `unbounded`
-/// is the domain's top (recursion, data-dependent sizes, descriptor
-/// surgery the domain cannot track). Arithmetic saturates at 2^64-1.
-struct SymBound {
-  std::uint64_t c0 = 0;
-  std::uint64_t c1 = 0;
-  bool unbounded = false;
-
-  static SymBound konst(std::uint64_t c) { return {c, 0, false}; }
-  static SymBound linear(std::uint64_t c0, std::uint64_t c1) {
-    return {c0, c1, false};
-  }
-  static SymBound top() { return {0, 0, true}; }
-
-  [[nodiscard]] bool is_top() const { return unbounded; }
-
-  /// Saturating pointwise sum / coefficient-wise max (the domain join).
-  [[nodiscard]] SymBound plus(const SymBound& o) const;
-  [[nodiscard]] SymBound max(const SymBound& o) const;
-  /// Saturating scale by a constant factor.
-  [[nodiscard]] SymBound times(std::uint64_t k) const;
-  /// Substitutes N := `inner` (interprocedural summary composition):
-  /// (c0 + c1*N) ∘ inner = c0 + c1*inner.c0 + (c1*inner.c1)*N.
-  [[nodiscard]] SymBound compose(const SymBound& inner) const;
-  /// Evaluates at a concrete input scale; 2^64-1 when unbounded.
-  [[nodiscard]] std::uint64_t eval(std::uint64_t n) const;
-
-  /// "512", "64 + 8*N", or "unbounded".
-  [[nodiscard]] std::string to_text() const;
-
-  bool operator==(const SymBound&) const = default;
-};
 
 /// The memory plan of one compiled function (parallel to its code).
 struct FunctionPlan {
@@ -84,11 +39,7 @@ struct FunctionPlan {
   /// resets them so sole-owner buffers are freed immediately.
   std::vector<std::uint32_t> death_off;
   std::vector<std::uint16_t> death_regs;
-  /// Static peak-resident bound for one call of this function, covering
-  /// live buffers, the in-flight allocation and callee peaks (doubled,
-  /// plus slack; see lifetime.cpp).
-  SymBound peak_bytes;
-  /// Instructions of this function that allocate a fresh buffer.
+  /// Reachable instructions of this function that allocate a fresh buffer.
   std::uint32_t static_allocs = 0;
 
   bool operator==(const FunctionPlan&) const = default;
@@ -115,13 +66,8 @@ struct PlanResult {
 /// this).
 [[nodiscard]] PlanResult plan_module(const vm::Module& m);
 
-/// Total leaf scalars across an argument list — the concrete N a
-/// function's symbolic bounds are expressed over.
-[[nodiscard]] std::uint64_t input_scale(
-    const std::vector<kernels::VValue>& args);
-
 /// Renders one function's plan as the disassembler's summary line
-/// (peak bound, static allocation count).
+/// (its static allocation count).
 [[nodiscard]] std::string plan_to_text(const FunctionPlan& plan);
 
 }  // namespace proteus::analysis

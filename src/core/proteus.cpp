@@ -182,8 +182,7 @@ kernels::VValue Session::vm_run(const std::string* name,
     vm::VM machine(module_, {.prims = prim_options_,
                              .profile = vm_profile_,
                              .verify = false,
-                             .clear_dead = true,
-                             .admission = vm_admission_});
+                             .clear_dead = true});
     vl::reset_stats();
     kernels::VValue result;
     {

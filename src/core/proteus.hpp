@@ -131,11 +131,6 @@ class Session {
   /// (one clock read per instruction; off by default).
   void set_vm_profile(bool enabled) { vm_profile_ = enabled; }
 
-  /// Enables plan-based admission control on subsequent run_vm calls:
-  /// a call whose static peak-resident bound already exceeds the
-  /// budget's max_resident_bytes traps T001 up front. Off by default.
-  void set_admission(bool enabled) { vm_admission_ = enabled; }
-
   /// Installs a tracer for subsequent run_* calls: each run installs it
   /// as the process-global obs sink for its duration and records one
   /// "run" span per execution plus per-opcode spans.
@@ -180,7 +175,6 @@ class Session {
   std::shared_ptr<const vm::Module> module_;         ///< the module run_vm runs
   kernels::PrimOptions prim_options_;
   bool vm_profile_ = false;
-  bool vm_admission_ = false;
   obs::Tracer* tracer_ = nullptr;
   RunCost cost_;
   rt::ExecBudget budget_;

@@ -156,11 +156,6 @@ void reset_peak_resident_bytes() noexcept {
   detail::g_peak.store(resident_bytes(), std::memory_order_relaxed);
 }
 
-std::uint64_t max_resident_limit() noexcept {
-  const detail::GovernorState* st = detail::t_state;
-  return st != nullptr ? st->max_bytes : 0;
-}
-
 std::uint64_t steps() noexcept {
   const detail::GovernorState* st = detail::t_state;
   return st != nullptr ? st->steps : 0;

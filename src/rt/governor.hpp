@@ -160,11 +160,6 @@ inline void poll(const char* site, std::int64_t pc = -1) {
 [[nodiscard]] std::uint64_t peak_resident_bytes() noexcept;
 void reset_peak_resident_bytes() noexcept;
 
-/// The calling thread's resident-byte limit (its innermost budget's
-/// max_resident_bytes; 0 = unlimited/ungoverned). Plan-based admission
-/// control compares a module's static peak bound against this.
-[[nodiscard]] std::uint64_t max_resident_limit() noexcept;
-
 /// Element-work steps charged since this thread's innermost budget scope
 /// was installed (0 on an ungoverned thread).
 [[nodiscard]] std::uint64_t steps() noexcept;

@@ -607,7 +607,6 @@ Json Server::do_eval(const Json& req) {
     // source forms of a memory-tier entry are never needed to evaluate.
     Session session(entry->module);
     session.set_budget(budget);
-    session.set_admission(options_.admission);
     std::string result = has_fun ? session.run_vm_text(fun, args)
                                  : session.run_entry_vm_text();
     const obs::MetricsRegistry& run_metrics = session.last_cost().metrics;

@@ -93,10 +93,6 @@ struct ServerOptions {
   /// Ceiling applied to every request. A request's own "budget" object
   /// may only tighten these (a client cannot out-budget the daemon).
   rt::ExecBudget max_budget;
-  /// Plan-based admission control (proteusd --admission): evals whose
-  /// static peak-resident bound exceeds the request's max_resident_bytes
-  /// budget trap T001 before any work runs. See docs/SERVING.md.
-  bool admission = false;
   /// Master switch for the per-request telemetry wrapper (request ids,
   /// histograms, logs, sampling). Off = PR 6 request path exactly
   /// (proteusd --no-telemetry; bench_obs_overhead's baseline).

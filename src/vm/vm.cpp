@@ -32,8 +32,8 @@ VM::VM(std::shared_ptr<const Module> module, VMOptions options)
   if (options_.verify) verify_module_or_throw(*module_);
 }
 
-const analysis::FunctionPlan* VM::plan_of(std::uint32_t index) const {
-  if (module_->plan == nullptr) return nullptr;
+const analysis::FunctionPlan* VM::deaths_of(std::uint32_t index) const {
+  if (!options_.clear_dead || module_->plan == nullptr) return nullptr;
   if (index >= module_->plan->functions.size()) return nullptr;
   const analysis::FunctionPlan& fp = module_->plan->functions[index];
   // A plan out of step with the code (a hand-built module) is ignored
@@ -45,31 +45,9 @@ const analysis::FunctionPlan* VM::plan_of(std::uint32_t index) const {
   return &fp;
 }
 
-const analysis::FunctionPlan* VM::deaths_of(std::uint32_t index) const {
-  return options_.clear_dead ? plan_of(index) : nullptr;
-}
-
-void VM::admit_root(std::uint32_t index, const std::vector<VValue>& args,
-                    const std::string& name) const {
-  if (!options_.admission) return;
-  const analysis::FunctionPlan* fp = plan_of(index);
-  if (fp == nullptr || fp->peak_bytes.is_top()) return;
-  const std::uint64_t bound = fp->peak_bytes.eval(analysis::input_scale(args));
-  const std::uint64_t limit = rt::max_resident_limit();
-  if (limit != 0 && bound > limit) {
-    rt::raise(rt::Trap::kMemory,
-              "admission: static peak bound " + std::to_string(bound) +
-                  " bytes for '" + name +
-                  "' exceeds the resident-byte budget (" +
-                  std::to_string(limit) + ")",
-              "vm.admit");
-  }
-}
-
 VValue VM::call_function(const std::string& name, std::vector<VValue> args) {
   auto it = module_->fn_index.find(name);
   if (it == module_->fn_index.end()) unknown_function(name);
-  admit_root(it->second, args, name);
   return invoke(it->second, std::move(args), name);
 }
 
@@ -78,7 +56,6 @@ VValue VM::eval_entry() {
                   "vm: module has no compiled entry expression");
   const auto entry = static_cast<std::uint32_t>(module_->entry);
   const Function& fn = module_->functions[entry];
-  admit_root(entry, {}, fn.name);
   return run(fn, std::vector<VValue>(fn.n_regs), deaths_of(entry));
 }
 

@@ -40,10 +40,9 @@ struct VMOptions {
   /// one the run keeps every register). Results and counts are identical
   /// either way; only the resident peak differs.
   bool clear_dead = true;
-  /// Plan-based admission control: reject a call up front (T001) when the
-  /// plan's static peak bound at the arguments' input scale already
-  /// exceeds the thread's resident-byte budget. Off by default (bounds
-  /// are conservative; unbounded plans always admit).
+  /// Ignored: nothing reads it. Kept only because bench/e2e/traced.cpp
+  /// initializes VMOptions positionally with five members; it goes when
+  /// that replay does.
   bool admission = false;
 };
 
@@ -96,18 +95,10 @@ class VM {
   kernels::VValue invoke(std::uint32_t index,
                          std::vector<kernels::VValue> args,
                          const std::string& name);
-  /// The plan of function `index` when the module carries one matching
-  /// its code; null otherwise.
-  [[nodiscard]] const analysis::FunctionPlan* plan_of(
-      std::uint32_t index) const;
-  /// plan_of(index) when death clearing is on; null otherwise.
+  /// The plan of function `index` when death clearing is on and the
+  /// module carries a plan matching its code; null otherwise.
   [[nodiscard]] const analysis::FunctionPlan* deaths_of(
       std::uint32_t index) const;
-  /// Plan-based admission for a root call (T001 before any work) when
-  /// VMOptions::admission is on.
-  void admit_root(std::uint32_t index,
-                  const std::vector<kernels::VValue>& args,
-                  const std::string& name) const;
 
   std::shared_ptr<const Module> module_;
   VMOptions options_;

@@ -227,8 +227,8 @@ Compiled compile(std::string_view program_source,
   {
     obs::Span span("compile", "plan-memory");
     // Attach the memory plan (analysis/lifetime.hpp) to the module that
-    // runs: the artifact behind the VM's death clearing, admission
-    // control and `proteusc --analyze=memory`. The span name is read by
+    // runs: the artifact behind the VM's death clearing and
+    // `proteusc --analyze=memory`. The span name is read by
     // bench/e2e/traced.cpp. The const_pointer_cast is safe: the pipeline
     // is the sole owner of the freshly assembled module at this point.
     analysis::PlanResult pr = analysis::plan_module(*out.module);

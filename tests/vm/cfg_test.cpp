@@ -1,8 +1,9 @@
-// cfg_test.cpp — the shared VCODE dataflow core (vm/cfg.hpp) against a
-// brute-force reference. The optimizer's chain fusion, dead-move
-// elimination and last-use marking and the memory planner's death tables
-// all read vm::Liveness, so it is checked here in both directions: every
-// register it calls live is live, and every live register is called live.
+// cfg_test.cpp — the shared VCODE dataflow core (vm/cfg.hpp) against the
+// brute-force reference of vcode_reference.hpp. The optimizer's chain
+// fusion, dead-move elimination and last-use marking and the memory
+// planner's death tables all read vm::Liveness, so it is checked here in
+// both directions: every register it calls live is live, and every live
+// register is called live.
 #include "vm/cfg.hpp"
 
 #include <gtest/gtest.h>
@@ -14,65 +15,14 @@
 #include <vector>
 
 #include "program_gen.hpp"
+#include "vcode_reference.hpp"
 #include "xform/pipeline.hpp"
 
 namespace proteus::vm {
 namespace {
 
-/// CFG successors, restated from the opcode table so the reference shares
-/// no code with what it checks.
-std::vector<std::size_t> reference_successors(const Function& fn,
-                                              std::size_t pc) {
-  const Instr& in = fn.code[pc];
-  const auto target = static_cast<std::size_t>(in.aux);
-  const bool falls = pc + 1 < fn.code.size();
-  switch (in.op) {
-    case Op::kRet:
-      return {};
-    case Op::kJump:
-      return {target};
-    case Op::kJumpIfFalse:
-    case Op::kBranchEmpty:
-      return falls ? std::vector<std::size_t>{target, pc + 1}
-                   : std::vector<std::size_t>{target};
-    default:
-      return falls ? std::vector<std::size_t>{pc + 1}
-                   : std::vector<std::size_t>{};
-  }
-}
-
-bool reads(const Function& fn, std::size_t pc, std::size_t r) {
-  const Instr& in = fn.code[pc];
-  for (std::size_t i = 0; i < in.args_count; ++i) {
-    if (fn.arg_pool[in.args_off + i] == r) return true;
-  }
-  return false;
-}
-
-bool writes(const Function& fn, std::size_t pc, std::size_t r) {
-  const Op op = fn.code[pc].op;
-  return op != Op::kRet && op != Op::kJump && op != Op::kJumpIfFalse &&
-         op != Op::kBranchEmpty && fn.code[pc].dst == r;
-}
-
-/// Along some path from pc's successors, is r read before it is written?
-/// A depth-first search over instructions; an instruction that reads r
-/// answers yes (operands are read before the destination is written), one
-/// that only writes r ends its path.
-bool reference_live_out(const Function& fn, std::size_t pc, std::size_t r) {
-  std::vector<char> seen(fn.code.size(), 0);
-  std::vector<std::size_t> stack = reference_successors(fn, pc);
-  while (!stack.empty()) {
-    const std::size_t q = stack.back();
-    stack.pop_back();
-    if (seen[q] != 0) continue;
-    seen[q] = 1;
-    if (reads(fn, q, r)) return true;
-    if (writes(fn, q, r)) continue;
-    for (const std::size_t s : reference_successors(fn, q)) stack.push_back(s);
-  }
-  return false;
-}
+using testing::reference_live_out;
+using testing::reference_successors;
 
 /// Compares Liveness with the reference on every (pc, register) pair of
 /// every function of the module `source` compiles to.

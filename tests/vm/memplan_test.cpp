@@ -1,16 +1,11 @@
 // Death clearing (VMOptions::clear_dead) against a VM that keeps every
 // register until its frame returns: results, traps and every vm.*/vl.*
-// count must be identical, clearing must lower the resident peak, the
-// plan's static bound must cover the observed peak, and plan-based
-// admission control (VMOptions::admission) must trap oversized calls
-// before any work runs.
+// count must be identical, and clearing must lower the resident peak.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "analysis/lifetime.hpp"
 #include "core/proteus.hpp"
 #include "rt/rt.hpp"
 #include "testing.hpp"
@@ -38,19 +33,7 @@ std::string pseudo_random_seq(int n, int modulus) {
   return lit + "]";
 }
 
-/// The sequence literal `lit` with its elements repeated `times` times:
-/// repeated("[1,2]", 2) == "[1,2,1,2]".
-std::string repeated(std::string_view lit, int times) {
-  const std::string_view elems = lit.substr(1, lit.size() - 2);
-  std::string out = "[";
-  for (int i = 0; i < times; ++i) {
-    if (i > 0) out += ',';
-    out += elems;
-  }
-  return out + "]";
-}
-
-/// Five bounded (non-recursive) programs over `f`, one input each.
+/// Five non-recursive programs over `f`, one input each.
 struct Workload {
   const char* program;
   const char* arg;
@@ -73,7 +56,6 @@ struct Call {
   interp::Value result;
   vm::VMStats vm;
   vl::VectorStats vl;
-  std::uint64_t input_scale = 0;
   /// Resident-byte watermark of the call above the bytes resident before
   /// its arguments were built.
   std::uint64_t peak_bytes = 0;
@@ -91,7 +73,6 @@ Call run_vm(const Session& session, const std::string& fn,
   Call run;
   const std::uint64_t base = rt::resident_bytes();
   std::vector<kernels::VValue> args{kernels::from_boxed(arg, sig->params[0])};
-  run.input_scale = analysis::input_scale(args);
   // The budget governs the call alone; the governor also observes the
   // resident watermark, on its own thread only.
   const rt::GovernorScope governor(budget);
@@ -162,73 +143,6 @@ TEST(MemPlan, TrapsAreIdenticalWithAndWithoutClearing) {
       EXPECT_STREQ(trap.code(), "T001") << "clear_dead=" << clear_dead;
     }
   }
-}
-
-TEST(MemPlan, AdmissionRejectsOversizedCallsUpFront) {
-  // A bounded one-pass map: the plan knows its peak, so admission can
-  // reject before any element work happens.
-  Session s("fun double(xs: seq(int)): seq(int) = [x <- xs : 2 * x]");
-  s.set_admission(true);
-  rt::ExecBudget budget;
-  budget.max_resident_bytes = 256;  // below the plan's static bound
-  s.set_budget(budget);
-  try {
-    (void)s.run_vm("double", {testing::val("[1,2,3,4,5,6,7,8]")});
-    FAIL() << "expected admission trap";
-  } catch (const rt::RuntimeTrap& trap) {
-    EXPECT_STREQ(trap.code(), "T001");
-    EXPECT_EQ(trap.site(), "vm.admit");
-  }
-  // No element work ran: admission fired before the first instruction.
-  EXPECT_EQ(s.last_cost().vector_work.element_work, 0u);
-}
-
-TEST(MemPlan, AdmissionPassesHealthyCalls) {
-  Session s("fun double(xs: seq(int)): seq(int) = [x <- xs : 2 * x]");
-  s.set_admission(true);
-  rt::ExecBudget budget;
-  budget.max_resident_bytes = 1u << 20;
-  s.set_budget(budget);
-  EXPECT_EQ(s.run_vm("double", {testing::val("[1,2,3]")}),
-            testing::val("[2,4,6]"));
-}
-
-TEST(MemPlan, AdmissionIsInertForUnboundedPlans) {
-  // Recursive programs have no static bound: admission must not reject
-  // them up front (the runtime governor still guards the actual run).
-  Session s(kQuicksort);
-  s.set_admission(true);
-  rt::ExecBudget budget;
-  budget.max_resident_bytes = 1u << 20;
-  s.set_budget(budget);
-  EXPECT_EQ(s.run_vm("quicksort", {testing::val("[3,1,2]")}),
-            testing::val("[1,2,3]"));
-}
-
-TEST(MemPlan, StaticBoundCoversObservedPeak) {
-  // The soundness claim behind admission control: evaluate each finite
-  // plan bound at the call's input scale and compare against the
-  // governor's resident-byte watermark for the run, at an input large
-  // enough that the bound's fixed slack does not cover it alone. The
-  // nested program's segmented sum has no finite bound (the size domain
-  // does not track descriptor surgery), so it admits like recursion.
-  std::size_t bounded = 0;
-  for (const Workload& w : kRegularWorkloads) {
-    const Session session(w.program);
-    const vm::Module& module = *session.compiled().module;
-    ASSERT_NE(module.plan, nullptr) << w.program;
-    const analysis::SymBound bound =
-        module.plan->functions[module.fn_index.at("f")].peak_bytes;
-    if (bound.is_top()) continue;
-    bounded += 1;
-
-    const Call run = run_vm(session, "f", testing::val(repeated(w.arg, 64)),
-                            /*clear_dead=*/true);
-    EXPECT_GE(bound.eval(run.input_scale), run.peak_bytes)
-        << w.program << ": bound " << bound.to_text() << " at N="
-        << run.input_scale;
-  }
-  EXPECT_EQ(bounded, 4u);
 }
 
 }  // namespace

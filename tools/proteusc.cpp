@@ -84,16 +84,14 @@ namespace {
       "                      VCODE verifier, print diagnostics (schema in\n"
       "                      docs/ANALYSIS.md), exit 0 (clean) / 3 (rejected);\n"
       "                      json output includes the \"memory\" section\n"
-      "  --analyze=memory    print the per-function memory plan (peak bound,\n"
-      "                      static allocs) and the M3xx advisories of\n"
+      "  --analyze=memory    print the per-function memory plan (static\n"
+      "                      allocs) and the M3xx advisories of\n"
       "                      the buffer-lifetime analyzer\n"
       "\n"
       "compilation:\n"
       "  -O0 / -O1           disable / enable (default) the VCODE optimizer\n"
       "  --no-verify-vcode   skip bytecode verification of the module\n"
       "  --naive             disable the Section 4.5 optimizations (ablation)\n"
-      "  --admission         trap T001 up front when the plan's static\n"
-      "                      peak-resident bound exceeds --budget-mem\n"
       "\n"
       "module images (docs/SERVING.md):\n"
       "  --emit-module FILE  write the compiled VCODE module image to FILE\n"
@@ -175,7 +173,6 @@ int main(int argc, char** argv) {
   bool analyze = false;
   bool analyze_json = false;
   bool analyze_memory = false;
-  bool admission = false;
   bool verify_vcode = true;
   bool optimize_vcode = true;
   bool stats = false;
@@ -229,8 +226,6 @@ int main(int argc, char** argv) {
     } else if (a == "--analyze=memory") {
       analyze = true;
       analyze_memory = true;
-    } else if (a == "--admission") {
-      admission = true;
     } else if (a == "--no-verify-vcode") {
       verify_vcode = false;
     } else if (a == "-O0") {
@@ -415,7 +410,6 @@ int main(int argc, char** argv) {
             first = false;
             mem << "{\"name\":\""
                 << proteus::obs::json_escape(module->functions[i].name)
-                << "\",\"peak_bytes\":\"" << fp.peak_bytes.to_text()
                 << "\",\"static_allocs\":" << fp.static_allocs << '}';
           }
         }
@@ -450,7 +444,6 @@ int main(int argc, char** argv) {
                          : proteus::Session(source, entry, options);
     if (tracing) session.set_tracer(&tracer);
     session.set_budget(budget);
-    session.set_admission(admission);
     // Null when running a module image.
     const proteus::xform::Compiled* compiled = session.compiled_ptr().get();
     if (compiled != nullptr) {

@@ -91,11 +91,6 @@ void usage(std::ostream& os) {
         "  --no-verify            skip bytecode verification of assembled\n"
         "                         and disk-loaded modules\n"
         "\n"
-        "memory plan (docs/ANALYSIS.md, docs/VM.md):\n"
-        "  --admission            reject evals whose static peak-resident\n"
-        "                         bound exceeds the request's byte budget\n"
-        "                         (trap T001 before any work runs)\n"
-        "\n"
         "telemetry (docs/OBSERVABILITY.md):\n"
         "  --log-level LVL        request/trap log threshold: debug, info,\n"
         "                         warn, error, off (default info; logs go\n"
@@ -240,8 +235,6 @@ int main(int argc, char** argv) {
       options.optimize = false;
     } else if (arg == "--no-verify") {
       options.verify = false;
-    } else if (arg == "--admission") {
-      options.admission = true;
     } else if (arg == "--log-level") {
       bool ok = false;
       log_level = proteus::obs::parse_log_level(need_value(i), &ok);
