@@ -73,7 +73,8 @@ std::shared_ptr<const Stages> build_stages(std::string source) {
   s->names_translate = names;
   s->vec = xform::translate(s->optimized, names);
   s->assembled = vm::compile_module(s->vec, nullptr);
-  s->module = vm::optimize_module(*s->assembled, nullptr);
+  s->module = vm::optimize_module(
+      *s->assembled, nullptr, vm::extension_frames(s->vec, *s->assembled));
   return s;
 }
 
@@ -120,7 +121,9 @@ std::vector<std::pair<const char*, Phase>> phases() {
        }},
       {"optimize_vcode",
        [](const Stages& s) {
-         benchmark::DoNotOptimize(vm::optimize_module(*s.assembled, nullptr));
+         benchmark::DoNotOptimize(vm::optimize_module(
+             *s.assembled, nullptr,
+             vm::extension_frames(s.vec, *s.assembled)));
        }},
       {"verify",
        [](const Stages& s) {

@@ -12,7 +12,12 @@
 //                little and hurt nothing);
 //   count_reachable — examples/programs/graph.p's frontier expansion,
 //                whose iterators over sequences read each element
-//                through an identity gather that -O1 elides.
+//                through an identity gather that -O1 elides, and whose
+//                member^1 reads the distributed neighbour list through
+//                an extension prologue gather that -O1 elides too;
+//   mass       — examples/programs/mandel.p's escape-time image, whose
+//                flattened recursion re-reads every frame argument of
+//                escape^1 through a prologue gather each round.
 //
 // Both sessions compile the identical source; the only difference is
 // PipelineOptions::optimize_vcode, so the wall-clock gap is pure
@@ -113,11 +118,13 @@ void run_fusion(benchmark::State& state, const std::string& source,
   report_cost(state, session);
   state.counters["buffer_allocs"] = static_cast<double>(
       session.last_cost().vector_work.buffer_allocs);
-  state.counters["fused_chains"] = static_cast<double>(
-      session.compiled().fusion.fused_chains);
+  const std::uint64_t chains = session.compiled().fusion.fused_chains;
+  state.counters["fused_chains"] = static_cast<double>(chains);
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  obs::MetricsRegistry metrics = session.last_cost().metrics;
+  metrics.set("vm.fused_chains", chains);
   JsonReporter::instance().record("vm_fusion", fused ? "vm-O1" : "vm-O0",
-                                  state.range(0), best, session, fn);
+                                  state.range(0), best, metrics, fn);
 }
 
 void fma_chain_bench(benchmark::State& state, bool fused) {
@@ -146,6 +153,14 @@ void reach_bench(benchmark::State& state, bool fused) {
              "count_reachable", args);
 }
 
+void mass_bench(benchmark::State& state, bool fused) {
+  const vl::Int w = state.range(0);
+  interp::ValueList args = {interp::Value::ints(w), interp::Value::ints(w / 2),
+                            interp::Value::ints(64)};
+  run_fusion(state, read_program("examples/programs/mandel.p"), fused, "mass",
+             args);
+}
+
 void BM_fma_chain_O0(benchmark::State& s) { fma_chain_bench(s, false); }
 void BM_fma_chain_O1(benchmark::State& s) { fma_chain_bench(s, true); }
 void BM_fma_rounds_O0(benchmark::State& s) { fma_rounds_bench(s, false); }
@@ -154,6 +169,8 @@ void BM_quicksort_O0(benchmark::State& s) { quicksort_bench(s, false); }
 void BM_quicksort_O1(benchmark::State& s) { quicksort_bench(s, true); }
 void BM_count_reachable_O0(benchmark::State& s) { reach_bench(s, false); }
 void BM_count_reachable_O1(benchmark::State& s) { reach_bench(s, true); }
+void BM_mass_O0(benchmark::State& s) { mass_bench(s, false); }
+void BM_mass_O1(benchmark::State& s) { mass_bench(s, true); }
 
 // The acceptance bar: >= 1.5x on the elementwise chain at n = 1M+.
 BENCHMARK(BM_fma_chain_O0)->RangeMultiplier(10)->Range(10000, 4000000);
@@ -164,6 +181,8 @@ BENCHMARK(BM_quicksort_O0)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_quicksort_O1)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_count_reachable_O0)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_count_reachable_O1)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_mass_O0)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_mass_O1)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -52,6 +52,31 @@ auto governed(RunCost& cost, obs::Tracer* tracer, const rt::ExecBudget& budget,
   }
 }
 
+/// Refuses a function value, at any tuple depth of an argument of
+/// `type`, that names a function without a calling convention. The `^d`
+/// extensions read their arguments as conformable frames (vm/fuse.hpp),
+/// which only the compiler's own call sites guarantee. Literal text has
+/// no function values, so only boxed arguments can carry one.
+void require_callable(const vm::Module& m, const std::string& fn,
+                      const TypePtr& type, const Value& v) {
+  if (type->is_tuple() && v.is_tuple() &&
+      v.as_tuple().size() == type->components().size()) {
+    for (std::size_t i = 0; i < v.as_tuple().size(); ++i) {
+      require_callable(m, fn, type->components()[i], v.as_tuple()[i]);
+    }
+  }
+  if (!type->is_fun() || !v.is_fun()) return;
+  const auto it = m.fn_index.find(v.fun_name());
+  if (it != m.fn_index.end() && m.signature(it->second) != nullptr) return;
+  std::string msg = "an argument of '";
+  msg += fn;
+  msg += "' names '";
+  msg += v.fun_name();
+  msg += "', which carries no calling convention (internal functions are "
+         "not callable)";
+  throw SignatureError(msg);
+}
+
 /// The literal text of a VM result.
 std::string text(const kernels::VValue& v, const TypePtr& type) {
   std::string s;
@@ -231,6 +256,9 @@ Value Session::run_reference(const std::string& name,
 Value Session::run_vm(const std::string& name, const ValueList& args) {
   const vm::Signature& sig = signature(&name);
   detail::ArgSource source(name, sig.params, args);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    require_callable(*module_, name, sig.params[i], args[i]);
+  }
   return kernels::to_boxed(vm_run(&name, &source), sig.result);
 }
 

@@ -178,7 +178,8 @@ Compiled compile(std::string_view program_source,
     obs::Span span("compile", "optimize-vcode");
     try {
       rt::maybe_fail_opt();  // deterministic fault injection (--inject=opt:N)
-      out.module = vm::optimize_module(*out.module, &out.fusion);
+      out.module = vm::optimize_module(
+          *out.module, &out.fusion, vm::extension_frames(out.vec, *out.module));
     } catch (const rt::RuntimeTrap& trap) {
       // A resource trap (or an injected fault) inside the optimizer is
       // survivable: keep the already-assembled -O0 module and record the

@@ -192,11 +192,14 @@ inline std::string helper_program(std::uint64_t seed) {
     fun rsum(v: seq(int)): int =
       if #v == 0 then 0 else v[1] + rsum([i <- [1 .. #v - 1] : v[i + 1]])
     fun apply2(f: (int) -> int, x: int): int = f(f(x))
+    fun blend(x: int, y: int, v: seq(int)): int = x * y + #v - y
   )";
-  // A random seq body wrapped so every helper is exercised at depth 1.
+  // A random seq body wrapped so every helper is exercised at depth 1
+  // (blend^1 reads three conformable frames).
   program += "fun fz(s: seq(int), m: seq(seq(int)), k: int): seq(int) = "
              "[g0 <- " + gen.body("seq(int)") +
-             " : clampid(g0) + rsum(tri(g0)) + apply2(clampid, g0)]";
+             " : clampid(g0) + rsum(tri(g0)) + apply2(clampid, g0)"
+             " + blend(g0, k, s)]";
   return program;
 }
 

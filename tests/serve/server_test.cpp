@@ -170,6 +170,35 @@ TEST(ServeServer, CompileErrorsAndBadArgumentsAreStructured) {
   EXPECT_EQ(metrics.get("serve.errors.runtime"), 0U);
 }
 
+TEST(ServeServer, ExtensionsAreNotCallable) {
+  // The optimizer reads the parameters of an `f^1` extension as
+  // conformable frames, which only the compiler's own call sites
+  // guarantee: a request naming one is the client's error.
+  Server server;
+  const std::string source =
+      "fun add2(a: int, b: int): int = a * b + a\n"
+      "fun pairs(u: seq(int), v: seq(int)): seq(int) =\n"
+      "  [i <- [1 .. #u] : add2(u[i], v[i])]\n";
+  Json ok = server.handle_request(request({{"op", "eval"},
+                                           {"source", source},
+                                           {"fun", "pairs"},
+                                           {"args", args_of({"[1,2]", "[3,4]"})}}));
+  ASSERT_TRUE(ok.get("ok").as_bool()) << ok.dump();
+  EXPECT_EQ(ok.get("result").as_string(), "[4,10]");
+  for (const char* args : {"[1,2]", "[1]"}) {
+    Json reply = server.handle_request(request({{"op", "eval"},
+                                                {"source", source},
+                                                {"fun", "add2^1"},
+                                                {"args", args_of({args, "[3]"})}}));
+    ASSERT_FALSE(reply.get("ok").as_bool(true)) << reply.dump();
+    EXPECT_EQ(reply.get("error").get("kind").as_string(), "bad_request");
+    EXPECT_NE(reply.get("error").get("message").as_string().find(
+                  "carries no calling convention"),
+              std::string::npos)
+        << reply.dump();
+  }
+}
+
 TEST(ServeServer, BudgetTrapIsPerRequestAndTheServerKeepsServing) {
   Server server;
   Json::Object budget;

@@ -209,14 +209,16 @@ struct Step {
   std::vector<std::uint16_t> args;
 };
 
-/// Function `f(r0, r1: seq(int))` of `steps`, with lift sets 0 = {01}
-/// (broadcast source, frame index) and 1 = {11}.
-vm::Module hand_built(const std::vector<Step>& steps) {
+/// Function `f(r0, r1: seq(int), ...)` of `steps` with `n_params`
+/// parameters, with lift sets 0 = {01} (broadcast source, frame index)
+/// and 1 = {11}.
+vm::Module hand_built(const std::vector<Step>& steps,
+                      std::uint16_t n_params = 2) {
   vm::Function f;
   f.name = "f";
-  f.n_params = 2;
+  f.n_params = n_params;
   f.lifted_sets = {{0, 1}, {1, 1}};
-  std::uint16_t n_regs = 2;
+  std::uint16_t n_regs = n_params;
   for (const Step& st : steps) {
     vm::Instr in = st.in;
     in.args_off = static_cast<std::uint32_t>(f.arg_pool.size());
@@ -251,10 +253,21 @@ Step seq_index(std::uint16_t dst, std::uint16_t v, std::uint16_t idx,
 }
 Step ret(std::uint16_t r) { return {{.op = vm::Op::kRet}, {r}}; }
 
-/// Gathers left in `m` after optimization, and the elision tally.
-std::pair<std::size_t, std::uint64_t> optimize_gathers(const vm::Module& m) {
+Step move(std::uint16_t dst, std::uint16_t src) {
+  return {{.op = vm::Op::kMove, .dst = dst}, {src}};
+}
+Step jump(std::int32_t target) {
+  return {{.op = vm::Op::kJump, .aux = target}, {}};
+}
+
+/// Gathers left in `m` after optimization with the frame record
+/// `frames` of its one function, and the elision tally.
+std::pair<std::size_t, std::uint64_t> optimize_gathers(
+    const vm::Module& m, const vm::FrameParams& frames = {}) {
   vm::FuseStats stats;
-  std::shared_ptr<const vm::Module> opt = vm::optimize_module(m, &stats);
+  const std::vector<vm::FrameParams> record{frames};
+  std::shared_ptr<const vm::Module> opt =
+      vm::optimize_module(m, &stats, record);
   return {count_op(*opt, vm::Op::kGather), stats.elided_gathers};
 }
 
@@ -295,6 +308,219 @@ TEST(VmFuse, IdentityGatherElisionRejectsNearMisses) {
                 {length_of(2, 0), {{.op = vm::Op::kJump, .aux = 2}, {}},
                  range1_of(3, 2), seq_index(4, 0, 3), ret(4)})),
             kept);
+}
+
+// Extensions of two- and five-parameter functions: R0 reads each frame
+// parameter Vk of f^1 as seq_index^1(Vk, range1(length(V1))).
+const char* kFrames = R"(
+  fun add2(a: int, b: int): int = a * b + a
+  fun pairs(u: seq(int), v: seq(int)): seq(int) =
+    [i <- [1 .. #u] : add2(u[i], v[i])]
+  fun mix5(a: int, b: int, c: int, d: int, e: int): int =
+    (a - b) * c + d * e
+  fun five(u: seq(int), v: seq(int), k: int): seq(int) =
+    [i <- [1 .. #u] : mix5(u[i], v[i], k, i, u[i] + 1)]
+  fun app(f: (int, int) -> int, x: int, y: int): int = f(x, y)
+)";
+
+std::size_t gathers_in(const vm::Module& m, const std::string& fn) {
+  const vm::Function* f = m.find(fn);
+  EXPECT_NE(f, nullptr) << fn;
+  if (f == nullptr) return 0;
+  return static_cast<std::size_t>(
+      std::count_if(f->code.begin(), f->code.end(), [](const vm::Instr& in) {
+        return in.op == vm::Op::kGather;
+      }));
+}
+
+TEST(VmFuse, ExtensionPrologueGathersAreElided) {
+  Session s(kFrames);
+  Session s0(kFrames, {}, unfused_options());
+  const vm::Module& m = *s.compiled().module;
+  // -O0 gathers every frame parameter; -O1 none of them.
+  EXPECT_EQ(gathers_in(*s0.compiled().module, "add2^1"), 2u);
+  EXPECT_EQ(gathers_in(*s0.compiled().module, "mix5^1"), 5u);
+  EXPECT_EQ(gathers_in(m, "add2^1"), 0u);
+  EXPECT_EQ(gathers_in(m, "mix5^1"), 0u);
+  analysis::Report r = vm::verify_module(m);
+  EXPECT_TRUE(r.ok()) << r.to_text();
+  EXPECT_EQ(r.warning_count(), 0u) << r.to_text();
+  for (const auto& [u, v] : std::vector<std::pair<const char*, const char*>>{
+           {"[1,2,3]", "[4,5,6]"},
+           {"([] : seq(int))", "([] : seq(int))"},
+           {"[-7]", "[9]"}}) {
+    interp::ValueList two = {val(u), val(v)};
+    EXPECT_EQ(testing::both(s, "pairs", two), s0.run_vm("pairs", two)) << u;
+    interp::ValueList three = {val(u), val(v), val("3")};
+    EXPECT_EQ(testing::both(s, "five", three), s0.run_vm("five", three))
+        << u;
+  }
+}
+
+TEST(VmFuse, FrameGatherElisionFiresOnItsExactShape) {
+  // seq_index^1(r1, range1(length(r0))) over two frame parameters.
+  const vm::Module m = hand_built(
+      {length_of(2, 0), range1_of(3, 2), seq_index(4, 1, 3), ret(4)});
+  EXPECT_EQ(optimize_gathers(m, {1, 1}),
+            std::make_pair(std::size_t{0}, std::uint64_t{1}));
+}
+
+TEST(VmFuse, FrameGatherElisionRejectsNearMisses) {
+  const std::pair<std::size_t, std::uint64_t> kept{1, 0};
+  const std::vector<Step> shape = {length_of(2, 0), range1_of(3, 2),
+                                   seq_index(4, 1, 3), ret(4)};
+  // The same code without the frame record.
+  EXPECT_EQ(optimize_gathers(hand_built(shape)), kept);
+  // r1 is function-typed, so not a frame.
+  EXPECT_EQ(optimize_gathers(hand_built(shape), {1, 0}), kept);
+  // The frame parameter r1 is redefined before the gather.
+  EXPECT_EQ(optimize_gathers(hand_built({length_of(2, 0), range1_of(3, 2),
+                                         move(1, 3), seq_index(4, 1, 3),
+                                         ret(4)}),
+                             {1, 1}),
+            kept);
+  // The length sits in the entry block, the gather in its successor.
+  EXPECT_EQ(optimize_gathers(hand_built({length_of(2, 0), jump(2),
+                                         range1_of(3, 2), seq_index(4, 1, 3),
+                                         ret(4)}),
+                             {1, 1}),
+            kept);
+  // The whole prologue sits outside the entry block.
+  EXPECT_EQ(optimize_gathers(hand_built({jump(1), length_of(2, 0),
+                                         range1_of(3, 2), seq_index(4, 1, 3),
+                                         ret(4)}),
+                             {1, 1}),
+            kept);
+}
+
+TEST(VmFuse, ExtensionsAreUnreachableFromOutside) {
+  // The frame record holds because only the compiler calls an extension:
+  // every function it covers carries no calling convention, so a Session
+  // refuses it by name and as a function value.
+  Session s(kFrames);
+  const vm::Module& m = *s.compiled().module;
+  const std::vector<vm::FrameParams> frames =
+      vm::extension_frames(s.compiled().vec, m);
+  ASSERT_EQ(frames.size(), m.functions.size());
+  std::size_t records = 0;
+  for (std::uint32_t i = 0; i < m.functions.size(); ++i) {
+    if (frames[i].empty()) continue;
+    ++records;
+    EXPECT_EQ(m.signature(i), nullptr) << m.functions[i].name;
+    EXPECT_NE(m.functions[i].name.find('^'), std::string::npos);
+  }
+  EXPECT_EQ(records, 2u);
+  EXPECT_THROW((void)s.run_vm("add2^1", {val("[1]"), val("[2]")}),
+               SignatureError);
+  const std::string_view text[] = {"[1]", "[2]"};
+  EXPECT_THROW((void)s.run_vm_text("add2^1", text), SignatureError);
+  EXPECT_EQ(s.run_vm("app", {interp::Value::fun("add2"), val("3"), val("4")}),
+            val("15"));
+  EXPECT_THROW((void)s.run_vm("app", {interp::Value::fun("add2^1"), val("3"),
+                                      val("4")}),
+               SignatureError);
+}
+
+TEST(VmFuse, FrameGatherElisionFiresOnRandomPrograms) {
+  // The -O0/-O1 differential of integration/fuzz_test.cpp covers the
+  // frame elision only if its random programs contain extensions where
+  // it fires: optimizing with the frame record must elide more gathers
+  // than optimizing without it.
+  std::size_t firing = 0;
+  std::size_t total = 0;
+  auto count = [&](const std::string& source) {
+    Session s0(source, {}, unfused_options());
+    const vm::Module& m = *s0.compiled().module;
+    vm::FuseStats with;
+    vm::FuseStats without;
+    (void)vm::optimize_module(m, &with,
+                              vm::extension_frames(s0.compiled().vec, m));
+    (void)vm::optimize_module(m, &without);
+    if (with.elided_gathers > without.elided_gathers) ++firing;
+    ++total;
+  };
+  for (std::uint64_t seed = 1; seed < 33; ++seed) {
+    for (int variant = 0; variant < 4; ++variant) {
+      count(testing::fuzz_program(seed, variant));
+    }
+  }
+  for (std::uint64_t seed = 1; seed < 25; ++seed) {
+    count(testing::helper_program(seed));
+  }
+  EXPECT_GT(firing, 0u) << "of " << total << " programs";
+}
+
+TEST(VmFuse, CopiesPropagateAcrossBlocks) {
+  // A diamond: r3 <- r0 has one definition, so its use after the join
+  // reads r0 and the move goes; r4 is set on both arms, so both of its
+  // moves stay.
+  //   f(r0, r1: seq(int), r2: bool) =
+  //     r3 <- r0; if r2 then r4 <- r0 else r4 <- r1; r3 + r4
+  const vm::Module m = hand_built(
+      {move(3, 0),
+       {{.op = vm::Op::kJumpIfFalse, .aux = 4}, {2}},
+       move(4, 0),
+       jump(5),
+       move(4, 1),
+       {{.op = vm::Op::kElementwise, .prim = lang::Prim::kAdd, .depth = 1,
+         .dst = 5},
+        {3, 4}},
+       ret(5)},
+      3);
+  vm::FuseStats stats;
+  std::shared_ptr<const vm::Module> opt = vm::optimize_module(m, &stats);
+  EXPECT_EQ(count_op(*opt, vm::Op::kMove), 2u);
+  EXPECT_EQ(stats.eliminated_moves, 1u);
+  for (const vm::Instr& in : opt->functions[0].code) {
+    if (in.op == vm::Op::kMove) {
+      EXPECT_EQ(in.dst, 4u);
+    }
+  }
+  analysis::Report r = vm::verify_module(*opt);
+  EXPECT_TRUE(r.ok()) << r.to_text();
+
+  vm::VM optimized(opt);
+  vm::VM plain(std::make_shared<const vm::Module>(m));
+  const lang::TypePtr seq_int = lang::Type::seq(lang::Type::int_());
+  const kernels::VValue v = kernels::from_boxed(val("[3,1,2]"), seq_int);
+  const kernels::VValue w = kernels::from_boxed(val("[10,20,30]"), seq_int);
+  for (const bool pick : {true, false}) {
+    const kernels::VValue b = kernels::VValue::bools(pick);
+    EXPECT_EQ(
+        kernels::to_boxed(optimized.call_function("f", {v, w, b}), seq_int),
+        kernels::to_boxed(plain.call_function("f", {v, w, b}), seq_int));
+  }
+}
+
+TEST(VmFuse, O1RunsNoMoreMovesThanO0) {
+  // Copy propagation spans blocks, so the moves the elided gathers leave
+  // never outnumber the moves -O0 runs.
+  const std::string source =
+      "fun quicksort(v: seq(int)): seq(int) = if #v <= 1 then v else "
+      "let pivot = v[1 + (#v / 2)] in "
+      "let parts = [p <- [[x <- v | x < pivot : x], "
+      "[x <- v | x > pivot : x]] : quicksort(p)] in "
+      "parts[1] ++ [x <- v | x == pivot : x] ++ parts[2]";
+  Session fused(source);
+  Session unfused(source, {}, unfused_options());
+  interp::ValueList args = {val("[9,1,8,2,7,3,6,4,5,5,0,11,-3,8]")};
+  EXPECT_EQ(testing::both(fused, "quicksort", args),
+            unfused.run_vm("quicksort", args));
+  const auto moves = [](const Session& s) {
+    return s.last_cost()
+        .vm_ops.per_op[static_cast<std::size_t>(vm::Op::kMove)]
+        .count;
+  };
+  EXPECT_LE(moves(fused), moves(unfused));
+}
+
+TEST(VmFuse, RegisterReuseDoesNotCutChains) {
+  // The assembler reuses r5 for the constants 3 and 1 of kChain; renaming
+  // the first keeps the whole body one chain.
+  Session s(kChain);
+  EXPECT_EQ(s.compiled().fusion.fused_chains, 1u);
+  EXPECT_EQ(count_fused(*s.compiled().module), 1u);
+  EXPECT_EQ(s.compiled().fusion.fused_prims, 6u);
 }
 
 TEST(VmFuse, IdentityGatherElisionFiresOnRandomPrograms) {
