@@ -6,9 +6,14 @@
 // Expected shape: elementwise/scan/reduce throughput is flat in n
 // (bandwidth bound); segmented variants track their unsegmented
 // counterparts (the whole point of the segmented representation).
+//
+// The BM_seq_* cases time the structural kernels of seq/ops one layer up
+// (the nested gather, dist^1, dist of a sequence, restrict, combine), each
+// producing n elements. Their counters are the vector-model element work
+// and the output buffers allocated per call.
 #include <benchmark/benchmark.h>
 
-#include "seq/build.hpp"
+#include "seq/seq.hpp"
 #include "vl/vl.hpp"
 
 namespace {
@@ -134,6 +139,69 @@ void BM_seg_dist(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+// --- seq layer ---------------------------------------------------------------
+
+/// Runs `op` once more, outside the timed loop, to report its counters.
+template <typename F>
+void report_counters(benchmark::State& state, F&& op) {
+  vl::reset_stats();
+  benchmark::DoNotOptimize(op());
+  state.counters["element_work"] =
+      static_cast<double>(vl::stats().element_work);
+  state.counters["buffer_allocs"] =
+      static_cast<double>(vl::stats().buffer_allocs);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// Rows averaging 8 elements, n elements in all.
+seq::Array rows(Size n) {
+  return seq::Array::nested(segments(n), seq::Array::ints(data(n)));
+}
+
+void BM_seq_gather_nested(benchmark::State& state) {
+  const seq::Array a = rows(state.range(0));
+  const IntVec idx = seq::random_ints(9, a.length(), 0, a.length() - 1);
+  auto op = [&] { return seq::gather(a, idx); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+void BM_seq_seg_broadcast(benchmark::State& state) {
+  const IntVec counts = segments(state.range(0));
+  const seq::Array values = seq::Array::ints(data(counts.size()));
+  auto op = [&] { return seq::seg_broadcast(values, counts); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+/// dist(v, n / 256) for a sequence v of 256 Ints: materialize's path.
+void BM_seq_broadcast_element(benchmark::State& state) {
+  const seq::Array one =
+      seq::Array::nested(IntVec{256}, seq::Array::ints(data(256)));
+  const Size copies = state.range(0) / 256;
+  auto op = [&] { return seq::broadcast_element(one, 0, copies); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+void BM_seq_pack(benchmark::State& state) {
+  const seq::Array a = seq::Array::ints(data(state.range(0)));
+  const vl::BoolVec m = seq::random_mask(5, state.range(0), 1, 2);
+  auto op = [&] { return seq::pack(a, m); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+void BM_seq_combine(benchmark::State& state) {
+  const vl::BoolVec m = seq::random_mask(5, state.range(0), 1, 2);
+  const Size trues = vl::count(m);
+  const seq::Array t = seq::Array::ints(data(trues));
+  const seq::Array f = seq::Array::ints(data(state.range(0) - trues));
+  auto op = [&] { return seq::combine(m, t, f); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
 constexpr int kLo = 1 << 10;
 constexpr int kHi = 1 << 21;
 
@@ -148,6 +216,12 @@ BENCHMARK(BM_pack)->Range(kLo, kHi);
 BENCHMARK(BM_combine)->Range(kLo, kHi);
 BENCHMARK(BM_seg_iota1)->Range(kLo, kHi);
 BENCHMARK(BM_seg_dist)->Range(kLo, kHi);
+
+BENCHMARK(BM_seq_gather_nested)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_seq_seg_broadcast)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_seq_broadcast_element)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_seq_pack)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_seq_combine)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 

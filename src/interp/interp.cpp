@@ -369,6 +369,11 @@ class Eval {
         if (m.size() != t.size() + f.size()) {
           eval_fail("combine: #M must equal #V + #U");
         }
+        if (std::count_if(m.begin(), m.end(), [](const Value& b) {
+              return b.as_bool();
+            }) != static_cast<std::ptrdiff_t>(t.size())) {
+          eval_fail("combine: #V must equal the number of true elements of M");
+        }
         ValueList out;
         std::size_t ti = 0;
         std::size_t fi = 0;

@@ -1,5 +1,6 @@
 #include "kernels/prims.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <utility>
@@ -25,6 +26,15 @@ Int checked_index0(Int i, Size n) {
               " out of range for sequence of length " + std::to_string(n));
   }
   return i - 1;
+}
+
+/// combine(M, V, U) on one mask of `nm` flags with #V = nt and #U = nf:
+/// the reference interpreter's checks and messages, charging no vl work.
+void check_combine(const vl::Bool* m, Size nm, Size nt, Size nf) {
+  if (nm != nt + nf) eval_fail("combine: #M must equal #V + #U");
+  if (std::count_if(m, m + nm, [](vl::Bool b) { return b != 0; }) != nt) {
+    eval_fail("combine: #V must equal the number of true elements of M");
+  }
 }
 
 // --- depth-0 scalar primitives -------------------------------------------------
@@ -329,6 +339,16 @@ Array restrict_1(const Array& v, const Array& m) {
 
 Array combine_1(const Array& m, const Array& t, const Array& f) {
   const BoolVec& mask = m.inner().bool_values();
+  const IntVec& lm = m.lengths();
+  const IntVec& lt = t.lengths();
+  const IntVec& lf = f.lengths();
+  PROTEUS_REQUIRE(EvalError, lt.size() == lm.size() && lf.size() == lm.size(),
+                  "combine^1: non-conformable frames");
+  Size off = 0;
+  for (Size s = 0; s < lm.size(); ++s) {  // slot by slot, as the reference
+    check_combine(mask.data() + off, lm[s], lt[s], lf[s]);
+    off += lm[s];
+  }
   return Array::nested(m.lengths(), seq::combine(mask, t.inner(), f.inner()));
 }
 
@@ -487,9 +507,11 @@ VValue apply_prim0(Prim op, const std::vector<VValue>& args) {
       return VValue::seq(seq::pack(v, m.bool_values()));
     }
     case Prim::kCombine: {
-      const Array& m = args[0].as_seq();
-      return VValue::seq(
-          seq::combine(m.bool_values(), args[1].as_seq(), args[2].as_seq()));
+      const BoolVec& m = args[0].as_seq().bool_values();
+      const Array& t = args[1].as_seq();
+      const Array& f = args[2].as_seq();
+      check_combine(m.data(), m.size(), t.length(), f.length());
+      return VValue::seq(seq::combine(m, t, f));
     }
     case Prim::kDist: {
       Int r = args[1].as_int();

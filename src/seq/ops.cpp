@@ -1,5 +1,8 @@
 #include "seq/ops.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "vl/vl.hpp"
 
 namespace proteus::seq {
@@ -11,16 +14,98 @@ void require_same_structure(const Array& a, const Array& b, const char* op) {
                   std::string(op) + ": arrays have different element structure");
 }
 
+bool is_leaf(const Array& a) {
+  return a.kind() == Array::Kind::kInt || a.kind() == Array::Kind::kReal ||
+         a.kind() == Array::Kind::kBool;
+}
+
+/// Runs a flat vl kernel on scalar leaves of `kind`: `f` gets the accessor
+/// of that kind's value vector and returns the result vector, which comes
+/// back wrapped as a leaf of the same kind.
+template <typename F>
+Array on_leaf(Array::Kind kind, F&& f) {
+  switch (kind) {
+    case Array::Kind::kInt:
+      return Array::ints(
+          f([](const Array& x) -> const IntVec& { return x.int_values(); }));
+    case Array::Kind::kReal:
+      return Array::reals(
+          f([](const Array& x) -> const RealVec& { return x.real_values(); }));
+    case Array::Kind::kBool:
+      return Array::bools(
+          f([](const Array& x) -> const BoolVec& { return x.bool_values(); }));
+    case Array::Kind::kTuple:
+    case Array::Kind::kNested:
+      break;
+  }
+  throw RepresentationError("structural kernel: not a scalar leaf");
+}
+
+/// The work the composed nested gather spends on its position vector,
+///   positions = seg_dist(starts, lens) + (segment_ranks(lens) - 1),
+/// over `n` selected segments holding `total` elements. The direct path
+/// copies the segments instead of building it.
+void charge_gather_positions(Size n, Size total) {
+  vl::VectorStats& st = vl::stats();
+  st.record(n);  // seg_dist: lengths_total(lens)
+  st.record_segments(n);
+  st.record(n);  //           lengths_to_offsets(lens)
+  st.record(total);
+  st.record(n);  // segment_ranks: lengths_total(lens)
+  st.record_segments(n);
+  st.record(n);  //                lengths_to_offsets(lens)
+  st.record(total);
+  st.record_segments(n);
+  st.record(total);  // ranks - 1
+  st.record(total);  // base + ...
+}
+
+Array gather_ranges(const Array& a, const IntVec& starts, const IntVec& lens);
+
+/// One sequence level of a gather: the selected segments have lengths
+/// `lens` and start at `starts` in `inner`.
+Array gather_level(const Array& inner, IntVec lens, const IntVec& starts) {
+  const Size total = std::accumulate(lens.begin(), lens.end(), Size{0});
+  charge_gather_positions(lens.size(), total);
+  Array elems = gather_ranges(inner, starts, lens);
+  return Array::nested(std::move(lens), std::move(elems));
+}
+
+/// Elements [starts[i], starts[i] + lens[i]) of `a`, concatenated: the
+/// composed gather(a, positions) with those ranges as its positions, and
+/// charged as that gather.
+Array gather_ranges(const Array& a, const IntVec& starts, const IntVec& lens) {
+  switch (a.kind()) {
+    case Array::Kind::kTuple: {
+      std::vector<Array> comps;
+      comps.reserve(a.components().size());
+      for (const Array& c : a.components()) {
+        comps.push_back(gather_ranges(c, starts, lens));
+      }
+      return Array::tuple(std::move(comps));
+    }
+    case Array::Kind::kNested: {
+      IntVec inner_lens = vl::gather_segments(a.lengths(), starts, lens);
+      IntVec inner_starts = vl::gather_segments(
+          vl::lengths_to_offsets(a.lengths()), starts, lens);
+      return gather_level(a.inner(), std::move(inner_lens), inner_starts);
+    }
+    default:
+      return on_leaf(a.kind(), [&](auto values) {
+        return vl::gather_segments(values(a), starts, lens);
+      });
+  }
+}
+
+Size true_count(const BoolVec& mask) {
+  return std::count_if(mask.begin(), mask.end(),
+                       [](Bool b) { return b != 0; });
+}
+
 }  // namespace
 
 Array gather(const Array& a, const IntVec& idx) {
   switch (a.kind()) {
-    case Array::Kind::kInt:
-      return Array::ints(vl::gather(a.int_values(), idx));
-    case Array::Kind::kReal:
-      return Array::reals(vl::gather(a.real_values(), idx));
-    case Array::Kind::kBool:
-      return Array::bools(vl::gather(a.bool_values(), idx));
     case Array::Kind::kTuple: {
       std::vector<Array> comps;
       comps.reserve(a.components().size());
@@ -28,30 +113,47 @@ Array gather(const Array& a, const IntVec& idx) {
       return Array::tuple(std::move(comps));
     }
     case Array::Kind::kNested: {
-      // Select whole segments: new descriptor, then expand per-segment
-      // start offsets to per-element source positions.
-      IntVec out_lens = vl::gather(a.lengths(), idx);
-      IntVec src_offsets = vl::lengths_to_offsets(a.lengths());
-      IntVec starts = vl::gather(src_offsets, idx);
-      IntVec base = vl::seg_dist(starts, out_lens);
-      IntVec ranks = vl::segment_ranks(out_lens);
-      IntVec positions = vl::add(base, vl::sub(ranks, Int{1}));
-      return Array::nested(std::move(out_lens), gather(a.inner(), positions));
+      // Select whole segments: their lengths and source starts, then copy.
+      IntVec lens = vl::gather(a.lengths(), idx);
+      IntVec starts = vl::gather(vl::lengths_to_offsets(a.lengths()), idx);
+      return gather_level(a.inner(), std::move(lens), starts);
     }
+    default:
+      return on_leaf(a.kind(),
+                     [&](auto values) { return vl::gather(values(a), idx); });
   }
-  throw RepresentationError("gather: corrupt array kind");
 }
 
 Array pack(const Array& a, const BoolVec& mask) {
   PROTEUS_REQUIRE(VectorError, a.length() == mask.size(),
                   "restrict: sequence and mask lengths differ");
-  return gather(a, vl::pack_indices(mask));
+  if (!is_leaf(a)) return gather(a, vl::pack_indices(mask));
+  // Composed: gather(a, pack_indices(mask)). vl::pack charges the scan and
+  // the pass of pack_indices; its iota and the gather are charged here.
+  vl::stats().record(mask.size());
+  Array out = on_leaf(a.kind(),
+                      [&](auto values) { return vl::pack(values(a), mask); });
+  vl::stats().record(out.length());
+  return out;
 }
 
 Array combine(const BoolVec& mask, const Array& t, const Array& f) {
   require_same_structure(t, f, "combine");
   PROTEUS_REQUIRE(VectorError, mask.size() == t.length() + f.length(),
                   "combine: #M must equal #V + #U");
+  PROTEUS_REQUIRE(VectorError, true_count(mask) == t.length(),
+                  "combine: mask true-count does not match #V");
+  if (is_leaf(t)) {
+    // Composed: gather(concat(t, f), pos). vl::combine charges the rank
+    // scan and the position pass; the concat and the gather are charged
+    // here.
+    Array out = on_leaf(t.kind(), [&](auto values) {
+      return vl::combine(mask, values(t), values(f));
+    });
+    vl::stats().record(mask.size());
+    vl::stats().record(mask.size());
+    return out;
+  }
   // Source index into concat(t, f): true positions take the i-th true
   // element of t, false positions the i-th false element of f.
   IntVec ones(mask.size());
@@ -121,7 +223,17 @@ Array broadcast_element(const Array& a, Size i, Size n) {
 Array seg_broadcast(const Array& a, const IntVec& counts) {
   PROTEUS_REQUIRE(VectorError, a.length() == counts.size(),
                   "dist: value and count sequences must have equal length");
-  return gather(a, vl::seg_dist(vl::iota(a.length(), 0), counts));
+  if (!is_leaf(a)) {
+    return gather(a, vl::seg_dist(vl::iota(a.length(), 0), counts));
+  }
+  // Composed: gather(a, seg_dist(iota(#a), counts)). vl::seg_dist charges
+  // the distribute; the iota and the gather are charged here.
+  vl::stats().record(a.length());
+  Array out = on_leaf(a.kind(), [&](auto values) {
+    return vl::seg_dist(values(a), counts);
+  });
+  vl::stats().record(out.length());
+  return out;
 }
 
 Array element(const Array& a, Size i) { return broadcast_element(a, i, 1); }

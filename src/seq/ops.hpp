@@ -3,10 +3,21 @@
 // Each operation here lifts a flat vl primitive through the element
 // structure of an Array: scalar leaves run the vl kernel once, tuple
 // elements run it per component, and sequence elements run it on the
-// descriptor and recurse on the inner elements with an index/mask vector
-// expanded through the descriptor. Everything is expressed in terms of the
-// vector model's own primitives (gather, scan, pack, distribute), so the
-// work counted by vl::stats() is exactly the vector-model work.
+// descriptor and recurse on the inner elements.
+//
+// The vector model defines each operation as a composition of its own
+// primitives: selecting sequence elements expands the selected segments
+// into a position vector (seg_dist of their starts plus segment_ranks - 1)
+// and gathers the level below by it; restrict gathers by pack_indices,
+// combine gathers from concat(V, U), dist^1 gathers by a distributed iota.
+// The data moves in one pass over each output level instead: whole
+// segments are copied level by level (vl::gather_segments), and scalar
+// leaves run vl::pack, vl::combine and vl::seg_dist directly. The work is
+// still charged as the composed definition: the same vl::stats() records
+// in the same order, with the same sizes and segment counts, so the
+// element work, primitive calls, step budgets and injected kernel faults
+// are those of the vector model; only buffer_allocs is lower. The
+// compositions are kept as the test oracle in tests/seq/ops_reference.hpp.
 #pragma once
 
 #include "seq/nested.hpp"
@@ -20,8 +31,9 @@ namespace proteus::seq {
 /// restrict(V, M) on the representation.
 [[nodiscard]] Array pack(const Array& a, const BoolVec& mask);
 
-/// The paper's combine(M, V, U): #mask == t.length() + f.length();
-/// result takes from `t` at true positions and `f` at false positions.
+/// The paper's combine(M, V, U): #mask == t.length() + f.length() and
+/// `mask` has t.length() true flags (both checked, VectorError); result
+/// takes from `t` at true positions and `f` at false positions.
 [[nodiscard]] Array combine(const BoolVec& mask, const Array& t,
                             const Array& f);
 

@@ -1,6 +1,6 @@
 #include "vl/permute.hpp"
 
-#include <atomic>
+#include <algorithm>
 
 #include "vl/kernel.hpp"
 
@@ -79,32 +79,33 @@ Vec<T> scatter_impl(const Vec<T>& into, const IntVec& positions,
 }
 
 template <typename T>
-Vec<T> seg_gather_impl(const Vec<T>& values, const IntVec& src_offsets,
-                       const IntVec& src_lengths, const IntVec& seg_of,
-                       const IntVec& local_index) {
-  require_same_length(seg_of, local_index, "seg_gather");
-  require_same_length(src_offsets, src_lengths, "seg_gather");
-  const Size n = seg_of.size();
-  const Size nseg = src_offsets.size();
-  Vec<T> out(n);
+Vec<T> gather_segments_impl(const Vec<T>& values, const IntVec& starts,
+                            const IntVec& lengths) {
+  require_same_length(starts, lengths, "gather_segments");
+  const Size n = starts.size();
+  const Size m = values.size();
+  const Int* sp = starts.data();
+  const Int* lp = lengths.data();
+  // Serial pass over the n ranges: bounds and output offsets, so the
+  // copy below can run each range independently.
+  IntVec offsets(n);
+  Int* fp = offsets.data();
+  Size total = 0;
+  for (Size i = 0; i < n; ++i) {
+    PROTEUS_REQUIRE(VectorError,
+                    sp[i] >= 0 && lp[i] >= 0 && sp[i] <= m - lp[i],
+                    "gather_segments: range [" + std::to_string(sp[i]) +
+                        ", " + std::to_string(sp[i] + lp[i]) +
+                        ") out of range for vector of length " +
+                        std::to_string(m));
+    fp[i] = total;
+    total += lp[i];
+  }
+  Vec<T> out(total);
   const T* vp = values.data();
-  const Int* op_ = src_offsets.data();
-  const Int* lp = src_lengths.data();
-  const Int* sp = seg_of.data();
-  const Int* xp = local_index.data();
-  T* rp = out.data();
-  parallel_for(n, [&](Size i) {
-    const Int s = sp[i];
-    PROTEUS_REQUIRE(EvalError, s >= 0 && s < nseg,
-                    "seg_gather segment id out of range");
-    const Int x = xp[i];
-    PROTEUS_REQUIRE(EvalError, x >= 0 && x < lp[s],
-                    "seq_index: index " + std::to_string(x + 1) +
-                        " out of range for sequence of length " +
-                        std::to_string(lp[s]));
-    rp[i] = vp[op_[s] + x];
-  });
-  stats().record(n);
+  T* op = out.data();
+  parallel_for(n, [&](Size i) { std::copy_n(vp + sp[i], lp[i], op + fp[i]); });
+  stats().record(total);
   return out;
 }
 
@@ -119,15 +120,12 @@ template RealVec scatter_impl<Real>(const RealVec&, const IntVec&,
                                     const RealVec&);
 template BoolVec scatter_impl<Bool>(const BoolVec&, const IntVec&,
                                     const BoolVec&);
-template IntVec seg_gather_impl<Int>(const IntVec&, const IntVec&,
-                                     const IntVec&, const IntVec&,
-                                     const IntVec&);
-template RealVec seg_gather_impl<Real>(const RealVec&, const IntVec&,
-                                       const IntVec&, const IntVec&,
-                                       const IntVec&);
-template BoolVec seg_gather_impl<Bool>(const BoolVec&, const IntVec&,
-                                       const IntVec&, const IntVec&,
-                                       const IntVec&);
+template IntVec gather_segments_impl<Int>(const IntVec&, const IntVec&,
+                                          const IntVec&);
+template RealVec gather_segments_impl<Real>(const RealVec&, const IntVec&,
+                                            const IntVec&);
+template BoolVec gather_segments_impl<Bool>(const BoolVec&, const IntVec&,
+                                            const IntVec&);
 
 }  // namespace detail
 

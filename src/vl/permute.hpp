@@ -2,10 +2,11 @@
 // their segmented forms.
 //
 // gather implements seq_index^1 with a *fixed* (depth-0) source — the
-// Section 4.5 optimization — while seg_gather implements seq_index^1 when
-// the source itself varies per element (one source subsequence per
-// segment). Indices follow the language's 1-origin convention at the call
-// sites in kernels/; the vl layer is 0-origin like CVL.
+// Section 4.5 optimization — while gather_segments copies whole source
+// segments, which is how the structural kernels of seq/ select sequence
+// elements one level down. Indices follow the language's 1-origin
+// convention at the call sites in kernels/; the vl layer is 0-origin like
+// CVL.
 #pragma once
 
 #include "vl/vec.hpp"
@@ -25,9 +26,8 @@ Vec<T> scatter_impl(const Vec<T>& into, const IntVec& positions,
                     const Vec<T>& values);
 
 template <typename T>
-Vec<T> seg_gather_impl(const Vec<T>& values, const IntVec& src_offsets,
-                       const IntVec& src_lengths, const IntVec& seg_of,
-                       const IntVec& local_index);
+Vec<T> gather_segments_impl(const Vec<T>& values, const IntVec& starts,
+                            const IntVec& lengths);
 
 }  // namespace detail
 
@@ -52,15 +52,15 @@ Vec<T> scatter(const Vec<T>& into, const IntVec& positions,
   return detail::scatter_impl(into, positions, values);
 }
 
-/// Segmented gather: element i reads values[src_offsets[seg_of[i]] +
-/// local_index[i]] where local_index is 0-origin within segment
-/// seg_of[i] of the source. Bounds are checked against src_lengths.
+/// Whole-segment gather: the concatenation of the ranges
+/// values[starts[i], starts[i] + lengths[i]) in order of i — the gather
+/// whose index vector is those ranges written out, done as one pass over
+/// the output and charged as that gather (work = output length). Every
+/// range must lie inside `values` (checked).
 template <typename T>
-Vec<T> seg_gather(const Vec<T>& values, const IntVec& src_offsets,
-                  const IntVec& src_lengths, const IntVec& seg_of,
-                  const IntVec& local_index) {
-  return detail::seg_gather_impl(values, src_offsets, src_lengths, seg_of,
-                                 local_index);
+Vec<T> gather_segments(const Vec<T>& values, const IntVec& starts,
+                       const IntVec& lengths) {
+  return detail::gather_segments_impl(values, starts, lengths);
 }
 
 /// reverse of a vector (a permute with positions n-1-i).

@@ -321,7 +321,7 @@ class FunctionOptimizer {
                         is_frame(w.reg);
     if (v != w && !frames) return;
     g.in = Instr{.op = Op::kMove, .dst = g.in.dst};
-    g.args.resize(1);
+    g.args.pop_back();
     stats_.elided_gathers += 1;
   }
 

@@ -66,5 +66,74 @@ TEST(Errors, UpdateOutOfRange) {
   EXPECT_THROW((void)s.run_vm("f", {val("[1,2]")}), EvalError);
 }
 
+// combine(M, V, U) needs #M == #V + #U and as many true flags in M as V
+// has elements. Both engines check both rules, slot by slot inside an
+// iterator, with the same messages.
+constexpr std::string_view kCombineLength = "combine: #M must equal #V + #U";
+constexpr std::string_view kCombineTrueCount =
+    "combine: #V must equal the number of true elements of M";
+
+TEST(Errors, CombineTrueCountDepth0) {
+  Session s(
+      "fun f(m: seq(bool), v: seq(int), u: seq(int)): seq(int) = "
+      "combine(m, v, u)");
+  testing::expect_both(s, "f", {val("[true,false,true]"), val("[1,3]"),
+                                val("[2]")},
+                       "[1,2,3]");
+  testing::expect_both_fail(
+      s, "f", {val("[true,true,false]"), val("[1]"), val("[2,3]")},
+      kCombineTrueCount);
+  testing::expect_both_fail(
+      s, "f", {val("[false,false]"), val("[1]"), val("[2]")},
+      kCombineTrueCount);
+  testing::expect_both_fail(s, "f",
+                            {val("[true]"), val("[1]"), val("[2]")},
+                            kCombineLength);
+}
+
+TEST(Errors, CombineTrueCountDepth1) {
+  Session s(
+      "fun pick(ms: seq(seq(bool)), vs: seq(seq(int)), us: seq(seq(int))): "
+      "seq(seq(int)) = [i <- [1 .. #ms] : combine(ms[i], vs[i], us[i])]");
+  testing::expect_both(
+      s, "pick",
+      {val("[[true,false],[false]]"), val("[[1],([] : seq(int))]"),
+       val("[[2],[3]]")},
+      "[[1,2],[3]]");
+  // Totals agree (2 true flags, #V = 2) but each slot is wrong.
+  testing::expect_both_fail(
+      s, "pick",
+      {val("[[true],[false]]"), val("[([] : seq(int)),[5]]"),
+       val("[[7],([] : seq(int))]")},
+      kCombineTrueCount);
+  // Totals agree (#M = 3 = 2 + 1) but slot 0 has #M = 2, #V + #U = 1.
+  testing::expect_both_fail(
+      s, "pick",
+      {val("[[true,false],[true]]"), val("[[1],[2]]"),
+       val("[([] : seq(int)),[3]]")},
+      kCombineLength);
+  // The first bad slot decides the message.
+  testing::expect_both_fail(
+      s, "pick",
+      {val("[[true],[true,true],[false]]"), val("[[1],[2],[4]]"),
+       val("[([] : seq(int)),([] : seq(int)),([] : seq(int))]")},
+      kCombineLength);
+}
+
+TEST(Errors, CombineTrueCountNestedElements) {
+  Session s(
+      "fun g(m: seq(bool), v: seq(seq(int)), u: seq(seq(int))): "
+      "seq(seq(int)) = combine(m, v, u)");
+  testing::expect_both(s, "g", {val("[false,true]"), val("[[1,2]]"),
+                                val("[[3]]")},
+                       "[[3],[1,2]]");
+  testing::expect_both_fail(
+      s, "g", {val("[false,false]"), val("[[1]]"), val("[[2]]")},
+      kCombineTrueCount);
+  testing::expect_both_fail(
+      s, "g", {val("[true,true]"), val("[[1]]"), val("[[2]]")},
+      kCombineTrueCount);
+}
+
 }  // namespace
 }  // namespace proteus

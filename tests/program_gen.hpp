@@ -162,7 +162,13 @@ class ProgramGen {
     }
   }
 
-  std::string fresh() { return "g" + std::to_string(++counter_); }
+  std::string fresh() {
+    // += in two steps: `"g" + to_string(...)` trips GCC 12's
+    // -Werror=restrict false positive (PR105651) at -O2+.
+    std::string name = "g";
+    name += std::to_string(++counter_);
+    return name;
+  }
 
   std::mt19937_64 rng_;
   std::vector<std::string> int_vars_;

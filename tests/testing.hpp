@@ -37,4 +37,22 @@ inline void expect_both(Session& session, const std::string& fn,
   EXPECT_EQ(result, val(expected)) << fn << " = " << interp::to_text(result);
 }
 
+/// Asserts both engines reject `fn(args...)` with the same EvalError
+/// message, `what`.
+inline void expect_both_fail(Session& session, const std::string& fn,
+                             const interp::ValueList& args,
+                             std::string_view what) {
+  for (const bool vm : {false, true}) {
+    const char* engine = vm ? "vm" : "reference";
+    try {
+      interp::Value result =
+          vm ? session.run_vm(fn, args) : session.run_reference(fn, args);
+      ADD_FAILURE() << fn << " on " << engine << " returned "
+                    << interp::to_text(result) << ", expected: " << what;
+    } catch (const EvalError& e) {
+      EXPECT_EQ(std::string_view(e.what()), what) << fn << " on " << engine;
+    }
+  }
+}
+
 }  // namespace proteus::testing

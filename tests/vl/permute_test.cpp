@@ -53,21 +53,21 @@ TEST(Scatter, PositionOutOfRangeThrows) {
   EXPECT_THROW((void)scatter(IntVec{0}, IntVec{1}, IntVec{5}), EvalError);
 }
 
-TEST(SegGather, PerSegmentLookup) {
-  // source segments: [10,20,30] [40]; lengths 3,1; offsets 0,3
-  IntVec values{10, 20, 30, 40};
-  IntVec offsets{0, 3};
-  IntVec lengths{3, 1};
-  // read (seg 0, idx 2), (seg 1, idx 0), (seg 0, idx 0)
-  EXPECT_EQ(seg_gather(values, offsets, lengths, IntVec{0, 1, 0},
-                       IntVec{2, 0, 0}),
-            (IntVec{30, 40, 10}));
+TEST(GatherSegments, CopiesWholeSegments) {
+  // ranges [2,4), [0,0), [0,1), [2,4) of [10,20,30,40]
+  EXPECT_EQ(gather_segments(IntVec{10, 20, 30, 40}, IntVec{2, 0, 0, 2},
+                            IntVec{2, 0, 1, 2}),
+            (IntVec{30, 40, 10, 30, 40}));
+  EXPECT_EQ(gather_segments(IntVec{}, IntVec{}, IntVec{}), IntVec{});
 }
 
-TEST(SegGather, IndexBeyondSegmentThrows) {
-  EXPECT_THROW((void)seg_gather(IntVec{1, 2}, IntVec{0, 1}, IntVec{1, 1},
-                          IntVec{0}, IntVec{1}),
-               EvalError);
+TEST(GatherSegments, RangeBeyondSourceThrows) {
+  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{1}, IntVec{2}),
+               VectorError);
+  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{-1}, IntVec{1}),
+               VectorError);
+  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{0}, IntVec{-1}),
+               VectorError);
 }
 
 TEST(Reverse, Basic) {
