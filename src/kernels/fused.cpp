@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
+#include "kernels/prims.hpp"
 #include "rt/governor.hpp"
+#include "seq/extract_insert.hpp"
+#include "seq/ops.hpp"
 #include "vl/kernel.hpp"
 #include "vl/vl.hpp"
 
@@ -22,14 +27,6 @@ using vl::Size;
 
 bool fusible_prim(Prim p) {
   return static_cast<int>(p) <= static_cast<int>(Prim::kSqrt);
-}
-
-std::size_t fused_prim_count(const FusedExpr& e) {
-  std::size_t count = 0;
-  for (const MicroOp& mo : e.nodes) {
-    if (mo.kind == MicroOp::Kind::kPrim) count += 1;
-  }
-  return count;
 }
 
 namespace {
@@ -140,23 +137,32 @@ bool select_unary(Prim p, K ka, KernSel& sel) {
 
 /// How a kernel operand is addressed inside a block.
 struct OpRef {
-  enum class Tag : std::uint8_t { kFrame, kSplat, kScratch };
+  enum class Tag : std::uint8_t { kFrame, kTile, kScalar, kSegScalar, kScratch };
   Tag tag = Tag::kFrame;
-  const void* base = nullptr;  ///< kFrame: leaf data; kSplat: splat buffer
-  std::size_t off = 0;         ///< kScratch: byte offset into the arena
-  std::size_t esize = 0;       ///< kFrame: element size for start scaling
+  /// kFrame/kTile: leaf data; kScalar: the one value; kSegScalar: one
+  /// value per segment.
+  const void* base = nullptr;
+  std::size_t off = 0;    ///< kScratch: byte offset into the arena
+  std::size_t esize = 0;  ///< element size
+  /// Every lane reads the same element (a broadcast, a segment splat).
+  [[nodiscard]] bool scalar() const {
+    return tag == Tag::kScalar || tag == Tag::kSegScalar;
+  }
 };
 
 struct NodePlan {
   Kern kern{};
   bool binary = false;
-  bool is_root = false;
   OpRef a, b;
-  std::size_t dst_off = 0;  ///< scratch offset (non-root)
+  std::size_t dst_off = 0;  ///< scratch offset (unless it writes the output)
 };
+
+/// Where a leaf's elements come from.
+enum class Src : std::uint8_t { kFrame, kScalar, kTile, kSegSplat };
 
 struct NodeInfo {
   K kind = K::kOther;
+  Src src = Src::kFrame;
   Size len = 0;
   bool is_vec = false;         ///< vector-valued (seq leaf or interior)
   bool resolved = false;       ///< leaf: as_seq / scalar payload resolved
@@ -166,60 +172,88 @@ struct NodeInfo {
   Bool bv = 0;
 };
 
-template <typename T, typename R, typename F>
+/// The position of one block: `flat` is its first element in the chain's
+/// index space; in a reduce-rooted chain it lies in segment `seg`,
+/// starting `j0` elements into it.
+struct Blk {
+  Size flat = 0;
+  Size seg = 0;
+  Size j0 = 0;
+  Size len = 0;
+};
+
+/// The kernels' lane loops; an operand flagged SA/SB is one value every
+/// lane reads (a broadcast or a segment splat).
+template <bool SA, bool SB, typename T, typename R, typename F>
 inline void loop2(const void* a, const void* b, void* d, Size len, F&& f) {
   const T* x = static_cast<const T*>(a);
   const T* y = static_cast<const T*>(b);
   R* r = static_cast<R*>(d);
-  for (Size i = 0; i < len; ++i) r[i] = f(x[i], y[i]);
+  for (Size i = 0; i < len; ++i) r[i] = f(x[SA ? 0 : i], y[SB ? 0 : i]);
 }
 
-template <typename T, typename R, typename F>
+template <bool SA, typename T, typename R, typename F>
 inline void loop1(const void* a, void* d, Size len, F&& f) {
   const T* x = static_cast<const T*>(a);
   R* r = static_cast<R*>(d);
-  for (Size i = 0; i < len; ++i) r[i] = f(x[i]);
+  for (Size i = 0; i < len; ++i) r[i] = f(x[SA ? 0 : i]);
 }
 
+template <bool SA, bool SB>
 void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
   using vl::detail::checked_div;
   using vl::detail::checked_mod;
   switch (k) {
-    case Kern::kAddI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return;
-    case Kern::kSubI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return;
-    case Kern::kMulI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return;
-    case Kern::kDivI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_div(x, y); }); return;
-    case Kern::kModI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_mod(x, y); }); return;
-    case Kern::kMinI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return;
-    case Kern::kMaxI: loop2<Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? y : x; }); return;
-    case Kern::kEqI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeI: loop2<Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAddR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x + y; }); return;
-    case Kern::kSubR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x - y; }); return;
-    case Kern::kMulR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x * y; }); return;
-    case Kern::kDivR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x / y; }); return;
-    case Kern::kMinR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? x : y; }); return;
-    case Kern::kMaxR: loop2<Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? y : x; }); return;
-    case Kern::kEqR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeR: loop2<Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAndB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x && y) ? 1 : 0); }); return;
-    case Kern::kOrB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return;
-    case Kern::kEqB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return;
-    case Kern::kNeB: loop2<Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return;
-    case Kern::kNegI: loop1<Int, Int>(a, d, len, [](Int x) { return -x; }); return;
-    case Kern::kNegR: loop1<Real, Real>(a, d, len, [](Real x) { return -x; }); return;
-    case Kern::kToReal: loop1<Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return;
-    case Kern::kToInt: loop1<Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return;
-    case Kern::kSqrtR: loop1<Real, Real>(a, d, len, [](Real x) { return std::sqrt(x); }); return;
-    case Kern::kNotB: loop1<Bool, Bool>(a, d, len, [](Bool x) { return Bool(x ? 0 : 1); }); return;
+    case Kern::kAddI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return;
+    case Kern::kSubI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return;
+    case Kern::kMulI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return;
+    case Kern::kDivI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_div(x, y); }); return;
+    case Kern::kModI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_mod(x, y); }); return;
+    case Kern::kMinI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return;
+    case Kern::kMaxI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? y : x; }); return;
+    case Kern::kEqI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x == y ? 1 : 0); }); return;
+    case Kern::kNeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x != y ? 1 : 0); }); return;
+    case Kern::kLtI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x < y ? 1 : 0); }); return;
+    case Kern::kLeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x <= y ? 1 : 0); }); return;
+    case Kern::kGtI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x > y ? 1 : 0); }); return;
+    case Kern::kGeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x >= y ? 1 : 0); }); return;
+    case Kern::kAddR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x + y; }); return;
+    case Kern::kSubR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x - y; }); return;
+    case Kern::kMulR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x * y; }); return;
+    case Kern::kDivR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x / y; }); return;
+    case Kern::kMinR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? x : y; }); return;
+    case Kern::kMaxR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? y : x; }); return;
+    case Kern::kEqR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x == y ? 1 : 0); }); return;
+    case Kern::kNeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x != y ? 1 : 0); }); return;
+    case Kern::kLtR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x < y ? 1 : 0); }); return;
+    case Kern::kLeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x <= y ? 1 : 0); }); return;
+    case Kern::kGtR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x > y ? 1 : 0); }); return;
+    case Kern::kGeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x >= y ? 1 : 0); }); return;
+    case Kern::kAndB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x && y) ? 1 : 0); }); return;
+    case Kern::kOrB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return;
+    case Kern::kEqB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return;
+    case Kern::kNeB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return;
+    case Kern::kNegI: loop1<SA, Int, Int>(a, d, len, [](Int x) { return -x; }); return;
+    case Kern::kNegR: loop1<SA, Real, Real>(a, d, len, [](Real x) { return -x; }); return;
+    case Kern::kToReal: loop1<SA, Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return;
+    case Kern::kToInt: loop1<SA, Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return;
+    case Kern::kSqrtR: loop1<SA, Real, Real>(a, d, len, [](Real x) { return std::sqrt(x); }); return;
+    case Kern::kNotB: loop1<SA, Bool, Bool>(a, d, len, [](Bool x) { return Bool(x ? 0 : 1); }); return;
+  }
+}
+
+/// run_kern with the operands' scalar flags as template arguments. (A
+/// node may read two: a segment splat times a broadcast.)
+void run_kern(Kern k, const OpRef& ra, const void* a, const OpRef& rb,
+              const void* b, void* d, Size len) {
+  if (ra.scalar() && rb.scalar()) {
+    run_kern<true, true>(k, a, b, d, len);
+  } else if (ra.scalar()) {
+    run_kern<true, false>(k, a, b, d, len);
+  } else if (rb.scalar()) {
+    run_kern<false, true>(k, a, b, d, len);
+  } else {
+    run_kern<false, false>(k, a, b, d, len);
   }
 }
 
@@ -227,7 +261,170 @@ void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
   eval_fail("fused: malformed micro-expression (verifier bypassed?)");
 }
 
+K leaf_kind(Array::Kind k) {
+  switch (k) {
+    case Array::Kind::kInt: return K::kInt;
+    case Array::Kind::kReal: return K::kReal;
+    case Array::Kind::kBool: return K::kBool;
+    default: return K::kOther;
+  }
+}
+
+const void* leaf_data(const Array& a) {
+  switch (a.kind()) {
+    case Array::Kind::kInt: return a.int_values().data();
+    case Array::Kind::kReal: return a.real_values().data();
+    case Array::Kind::kBool: return a.bool_values().data();
+    default: return nullptr;
+  }
+}
+
+/// The array of a sequence of scalars, or null for anything else.
+const Array* scalar_leaf(const VValue& v) {
+  if (!v.is_seq()) return nullptr;
+  const Array& a = v.as_seq();
+  return leaf_kind(a.kind()) == K::kOther ? nullptr : &a;
+}
+
+/// A segmented reduce over blocks of the chain's root values: folds the
+/// `len` values at x, one part of a segment, into the segment's running
+/// value at acc (`first`: the segment's first part, which starts from
+/// the identity). The fold is the seg_reduce_impl loop's, in the same
+/// order, so sums of reals are bit-identical.
+using Fold = void (*)(const void* x, Size len, bool first, void* acc);
+
+/// acc combined with x[0..len) in order. The elements of a Bool chain
+/// are 0 or 1, so or/and fold as branch-free bit operations.
+template <typename T, typename Op>
+T fold_range(T acc, const T* x, Size len) {
+  if constexpr (std::is_same_v<Op, vl::detail::OrOp>) {
+    Bool any = acc;
+    for (Size j = 0; j < len; ++j) any |= x[j];
+    return Bool(any != 0 ? 1 : 0);
+  } else if constexpr (std::is_same_v<Op, vl::detail::AndOp>) {
+    Bool all = acc;
+    for (Size j = 0; j < len; ++j) all &= x[j];
+    return Bool(all != 0 ? 1 : 0);
+  } else {
+    for (Size j = 0; j < len; ++j) acc = Op::combine(acc, x[j]);
+    return acc;
+  }
+}
+
+template <typename T, typename Op>
+Fold make_fold() {
+  return [](const void* x, Size len, bool first, void* acc) {
+    T* a = static_cast<T*>(acc);
+    *a = fold_range<T, Op>(first ? Op::identity() : *a,
+                           static_cast<const T*>(x), len);
+  };
+}
+
+/// The fold of reduce `p` over values of kind `k`, when the unfused
+/// reduce accepts that kind.
+bool select_fold(Prim p, K k, Fold& f) {
+  using namespace vl::detail;
+  switch (p) {
+    case Prim::kSum:
+      if (k == K::kInt) { f = make_fold<Int, AddOp<Int>>(); return true; }
+      if (k == K::kReal) { f = make_fold<Real, AddOp<Real>>(); return true; }
+      return false;
+    case Prim::kMaxVal:
+      if (k == K::kInt) { f = make_fold<Int, MaxOp<Int>>(); return true; }
+      if (k == K::kReal) { f = make_fold<Real, MaxOp<Real>>(); return true; }
+      return false;
+    case Prim::kMinVal:
+      if (k == K::kInt) { f = make_fold<Int, MinOp<Int>>(); return true; }
+      if (k == K::kReal) { f = make_fold<Real, MinOp<Real>>(); return true; }
+      return false;
+    case Prim::kAnyV:
+      if (k == K::kBool) { f = make_fold<Bool, OrOp>(); return true; }
+      return false;
+    case Prim::kAllV:
+      if (k == K::kBool) { f = make_fold<Bool, AndOp>(); return true; }
+      return false;
+    default:
+      corrupt();
+  }
+}
+
+/// An empty array of kind `k`, through whose accessors a reduce refusing
+/// that kind throws its own error.
+Array empty_leaf(K k) {
+  switch (k) {
+    case K::kReal: return Array::reals(RealVec{});
+    case K::kBool: return Array::bools(BoolVec{});
+    default: return Array::ints(IntVec{});
+  }
+}
+
+/// The segments of a reduce-rooted chain: the tile dist(v, n) and each
+/// segment splat, replayed in their unfused order. Operands the fast
+/// path can address charge through the seq:: helpers; any other is
+/// built by the real kernel, whose records and errors are then the
+/// unfused ones by construction.
+struct Segments {
+  Size nseg = 0;
+  Size m = 0;
+  const Array* tile = nullptr;      ///< fast tile: the v of dist(v, n)
+  std::optional<Array> built_tile;  ///< otherwise the dist itself
+  std::vector<std::optional<Array>> built_splat;  ///< per operand slot
+
+  [[nodiscard]] IntVec lengths() const {
+    return built_tile ? built_tile->lengths() : IntVec(nseg, m);
+  }
+  /// Elements in the segments (what insert checks the body against).
+  [[nodiscard]] Size total() const {
+    if (!built_tile) return nseg * m;
+    return built_tile->kind() == Array::Kind::kNested
+               ? built_tile->inner().length()
+               : 0;
+  }
+};
+
+void resolve_segments(const FusedExpr& e, const std::vector<VValue>& inputs,
+                      Segments& sg) {
+  // dist(v, n) at depth 0, as apply_prim0 runs it.
+  const Array* v = scalar_leaf(inputs[0]);
+  if (v != nullptr && inputs[1].is_int()) {
+    const Int r = inputs[1].as_int();
+    sg.tile = v;
+    sg.nseg = r < 0 ? 0 : r;
+    sg.m = v->length();
+    charge_materialize_seq(sg.m, sg.nseg);
+  } else {
+    sg.built_tile =
+        apply_prim0(Prim::kDist, {inputs[0], inputs[1]}).as_seq();
+    const Array& t = *sg.built_tile;
+    if (t.kind() == Array::Kind::kNested) {
+      sg.nseg = t.length();
+      sg.m = sg.nseg > 0 ? t.lengths()[0] : 0;  // n copies of one sequence
+    }
+  }
+  // Each splat: length^1 of the tile, then dist^1(s, that).
+  sg.built_splat.resize(inputs.size());
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    if ((e.input_flags[k] & kFusedSegSplat) == 0) continue;
+    if (sg.built_tile) (void)sg.built_tile->lengths();  // length^1 throws
+    const Array* s = scalar_leaf(inputs[k]);
+    if (sg.tile != nullptr && s != nullptr && s->length() == sg.nseg) {
+      charge_dist_1_uniform(sg.nseg, sg.m);
+    } else {
+      sg.built_splat[k] =
+          apply_prim1(Prim::kDist,
+                      {inputs[k], VValue::seq(Array::ints(sg.lengths()))},
+                      {1, 1})
+              .as_seq();
+    }
+  }
+}
+
 }  // namespace
+
+bool fusible_reduce(Prim p) {
+  return p == Prim::kSum || p == Prim::kMaxVal || p == Prim::kMinVal ||
+         p == Prim::kAnyV || p == Prim::kAllV;
+}
 
 VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
   const std::size_t n_nodes = e.nodes.size();
@@ -236,26 +433,87 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
       e.nodes.back().kind != MicroOp::Kind::kPrim) {
     corrupt();
   }
+  const bool segmented = e.reduce.has_value();
+  if (segmented &&
+      (inputs.size() < 2 || !fusible_reduce(*e.reduce) ||
+       (e.input_flags[0] & kFusedTile) == 0 ||
+       (e.input_flags[1] & kFusedCount) == 0)) {
+    corrupt();
+  }
+  for (std::size_t s = 0; s < inputs.size(); ++s) {
+    const std::uint8_t flags = e.input_flags[s];
+    const bool tile = (flags & kFusedTile) != 0;
+    const bool count = (flags & kFusedCount) != 0;
+    const bool splat = (flags & kFusedSegSplat) != 0;
+    if (tile != (segmented && s == 0) || count != (segmented && s == 1) ||
+        (splat && !segmented)) {
+      corrupt();
+    }
+  }
+  for (const std::uint8_t after : e.reinserts) {
+    if (!segmented || after >= n_nodes ||
+        e.nodes[after].kind != MicroOp::Kind::kPrim) {
+      corrupt();
+    }
+  }
+  const bool checks_segments =
+      segmented && (*e.reduce == Prim::kMaxVal || *e.reduce == Prim::kMinVal);
 
   // --- analysis: kinds, frame lengths, kernels, cost-model emulation ----
   //
-  // Walks interior nodes in post-order (= original instruction order) and
-  // replays, per node, exactly what apply_prim1 would have done for the
-  // unfused instruction: frame length from the first lifted operand,
-  // broadcast replication (a vl dist record each), kernel dispatch by
-  // operand kind, the vl length check, and the kernel's own work record.
-  // Every diagnostic string matches the unfused path's.
+  // Replays, in the unfused order, what each absorbed instruction would
+  // have done: the tile's dist and each splat's length^1/dist^1 first
+  // (resolve_segments), then the extracts reading them, then per
+  // elementwise node in post-order (= original instruction order)
+  // exactly what apply_prim1 would have done: frame length from the first
+  // lifted operand, broadcast replication (a vl dist record each), kernel
+  // dispatch by operand kind, the vl length check, and the kernel's own
+  // work record. Every diagnostic string matches the unfused path's.
+  Segments sg;
+  if (segmented) resolve_segments(e, inputs, sg);
   std::vector<NodeInfo> info(n_nodes);
   std::vector<NodePlan> plan(n_nodes);
+  std::vector<std::optional<Array>> extracted(n_nodes);
 
+  const auto frame_leaf = [](NodeInfo& ni, const Array& arr) {
+    ni.is_vec = true;
+    ni.src = Src::kFrame;
+    ni.len = arr.length();
+    ni.kind = leaf_kind(arr.kind());  // tuple/nested: kernel dispatch fails
+    ni.data = leaf_data(arr);
+  };
   const auto resolve_leaf = [&](std::size_t c) -> NodeInfo& {
     NodeInfo& ni = info[c];
     if (ni.resolved) return ni;
     const MicroOp& mo = e.nodes[c];
     const std::uint8_t flags = e.input_flags[mo.input];
     const VValue& v = inputs[mo.input];
-    if ((flags & kFusedBroadcast) != 0) {
+    if ((flags & kFusedTile) != 0) {
+      if (sg.tile != nullptr) {
+        ni.is_vec = true;
+        ni.src = Src::kTile;
+        ni.len = sg.nseg * sg.m;
+        ni.kind = leaf_kind(sg.tile->kind());
+        ni.data = leaf_data(*sg.tile);
+      } else {
+        extracted[c] = seq::extract(*sg.built_tile, 1);
+        frame_leaf(ni, *extracted[c]);
+      }
+    } else if ((flags & kFusedSegSplat) != 0) {
+      if (sg.built_splat[mo.input]) {
+        extracted[c] = seq::extract(*sg.built_splat[mo.input], 1);
+        frame_leaf(ni, *extracted[c]);
+      } else {
+        const Array& s = v.as_seq();
+        ni.is_vec = true;
+        ni.src = Src::kSegSplat;
+        ni.len = sg.nseg * sg.m;
+        ni.kind = leaf_kind(s.kind());
+        ni.data = leaf_data(s);
+      }
+    } else if ((flags & kFusedBroadcast) != 0) {
       ni.is_vec = false;
+      ni.src = Src::kScalar;
       if (v.is_int()) {
         ni.kind = K::kInt;
         ni.iv = v.as_int();
@@ -271,30 +529,23 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
         ni.kind = K::kOther;  // seq/tuple broadcast: kernel dispatch fails
       }
     } else {
-      ni.is_vec = true;
-      const Array& arr = v.as_seq();  // may throw, as apply_prim1's scan does
-      ni.len = arr.length();
-      switch (arr.kind()) {
-        case Array::Kind::kInt:
-          ni.kind = K::kInt;
-          ni.data = arr.int_values().data();
-          break;
-        case Array::Kind::kReal:
-          ni.kind = K::kReal;
-          ni.data = arr.real_values().data();
-          break;
-        case Array::Kind::kBool:
-          ni.kind = K::kBool;
-          ni.data = arr.bool_values().data();
-          break;
-        default:
-          ni.kind = K::kOther;  // tuple/nested frame: kernel dispatch fails
-          break;
-      }
+      frame_leaf(ni, v.as_seq());  // may throw, as apply_prim1's scan does
     }
     ni.resolved = true;
     return ni;
   };
+
+  // The extracts of the tile and the splats precede every elementwise
+  // instruction of the chain.
+  for (std::size_t k = 0; k < n_nodes && segmented; ++k) {
+    const MicroOp& mo = e.nodes[k];
+    if (mo.kind != MicroOp::Kind::kInput) continue;
+    if (mo.input >= inputs.size()) corrupt();
+    if ((e.input_flags[mo.input] & kFusedCount) != 0) corrupt();
+    if ((e.input_flags[mo.input] & (kFusedTile | kFusedSegSplat)) != 0) {
+      (void)resolve_leaf(k);
+    }
+  }
 
   vl::VectorStats& st = vl::stats();
   for (std::size_t k = 0; k < n_nodes; ++k) {
@@ -367,19 +618,56 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     info[k].resolved = true;
     plan[k].kern = sel.kern;
     plan[k].binary = binary;
-    plan[k].is_root = k == n_nodes - 1;
+    // An insert between two members: Array::nested checks the segments.
+    for (const std::uint8_t after : e.reinserts) {
+      if (after != k) continue;
+      st.record(sg.nseg);
+      st.record_segments(sg.nseg);
+    }
   }
 
   const std::size_t root = n_nodes - 1;
-  const K out_kind = info[root].kind;
-  const Size n = info[root].len;
+  const K root_kind = info[root].kind;
+  const Size n = info[root].len;  // elements the chain computes
+
+  // insert(body, tile) and the reduce's own operand check, as unfused.
+  Fold fold = nullptr;
+  if (segmented) {
+    const bool nested = !sg.built_tile ||
+                        sg.built_tile->kind() == Array::Kind::kNested;
+    if (!nested || n != sg.total()) {
+      // Let insert raise its own error over stand-ins of the same shape.
+      const Array frame =
+          sg.built_tile ? *sg.built_tile
+                        : Array::nested(sg.lengths(),
+                                        Array::bools(BoolVec(sg.total())));
+      (void)seq::insert(Array::bools(BoolVec(n)), frame, 1);
+      corrupt();
+    }
+    st.record(sg.nseg);  // the final insert's Array::nested
+    st.record_segments(sg.nseg);
+    if (!select_fold(*e.reduce, root_kind, fold)) {
+      if (checks_segments) check_reduce_segments(*e.reduce, sg.lengths());
+      const Array standin = empty_leaf(root_kind);
+      if (*e.reduce == Prim::kAnyV || *e.reduce == Prim::kAllV) {
+        (void)standin.bool_values();
+      } else {
+        (void)standin.int_values();
+      }
+      corrupt();
+    }
+  }
+  const Size nseg = sg.nseg;
+  const Size m = sg.m;
 
   // --- output buffer: reuse a dying input in place when we own it -------
+  const K out_kind = root_kind;
+  const Size out_len = segmented ? nseg : n;
   IntVec out_i;
   RealVec out_r;
   BoolVec out_b;
   bool stolen = false;
-  for (std::size_t s = 0; s < inputs.size() && !stolen; ++s) {
+  for (std::size_t s = 0; s < inputs.size() && !stolen && !segmented; ++s) {
     if ((e.input_flags[s] & kFusedLastUse) == 0) continue;
     if ((e.input_flags[s] & kFusedBroadcast) != 0) continue;
     if (!inputs[s].is_seq()) continue;
@@ -398,12 +686,14 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
   }
   if (!stolen) {
     switch (out_kind) {
-      case K::kInt: out_i = IntVec(n); break;
-      case K::kReal: out_r = RealVec(n); break;
-      case K::kBool: out_b = BoolVec(n); break;
+      case K::kInt: out_i = IntVec(out_len); break;
+      case K::kReal: out_r = RealVec(out_len); break;
+      case K::kBool: out_b = BoolVec(out_len); break;
       case K::kOther: corrupt();
     }
-    st.record_alloc();  // the chain's single full-length allocation
+    // The chain's single full-length allocation; a segmented reduce's
+    // output is the reduce's, which vl does not count either.
+    if (!segmented) st.record_alloc();
   }
   void* out_base = nullptr;
   switch (out_kind) {
@@ -414,61 +704,49 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
   }
   const std::size_t out_esize = elem_size(out_kind);
 
-  // --- block plan: scratch offsets, splat buffers, operand refs ---------
-  std::size_t arena_bytes = 0;
-  std::vector<std::vector<std::byte>> splats(n_nodes);
-  std::vector<std::size_t> scratch_off(n_nodes, 0);
+  // --- block plan: scratch offsets and operand refs ---------------------
+  //
+  // A reduce-rooted chain runs one segment per work item, block by block;
+  // its root writes to scratch and the fold reduces each block into the
+  // segment's output slot.
   const Size block = std::min<Size>(kBlock, n);
+  std::size_t arena_bytes = 0;
+  std::vector<std::size_t> scratch_off(n_nodes, 0);
   for (std::size_t k = 0; k < n_nodes; ++k) {
-    const MicroOp& mo = e.nodes[k];
-    if (mo.kind == MicroOp::Kind::kPrim) {
-      if (k != root) {
-        scratch_off[k] = arena_bytes;
-        arena_bytes +=
-            (static_cast<std::size_t>(block) * elem_size(info[k].kind) + 7) &
-            ~std::size_t{7};
-      }
+    if (e.nodes[k].kind != MicroOp::Kind::kPrim || (k == root && !segmented)) {
       continue;
     }
-    if (!info[k].resolved || info[k].is_vec || block == 0) continue;
-    // Broadcast scalar: fill one block-sized splat so every kernel loop
-    // reads uniform pointers. O(block) scratch, not a frame allocation.
-    auto& buf = splats[k];
-    buf.resize(static_cast<std::size_t>(block) * elem_size(info[k].kind));
-    switch (info[k].kind) {
-      case K::kInt: {
-        Int* p = reinterpret_cast<Int*>(buf.data());
-        std::fill(p, p + block, info[k].iv);
-        break;
-      }
-      case K::kReal: {
-        Real* p = reinterpret_cast<Real*>(buf.data());
-        std::fill(p, p + block, info[k].rv);
-        break;
-      }
-      case K::kBool: {
-        Bool* p = reinterpret_cast<Bool*>(buf.data());
-        std::fill(p, p + block, info[k].bv);
-        break;
-      }
-      case K::kOther: break;
-    }
+    scratch_off[k] = arena_bytes;
+    arena_bytes +=
+        (static_cast<std::size_t>(block) * elem_size(info[k].kind) + 7) &
+        ~std::size_t{7};
   }
 
   std::vector<std::size_t> interior;
   interior.reserve(n_nodes);
   const auto make_ref = [&](std::size_t c) {
     OpRef r;
+    const NodeInfo& ni = info[c];
+    r.esize = elem_size(ni.kind);
     if (e.nodes[c].kind == MicroOp::Kind::kPrim) {
       r.tag = OpRef::Tag::kScratch;
       r.off = scratch_off[c];
-    } else if (info[c].is_vec) {
+    } else if (ni.src == Src::kTile) {
+      r.tag = OpRef::Tag::kTile;
+      r.base = ni.data;
+    } else if (ni.src == Src::kSegSplat) {
+      r.tag = OpRef::Tag::kSegScalar;
+      r.base = ni.data;
+    } else if (ni.is_vec) {
       r.tag = OpRef::Tag::kFrame;
-      r.base = info[c].data;
-      r.esize = elem_size(info[c].kind);
+      r.base = ni.data;
     } else {
-      r.tag = OpRef::Tag::kSplat;
-      r.base = splats[c].data();
+      r.tag = OpRef::Tag::kScalar;
+      switch (ni.kind) {
+        case K::kInt: r.base = &ni.iv; break;
+        case K::kReal: r.base = &ni.rv; break;
+        default: r.base = &ni.bv; break;
+      }
     }
     return r;
   };
@@ -476,40 +754,66 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     if (e.nodes[k].kind != MicroOp::Kind::kPrim) continue;
     plan[k].a = make_ref(e.nodes[k].a);
     if (plan[k].binary) plan[k].b = make_ref(e.nodes[k].b);
+    plan[k].dst_off = scratch_off[k];
     interior.push_back(k);
   }
 
   // --- the single pass --------------------------------------------------
   const auto resolve = [](const OpRef& r, std::byte* arena,
-                          Size start) -> const void* {
+                          const Blk& at) -> const void* {
+    const auto* base = static_cast<const std::byte*>(r.base);
     switch (r.tag) {
       case OpRef::Tag::kFrame:
-        return static_cast<const std::byte*>(r.base) +
-               static_cast<std::size_t>(start) * r.esize;
-      case OpRef::Tag::kSplat:
-        return r.base;
+        return base + static_cast<std::size_t>(at.flat) * r.esize;
+      case OpRef::Tag::kTile:
+        return base + static_cast<std::size_t>(at.j0) * r.esize;
+      case OpRef::Tag::kScalar:
+        return base;
+      case OpRef::Tag::kSegScalar:
+        return base + static_cast<std::size_t>(at.seg) * r.esize;
       case OpRef::Tag::kScratch:
         return arena + r.off;
     }
     return nullptr;
   };
-  const auto run_block = [&](Size start, std::byte* arena) {
-    const Size len = std::min<Size>(kBlock, n - start);
+  const auto run_nodes = [&](const Blk& at, std::byte* arena) {
     for (const std::size_t k : interior) {
       const NodePlan& np = plan[k];
-      const void* pa = resolve(np.a, arena, start);
-      const void* pb = np.binary ? resolve(np.b, arena, start) : nullptr;
-      void* pd = np.is_root
+      const void* pa = resolve(np.a, arena, at);
+      const void* pb = np.binary ? resolve(np.b, arena, at) : nullptr;
+      void* pd = k == root && !segmented
                      ? static_cast<void*>(
                            static_cast<std::byte*>(out_base) +
-                           static_cast<std::size_t>(start) * out_esize)
+                           static_cast<std::size_t>(at.flat) * out_esize)
                      : static_cast<void*>(arena + np.dst_off);
-      run_kern(np.kern, pa, pb, pd, len);
+      run_kern(np.kern, np.a, pa, np.b, pb, pd, at.len);
     }
   };
-  for (const std::size_t k : interior) plan[k].dst_off = scratch_off[k];
+  // One work item: a block of the flat chain, or every block of one
+  // segment.
+  const auto run_item = [&](Size item, std::byte* arena) {
+    if (!segmented) {
+      Blk at;
+      at.flat = item * kBlock;
+      at.len = std::min<Size>(kBlock, n - at.flat);
+      run_nodes(at, arena);
+      return;
+    }
+    void* acc = static_cast<std::byte*>(out_base) +
+                static_cast<std::size_t>(item) * out_esize;
+    Blk at;
+    at.seg = item;
+    do {  // an empty segment folds nothing into the identity
+      at.flat = item * m + at.j0;
+      at.len = std::min<Size>(kBlock, m - at.j0);
+      if (at.len > 0) run_nodes(at, arena);
+      fold(arena + scratch_off[root], at.len, at.j0 == 0, acc);
+      at.j0 += kBlock;
+    } while (at.j0 < m);
+  };
 
-  const Size n_blocks = n == 0 ? 0 : (n + kBlock - 1) / kBlock;
+  const Size n_items =
+      segmented ? nseg : n == 0 ? 0 : (n + kBlock - 1) / kBlock;
   // Governor check points: throwing across an OpenMP region would
   // terminate the process, so inside the parallel loop threads only
   // *observe* a deferred trip and skip their remaining blocks; the
@@ -521,20 +825,27 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
     {
       std::vector<std::byte> arena(arena_bytes);
 #pragma omp for schedule(static)
-      for (Size b = 0; b < n_blocks; ++b) {
-        if (!rt::tripped()) run_block(b * kBlock, arena.data());
+      for (Size b = 0; b < n_items; ++b) {
+        if (!rt::tripped()) run_item(b, arena.data());
       }
     }
   } else
 #endif
   {
     std::vector<std::byte> arena(arena_bytes);
-    for (Size b = 0; b < n_blocks; ++b) {
+    for (Size b = 0; b < n_items; ++b) {
       rt::poll("fused");
-      run_block(b * kBlock, arena.data());
+      run_item(b, arena.data());
     }
   }
   rt::poll("fused");
+
+  if (segmented) {
+    // The reduce: its segment check, then seg_reduce_impl's records.
+    if (checks_segments) check_reduce_segments(*e.reduce, sg.lengths());
+    st.record(n);
+    st.record_segments(nseg);
+  }
 
   switch (out_kind) {
     case K::kInt: return VValue::seq(Array::ints(std::move(out_i)));

@@ -429,6 +429,7 @@ Array seq_cons_1(const std::vector<Array>& elems) {
 Array reduce_1(Prim op, const Array& v) {
   const IntVec& lens = v.lengths();
   const Array& inner = v.inner();
+  check_reduce_segments(op, lens);
   if (op == Prim::kSum) {
     if (inner.kind() == Array::Kind::kReal) {
       return Array::reals(vl::seg_reduce_add(inner.real_values(), lens));
@@ -436,9 +437,6 @@ Array reduce_1(Prim op, const Array& v) {
     return Array::ints(vl::seg_reduce_add(inner.int_values(), lens));
   }
   if (op == Prim::kMaxVal || op == Prim::kMinVal) {
-    if (!vl::all(vl::gt(lens, Int{0})) && lens.size() > 0) {
-      eval_fail("maxval/minval of an empty sequence");
-    }
     if (inner.kind() == Array::Kind::kReal) {
       const RealVec& x = inner.real_values();
       return Array::reals(op == Prim::kMaxVal ? vl::seg_reduce_max(x, lens)
@@ -459,6 +457,22 @@ Array reduce_1(Prim op, const Array& v) {
 }
 
 }  // namespace
+
+void charge_dist_1_uniform(Size n, Size len) {
+  vl::VectorStats& st = vl::stats();
+  st.record(n);  // clamp_counts: lt(counts, 0)
+  st.record(n);  //               select(negative, 0, counts)
+  seq::charge_seg_broadcast(n, n * len);
+  st.record(n);  // Array::nested checks the n lengths
+  st.record_segments(n);
+}
+
+void check_reduce_segments(Prim op, const IntVec& lens) {
+  if (op != Prim::kMaxVal && op != Prim::kMinVal) return;
+  if (!vl::all(vl::gt(lens, Int{0})) && lens.size() > 0) {
+    eval_fail("maxval/minval of an empty sequence");
+  }
+}
 
 // --- depth-0 entry ---------------------------------------------------------------
 

@@ -38,6 +38,15 @@ struct PrimOptions {
                                  const std::vector<std::uint8_t>& lifted,
                                  const PrimOptions& options = {});
 
+/// Charges dist^1(s, counts) for `n` scalars s and `n` counts that all
+/// equal `len` (the length^1 of a tile), without building it: the clamp
+/// of the counts, then seq::seg_broadcast.
+void charge_dist_1_uniform(vl::Size n, vl::Size len);
+
+/// The check reduce^1 `op` makes of its segment lengths before it reduces
+/// (maxval/minval refuse an empty segment), with the work it charges.
+void check_reduce_segments(lang::Prim op, const vl::IntVec& lens);
+
 /// Rule R2d's empty_frame: same structure as `mask` above the deepest
 /// level, no elements at depth `depth`; `type` is Seq^depth(beta).
 [[nodiscard]] VValue empty_frame_value(const VValue& mask, int depth,

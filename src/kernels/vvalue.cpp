@@ -93,6 +93,12 @@ Array materialize(const VValue& v, Size n) {
   throw EvalError("function values cannot be replicated into frames");
 }
 
+void charge_materialize_seq(Size len, Size n) {
+  vl::stats().record(1);  // Array::nested checks the one length
+  vl::stats().record_segments(1);
+  seq::charge_broadcast_row(len, n);
+}
+
 VValue element_value(const Array& a, Size i) {
   PROTEUS_REQUIRE(EvalError, i >= 0 && i < a.length(),
                   "element index out of range");

@@ -103,6 +103,10 @@ class VValue {
 /// representation level).
 [[nodiscard]] Array materialize(const VValue& v, Size n);
 
+/// Charges the work of materialize(v, n) for a sequence v of `len`
+/// scalars without building it (the fused evaluator's tile).
+void charge_materialize_seq(Size len, Size n);
+
 /// Element i of `a`, unboxed to a depth-0 VValue.
 [[nodiscard]] VValue element_value(const Array& a, Size i);
 

@@ -220,6 +220,20 @@ Array broadcast_element(const Array& a, Size i, Size n) {
   return gather(a, vl::dist(Int{i}, n));
 }
 
+void charge_broadcast_row(Size len, Size n) {
+  // gather(nested([len], v), dist(0, n)): the nested gather's selection of
+  // n lengths and starts, then one level of `len`-element segments.
+  vl::VectorStats& st = vl::stats();
+  st.record(n);  // dist(0, n)
+  st.record(n);  // gather(lengths, idx)
+  st.record(1);  // lengths_to_offsets(lengths)
+  st.record(n);  // gather(offsets, idx)
+  charge_gather_positions(n, n * len);
+  st.record(n * len);  // gather_segments
+  st.record(n);        // Array::nested checks the n lengths
+  st.record_segments(n);
+}
+
 Array seg_broadcast(const Array& a, const IntVec& counts) {
   PROTEUS_REQUIRE(VectorError, a.length() == counts.size(),
                   "dist: value and count sequences must have equal length");
@@ -234,6 +248,18 @@ Array seg_broadcast(const Array& a, const IntVec& counts) {
   });
   vl::stats().record(out.length());
   return out;
+}
+
+void charge_seg_broadcast(Size n, Size total) {
+  // The scalar-leaf path of seg_broadcast: iota, vl::seg_dist (whose
+  // lengths_total and lengths_to_offsets charge the counts), the gather.
+  vl::VectorStats& st = vl::stats();
+  st.record(n);  // iota(#a)
+  st.record(n);  // seg_dist: lengths_total(counts)
+  st.record_segments(n);
+  st.record(n);      //           lengths_to_offsets(counts)
+  st.record(total);  //           the distribute
+  st.record(total);  // gather
 }
 
 Array element(const Array& a, Size i) { return broadcast_element(a, i, 1); }

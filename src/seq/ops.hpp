@@ -50,6 +50,16 @@ namespace proteus::seq {
 /// dist^1: element i of `a` replicated counts[i] times, concatenated.
 [[nodiscard]] Array seg_broadcast(const Array& a, const IntVec& counts);
 
+/// Charges the work of broadcast_element(nested([len], v), 0, n) — the
+/// depth-0 dist(v, n) of a sequence v of `len` scalars — without building
+/// it (the fused evaluator's tile operand).
+void charge_broadcast_row(Size len, Size n);
+
+/// Charges the work of seg_broadcast(a, counts) over `n` scalars and
+/// non-negative counts summing to `total`, without building it (the
+/// fused evaluator's segment-splat operand).
+void charge_seg_broadcast(Size n, Size total);
+
 /// Single element i of `a` as a one-element array.
 [[nodiscard]] Array element(const Array& a, Size i);
 

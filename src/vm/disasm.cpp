@@ -64,15 +64,32 @@ std::string reg_list(const Module&, const Function& fn, const Instr& in,
 }
 
 /// Renders node `at` of a fused micro-expression as a prefix tree, leaves
-/// shown as their operand registers (broadcast leaves with a ^ prefix).
+/// shown as their operand registers (broadcast leaves with a ^ prefix, a
+/// tile as tile(v, n), a segment splat as splat(s)).
 void fused_tree(std::ostream& os, const Function& fn, const Instr& in,
                 const kernels::FusedExpr& fe, std::size_t at) {
   const kernels::MicroOp& mo = fe.nodes[at];
   if (mo.kind == kernels::MicroOp::Kind::kInput) {
+    const auto slot = [&](std::size_t s) {
+      const std::uint8_t flags = fe.input_flags[s];
+      if ((flags & kernels::kFusedBroadcast) != 0) os << '^';
+      os << 'r' << fn.arg_pool[in.args_off + s];
+      if ((flags & kernels::kFusedLastUse) != 0) os << '!';
+    };
     const std::uint8_t flags = fe.input_flags[mo.input];
-    if ((flags & kernels::kFusedBroadcast) != 0) os << '^';
-    os << 'r' << fn.arg_pool[in.args_off + mo.input];
-    if ((flags & kernels::kFusedLastUse) != 0) os << '!';
+    if ((flags & kernels::kFusedTile) != 0 && fe.input_flags.size() > 1) {
+      os << "tile(";
+      slot(mo.input);
+      os << ", ";
+      slot(1);
+      os << ')';
+    } else if ((flags & kernels::kFusedSegSplat) != 0) {
+      os << "splat(";
+      slot(mo.input);
+      os << ')';
+    } else {
+      slot(mo.input);
+    }
     return;
   }
   os << lang::prim_name(mo.prim) << '(';
@@ -145,8 +162,12 @@ void instr_text(std::ostream& os, const Module& m, const Function& fn,
       const kernels::FusedExpr& fe =
           fn.fused[static_cast<std::size_t>(in.aux)];
       os << "r" << in.dst << " <- ";
+      if (fe.reduce) os << lang::prim_name(*fe.reduce) << "^1(";
       fused_tree(os, fn, in, fe, fe.nodes.size() - 1);
-      os << "  ; " << kernels::fused_prim_count(fe) << " prims";
+      if (fe.reduce) os << ')';
+      std::size_t prims = 0;
+      kernels::for_each_application(fe, [&](lang::Prim) { ++prims; });
+      os << "  ; " << prims << " prims";
       break;
     }
     case Op::kCall:

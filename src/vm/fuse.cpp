@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -45,11 +47,43 @@ struct Root {
   bool operator==(const Root&) const = default;
 };
 
+/// Registers a function may reach through inlining; leaves headroom in
+/// the 16-bit register space for the renaming pass.
+constexpr std::size_t kMaxInlineRegs = 0x8000;
+
+/// True when `fn` is a leaf pass 0 may inline: straight-line code of at
+/// most kInlineLimit instructions ending in its only ret.
+bool inlinable(const Function& fn) {
+  if (fn.code.empty() || fn.code.size() > kInlineLimit ||
+      fn.code.back().op != Op::kRet || fn.code.back().args_count != 1) {
+    return false;
+  }
+  for (std::size_t pc = 0; pc + 1 < fn.code.size(); ++pc) {
+    const Op op = fn.code[pc].op;
+    if (is_branch(op) || op == Op::kRet || op == Op::kCall ||
+        op == Op::kCallIndirect) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool calls_out(const Function& fn) {
+  return std::any_of(fn.code.begin(), fn.code.end(), [](const Instr& in) {
+    return in.op == Op::kCall || in.op == Op::kCallIndirect;
+  });
+}
+
 class FunctionOptimizer {
  public:
   FunctionOptimizer(Function& fn, std::span<const std::uint8_t> frames,
+                    std::span<const Function* const> leaves,
                     FuseStats& stats)
-      : fn_(fn), frames_(frames), stats_(stats) {}
+      : fn_(fn),
+        frames_(frames),
+        leaves_(leaves),
+        stats_(stats),
+        base_regs_(fn.n_regs) {}
 
   void run() {
     if (fn_.code.empty()) return;
@@ -61,11 +95,12 @@ class FunctionOptimizer {
     propagate(starts);
     bool any_fusible = false;
     for (std::size_t pc = 0; pc < ir_.size() && !any_fusible; ++pc) {
-      any_fusible = fusible_instr(pc);
+      any_fusible = fusible_instr(pc) || seg_reduce_instr(pc);
     }
     if (any_fusible) {
       rename_redefinitions(starts);
       fuse_chains(starts);
+      undo_renames();
     }
     compact();
     while (eliminate_dead()) compact();
@@ -74,26 +109,188 @@ class FunctionOptimizer {
   }
 
  private:
-  // --- IR in/out -------------------------------------------------------------
+  // --- IR in/out, pass 0: inlining -------------------------------------------
 
   void load() {
-    ir_.reserve(fn_.code.size());
-    for (const Instr& in : fn_.code) {
+    fused_ = fn_.fused;
+    const std::size_t n = fn_.code.size();
+    std::vector<std::size_t> new_pc(n + 1, 0);
+    bool inlined = false;
+    std::optional<Liveness> live;  // of the code as assembled
+    ir_.reserve(n);
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      new_pc[pc] = ir_.size();
+      const Instr& in = fn_.code[pc];
       IInstr ii;
       ii.in = in;
       ii.args.assign(fn_.arg_pool.begin() + in.args_off,
                      fn_.arg_pool.begin() + in.args_off + in.args_count);
+      if (const Function* callee = inline_target(in)) {
+        if (!live) live.emplace(fn_);
+        inline_call(ii, *callee, free_at(pc, ii, *live));
+        inlined = true;
+        continue;
+      }
       ir_.push_back(std::move(ii));
+    }
+    new_pc[n] = ir_.size();
+    if (!inlined) return;
+    for (IInstr& ii : ir_) {
+      if (!is_branch(ii.in.op) || ii.in.aux < 0 ||
+          static_cast<std::size_t>(ii.in.aux) > n) {
+        continue;
+      }
+      ii.in.aux = static_cast<std::int32_t>(
+          new_pc[static_cast<std::size_t>(ii.in.aux)]);
     }
   }
 
+  /// The leaf `in` calls, when pass 0 may inline it here.
+  const Function* inline_target(const Instr& in) const {
+    if (in.op != Op::kCall || in.aux < 0) return nullptr;
+    const auto index = static_cast<std::size_t>(in.aux);
+    if (index >= leaves_.size() || leaves_[index] == nullptr) return nullptr;
+    const Function& callee = *leaves_[index];
+    if (in.args_count != callee.n_params ||
+        std::size_t{fn_.n_regs} + callee.n_regs > kMaxInlineRegs) {
+      return nullptr;
+    }
+    return &callee;
+  }
+
+  /// Index of `set` in the function's lifted sets, appended if new.
+  std::int32_t lifted_index(const std::vector<std::uint8_t>& set) {
+    const auto it =
+        std::find(fn_.lifted_sets.begin(), fn_.lifted_sets.end(), set);
+    if (it != fn_.lifted_sets.end()) {
+      return static_cast<std::int32_t>(it - fn_.lifted_sets.begin());
+    }
+    fn_.lifted_sets.push_back(set);
+    return static_cast<std::int32_t>(fn_.lifted_sets.size() - 1);
+  }
+
+  /// The registers of the function that the call at `pc` may lend to
+  /// the body it inlines: dead after the call, and none of: an argument
+  /// (copy propagation reads the arguments in place of the parameters),
+  /// the destination, a parameter (whose entry value gather elision
+  /// reads), a register some move or gather copies (propagation may make
+  /// it live again), or one read earlier in the call's block (fusion may
+  /// move that read into the body).
+  std::vector<std::uint16_t> free_at(std::size_t pc, const IInstr& call,
+                                     const Liveness& live) const {
+    std::vector<std::uint8_t> taken(base_regs_, 0);
+    std::vector<std::uint8_t> leader(fn_.code.size() + 1, 0);
+    for (std::size_t q = 0; q < fn_.code.size(); ++q) {
+      const Instr& in = fn_.code[q];
+      if ((in.op == Op::kMove || in.op == Op::kGather) && in.args_count > 0) {
+        taken[fn_.arg_pool[in.args_off]] = 1;
+      }
+      if (is_branch(in.op) || in.op == Op::kRet) {
+        leader[q + 1] = 1;
+        if (in.aux >= 0 &&
+            static_cast<std::size_t>(in.aux) < fn_.code.size()) {
+          leader[static_cast<std::size_t>(in.aux)] = 1;
+        }
+      }
+    }
+    for (std::size_t q = pc; q-- > 0 && leader[q + 1] == 0;) {
+      const Instr& in = fn_.code[q];
+      for (std::size_t s = 0; s < in.args_count; ++s) {
+        taken[fn_.arg_pool[in.args_off + s]] = 1;
+      }
+    }
+    std::vector<std::uint16_t> out;
+    for (std::uint16_t r = fn_.n_params; r < base_regs_; ++r) {
+      if (live.live_out(pc, r) || r == call.in.dst || taken[r] != 0 ||
+          std::find(call.args.begin(), call.args.end(), r) !=
+              call.args.end()) {
+        continue;
+      }
+      out.push_back(r);
+    }
+    return out;
+  }
+
+  /// Replaces `call` by the body of `callee`: a move per parameter, the
+  /// body, and the ret's value written to the call's destination (by the
+  /// instruction that computes it when that is the last one, else by a
+  /// move). The callee's registers take the `lent` ones first, then
+  /// fresh ones.
+  void inline_call(const IInstr& call, const Function& callee,
+                   const std::vector<std::uint16_t>& lent) {
+    std::vector<std::uint16_t> map(callee.n_regs);
+    for (std::uint16_t r = 0; r < callee.n_regs; ++r) {
+      map[r] = r < lent.size() ? lent[r] : fn_.n_regs++;
+    }
+    const auto reg = [&map](std::uint16_t r) { return map[r]; };
+    for (std::uint16_t k = 0; k < callee.n_params; ++k) {
+      IInstr mv;
+      mv.in = Instr{.op = Op::kMove, .dst = reg(k)};
+      mv.args = {call.args[k]};
+      ir_.push_back(std::move(mv));
+    }
+    const auto fused_base = static_cast<std::int32_t>(fused_.size());
+    for (FusedExpr fe : callee.fused) {
+      // Last uses are the callee's; mark_last_uses redoes them here.
+      for (std::uint8_t& f : fe.input_flags) {
+        f = static_cast<std::uint8_t>(f & ~kernels::kFusedLastUse);
+      }
+      fused_.push_back(std::move(fe));
+    }
+    const std::size_t ret = callee.code.size() - 1;
+    const std::uint16_t result = callee.arg_pool[callee.code[ret].args_off];
+    bool direct = false;
+    for (std::size_t q = 0; q < ret; ++q) {
+      const Instr& ci = callee.code[q];
+      IInstr ii;
+      ii.in = ci;
+      for (std::size_t s = 0; s < ci.args_count; ++s) {
+        ii.args.push_back(reg(callee.arg_pool[ci.args_off + s]));
+      }
+      if (ci.lifted >= 0) {
+        ii.in.lifted =
+            lifted_index(callee.lifted_sets[static_cast<std::size_t>(
+                ci.lifted)]);
+      }
+      if (ci.op == Op::kFusedMap) ii.in.aux += fused_base;
+      if (writes_dst(ci.op)) {
+        direct = q + 1 == ret && ci.dst == result;
+        ii.in.dst = direct ? call.in.dst : reg(ci.dst);
+      }
+      ir_.push_back(std::move(ii));
+    }
+    if (!direct) {
+      IInstr mv;
+      mv.in = Instr{.op = Op::kMove, .dst = call.in.dst};
+      mv.args = {reg(result)};
+      ir_.push_back(std::move(mv));
+    }
+    stats_.inlined_calls += 1;
+  }
+
+  /// Writes the IR back. The registers the optimizer made (renames and
+  /// inlined bodies) that are still used are renumbered densely after
+  /// the function's own.
   void emit() {
+    std::vector<std::uint16_t> renumber(fn_.n_regs, 0);
+    for (const IInstr& ii : ir_) {
+      for (const std::uint16_t r : ii.args) renumber[r] = 1;
+      if (writes_dst(ii.in.op)) renumber[ii.in.dst] = 1;
+    }
+    std::uint16_t next = base_regs_;
+    for (std::size_t r = 0; r < renumber.size(); ++r) {
+      renumber[r] = r < base_regs_          ? static_cast<std::uint16_t>(r)
+                    : renumber[r] != 0 ? next++
+                                           : std::uint16_t{0};
+    }
     fn_.code.clear();
     fn_.arg_pool.clear();
     std::uint16_t max_reg = fn_.n_params == 0
                                 ? 0
                                 : static_cast<std::uint16_t>(fn_.n_params - 1);
     for (IInstr& ii : ir_) {
+      for (std::uint16_t& r : ii.args) r = renumber[r];
+      if (writes_dst(ii.in.op)) ii.in.dst = renumber[ii.in.dst];
       ii.in.args_off = static_cast<std::uint32_t>(fn_.arg_pool.size());
       ii.in.args_count = static_cast<std::uint16_t>(ii.args.size());
       for (const std::uint16_t r : ii.args) {
@@ -359,6 +556,8 @@ class FunctionOptimizer {
     }
     killed_.assign(n, 0);
     std::vector<std::size_t> seen(fn_.n_regs, 0);  // block b + 1 that wrote
+    std::vector<std::size_t> next_def(fn_.n_regs, 0);
+    std::vector<std::size_t> killer(n, 0);
     std::vector<std::uint16_t> fresh(n, 0);         // 0: not renamed
     std::size_t next = fn_.n_regs;
     for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
@@ -368,7 +567,9 @@ class FunctionOptimizer {
         if (!writes_dst(ir_[pc].in.op)) continue;
         const std::uint16_t d = ir_[pc].in.dst;
         killed_[pc] = seen[d] == b + 1 ? 1 : 0;
+        killer[pc] = next_def[d];
         seen[d] = b + 1;
+        next_def[d] = pc;
       }
       for (std::size_t pc = lo; pc < hi; ++pc) {
         IInstr& ii = ir_[pc];
@@ -381,11 +582,47 @@ class FunctionOptimizer {
         if (killed_[pc] != 0 && feeds[pc] != 0 &&
             next < std::numeric_limits<std::uint16_t>::max()) {
           fresh[pc] = static_cast<std::uint16_t>(next++);
+          renames_.push_back({pc, ii.in.dst, fresh[pc], killer[pc]});
           ii.in.dst = fresh[pc];
         }
       }
     }
     fn_.n_regs = static_cast<std::uint16_t>(next);
+  }
+
+  /// Undoes each rename no fused instruction needed. Every read of the
+  /// renamed value lies in (def, killer], where killer is the next def of
+  /// the original register in the block, except where fusion moved a
+  /// read to a chain's root. So the def and its reads go back to the
+  /// original register unless a fused instruction after the killer reads
+  /// the fresh one, or one reads the original one where it would then see
+  /// the def's value instead of an older one: inside (def, killer], or
+  /// anywhere after the def once fusion absorbed the killer.
+  void undo_renames() {
+    for (const Rename& rn : renames_) {
+      const bool killed = !ir_[rn.killer].removed;
+      bool needed = false;
+      for (std::size_t pc = rn.def + 1; pc < ir_.size() && !needed; ++pc) {
+        const IInstr& ii = ir_[pc];
+        if (ii.removed || ii.in.op != Op::kFusedMap) continue;
+        for (const std::uint16_t r : ii.args) {
+          if ((r == rn.fresh && pc > rn.killer) ||
+              (r == rn.original && (pc <= rn.killer || !killed))) {
+            needed = true;
+          }
+        }
+      }
+      if (needed) continue;
+      for (std::size_t pc = rn.def; pc <= rn.killer; ++pc) {
+        IInstr& ii = ir_[pc];
+        for (std::uint16_t& r : ii.args) {
+          if (r == rn.fresh) r = rn.original;
+        }
+        if (writes_dst(ii.in.op) && ii.in.dst == rn.fresh) {
+          ii.in.dst = rn.original;
+        }
+      }
+    }
   }
 
   // --- pass 3: elementwise chain fusion --------------------------------------
@@ -423,12 +660,395 @@ class FunctionOptimizer {
       }
     }
 
+    // Reads by moves nothing reads (an inlined call's parameter moves,
+    // whose readers copy propagation redirected): eliminate_dead drops
+    // them, so a segmented chain does not count them.
+    dead_move_reads_.assign(ir_.size(), 0);
+    for (std::size_t pc = 0; pc < ir_.size(); ++pc) {
+      if (ir_[pc].in.op != Op::kMove || use_count_[pc] != 0 ||
+          escape_[pc] != 0) {
+        continue;
+      }
+      const Value d = reach_at(pc, 0);
+      if (d >= 0) dead_move_reads_[static_cast<std::size_t>(d)] += 1;
+    }
+
     for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
       const std::size_t lo = starts[b];
       for (std::size_t pc = starts[b + 1]; pc-- > lo;) {
+        if (seg_reduce_instr(pc)) try_fuse_segmented(pc, lo);
         if (fusible_instr(pc) && absorbed_[pc] == 0) try_fuse(pc, lo);
       }
     }
+  }
+
+  /// True when `pc` is a reduce^1 a segmented chain may end in.
+  bool seg_reduce_instr(std::size_t pc) const {
+    const IInstr& ii = ir_[pc];
+    return !ii.removed && ii.in.op == Op::kReduce && ii.in.depth == 1 &&
+           kernels::fusible_reduce(ii.in.prim) && ii.args.size() == 1 &&
+           lifted_operand(fn_, ii.in, 0);
+  }
+
+  /// True when `d` is a def of the block [lo, root) that applies `op` at
+  /// `depth` to `n_args` operands, is in no chain yet, and is not read
+  /// outside its block.
+  bool chain_def(Value d, std::size_t lo, std::size_t root, Op op,
+                 int depth, std::size_t n_args) const {
+    if (d < 0) return false;
+    const auto dp = static_cast<std::size_t>(d);
+    if (dp < lo || dp >= root) return false;
+    const IInstr& ii = ir_[dp];
+    return !ii.removed && absorbed_[dp] == 0 && escape_[dp] == 0 &&
+           ii.in.op == op && ii.in.depth == depth && ii.args.size() == n_args;
+  }
+
+  /// Reads of the def at `d` that survive dead-code elimination.
+  std::size_t uses(std::size_t d) const {
+    return use_count_[d] - dead_move_reads_[d];
+  }
+
+  /// What one operand of a segmented chain's elementwise member reads: a
+  /// broadcast scalar, another member (directly, or through an
+  /// extract(insert(member, frame)) pair T1 leaves between two depth-2
+  /// operations), or an extract of the tile or of a segment splat.
+  struct SegLeaf {
+    enum class Kind : std::uint8_t { kBroadcast, kInterior, kTile, kSplat };
+    Kind kind = Kind::kBroadcast;
+    std::size_t node = 0;  ///< kInterior: the member; kSplat: the dist^1
+  };
+
+  /// The instructions one segmented chain absorbs, grouped by role.
+  struct SegChain {
+    std::size_t tile = 0;                 ///< the depth-0 dist(v, n)
+    std::vector<std::size_t> parts;       ///< elementwise members
+    std::vector<std::size_t> splats;      ///< dist^1(s, length^1(tile))
+    std::vector<std::size_t> extracts;    ///< of the tile or a splat
+    std::vector<std::size_t> passes;      ///< extract(insert(..)) pairs' inserts
+    std::vector<std::size_t> pass_reads;  ///< and their extracts
+    std::vector<std::size_t> inserts;     ///< every insert, the final one first
+    std::vector<SegLeaf> leaves;          ///< per member operand, in order
+  };
+
+  /// True when `d` is dist^1(s, length^1(tile)) of the block [lo, root)
+  /// with a length^1 nothing else reads.
+  bool splat_of(Value d, Value tile, std::size_t lo, std::size_t root) const {
+    if (!chain_def(d, lo, root, Op::kBuild, 1, 2)) return false;
+    const auto dp = static_cast<std::size_t>(d);
+    const Instr& dist = ir_[dp].in;
+    if (dist.prim != lang::Prim::kDist || !lifted_operand(fn_, dist, 0) ||
+        !lifted_operand(fn_, dist, 1)) {
+      return false;
+    }
+    const Value len = reach_at(dp, 1);
+    if (!chain_def(len, lo, root, Op::kReduce, 1, 1)) return false;
+    const auto lp = static_cast<std::size_t>(len);
+    const Instr& length = ir_[lp].in;
+    return length.prim == lang::Prim::kLength &&
+           lifted_operand(fn_, length, 0) && uses(lp) == 1 &&
+           reach_at(lp, 0) == tile;
+  }
+
+  /// Collects the chain ending in reduce^1(insert(body, frame)) at `root`:
+  /// false when some piece does not fit (see try_fuse_segmented).
+  bool collect_segmented(std::size_t root, std::size_t lo,
+                         SegChain& c) const {
+    const Value insert = reach_at(root, 0);
+    if (!chain_def(insert, lo, root, Op::kInsert, 1, 2) ||
+        uses(static_cast<std::size_t>(insert)) != 1) {
+      return false;
+    }
+    const auto in_block_insert = [&](Value d) {
+      return chain_def(d, lo, root, Op::kInsert, 1, 2);
+    };
+    // The tile: the frame the final insert re-attaches, followed through
+    // inserts and a splat's length^1.
+    Value frame = reach_at(static_cast<std::size_t>(insert), 1);
+    while (in_block_insert(frame)) {
+      frame = reach_at(static_cast<std::size_t>(frame), 1);
+    }
+    if (chain_def(frame, lo, root, Op::kBuild, 1, 2)) {
+      const Value len = reach_at(static_cast<std::size_t>(frame), 1);
+      if (len < 0) return false;
+      frame = reach_at(static_cast<std::size_t>(len), 0);
+    }
+    if (!chain_def(frame, lo, root, Op::kBuild, 0, 2) ||
+        ir_[static_cast<std::size_t>(frame)].in.prim != lang::Prim::kDist) {
+      return false;
+    }
+    const Value tile = frame;
+    c.tile = static_cast<std::size_t>(tile);
+    c.inserts.push_back(static_cast<std::size_t>(insert));
+
+    const auto member = [&](Value d) {
+      if (d < 0) return false;
+      const auto dp = static_cast<std::size_t>(d);
+      return dp >= lo && dp < root && fusible_instr(dp) &&
+             absorbed_[dp] == 0 && uses(dp) == 1 && escape_[dp] == 0;
+    };
+    const Value body = reach_at(static_cast<std::size_t>(insert), 0);
+    if (!member(body)) return false;
+    c.parts.push_back(static_cast<std::size_t>(body));
+    std::size_t nodes = 1 + static_cast<std::size_t>(
+                                lang::prim_arity(ir_[c.parts[0]].in.prim));
+    const auto add_part = [&](std::size_t p) {
+      if (std::find(c.parts.begin(), c.parts.end(), p) != c.parts.end()) {
+        return true;
+      }
+      const auto arity =
+          static_cast<std::size_t>(lang::prim_arity(ir_[p].in.prim));
+      if (nodes + arity > kernels::kMaxFusedNodes) return false;
+      nodes += arity;
+      c.parts.push_back(p);
+      return true;
+    };
+    for (std::size_t i = 0; i < c.parts.size(); ++i) {
+      const std::size_t p = c.parts[i];
+      for (std::size_t s = 0; s < ir_[p].args.size(); ++s) {
+        if (!lifted_operand(fn_, ir_[p].in, s)) continue;
+        const Value d = reach_at(p, s);
+        if (member(d)) {
+          if (!add_part(static_cast<std::size_t>(d))) return false;
+          continue;
+        }
+        if (!chain_def(d, lo, root, Op::kExtract, 1, 1) ||
+            uses(static_cast<std::size_t>(d)) != 1) {
+          return false;
+        }
+        const auto xp = static_cast<std::size_t>(d);
+        const Value src = reach_at(xp, 0);
+        if (src == tile) {
+          c.extracts.push_back(xp);
+        } else if (splat_of(src, tile, lo, root)) {
+          c.extracts.push_back(xp);
+        } else if (in_block_insert(src) &&
+                   member(reach_at(static_cast<std::size_t>(src), 0))) {
+          const auto pass = static_cast<std::size_t>(src);
+          if (!add_part(static_cast<std::size_t>(reach_at(pass, 0)))) {
+            return false;
+          }
+          c.pass_reads.push_back(xp);
+          if (std::find(c.passes.begin(), c.passes.end(), pass) ==
+              c.passes.end()) {
+            c.passes.push_back(pass);
+            c.inserts.push_back(pass);
+          }
+        } else {
+          return false;
+        }
+      }
+    }
+    std::sort(c.parts.begin(), c.parts.end());
+    // Every operand in member order, now that the members are known.
+    for (const std::size_t p : c.parts) {
+      for (std::size_t s = 0; s < ir_[p].args.size(); ++s) {
+        SegLeaf lf;
+        if (lifted_operand(fn_, ir_[p].in, s)) {
+          Value d = reach_at(p, s);
+          const auto dp = static_cast<std::size_t>(d);
+          if (std::binary_search(c.parts.begin(), c.parts.end(), dp)) {
+            lf.kind = SegLeaf::Kind::kInterior;
+            lf.node = dp;
+          } else {
+            d = reach_at(dp, 0);  // an extract: what it reads
+            if (d == tile) {
+              lf.kind = SegLeaf::Kind::kTile;
+            } else if (std::find(c.passes.begin(), c.passes.end(),
+                                 static_cast<std::size_t>(d)) !=
+                       c.passes.end()) {
+              lf.kind = SegLeaf::Kind::kInterior;
+              lf.node = static_cast<std::size_t>(
+                  reach_at(static_cast<std::size_t>(d), 0));
+            } else {
+              lf.kind = SegLeaf::Kind::kSplat;
+              lf.node = static_cast<std::size_t>(d);
+              if (std::find(c.splats.begin(), c.splats.end(), lf.node) ==
+                  c.splats.end()) {
+                c.splats.push_back(lf.node);
+              }
+            }
+          }
+        }
+        c.leaves.push_back(lf);
+      }
+    }
+    // Every insert re-attaches the segments of the tile, a splat, or a
+    // member passed through an insert of the chain.
+    for (const std::size_t x : c.inserts) {
+      const Value f = reach_at(x, 1);
+      const auto fp = static_cast<std::size_t>(f);
+      if (f == tile ||
+          std::find(c.passes.begin(), c.passes.end(), fp) != c.passes.end()) {
+        continue;
+      }
+      if (!splat_of(f, tile, lo, root)) return false;
+      if (std::find(c.splats.begin(), c.splats.end(), fp) == c.splats.end()) {
+        c.splats.push_back(fp);
+      }
+    }
+    std::sort(c.splats.begin(), c.splats.end());
+    return true;
+  }
+
+  /// Fuses reduce^1(insert(body, frame)) at `root` into one kFusedMap
+  /// that builds neither a depth-0 dist(v, n) nor the dist^1(s,
+  /// length^1(dist)) that spread a scalar per segment over it
+  /// (kernels/fused.hpp). `body` is an elementwise chain whose operands
+  /// are extracts of those dists and broadcast scalars; `frame` is the
+  /// dist, a splat, or an insert of the chain. The absorbed instructions
+  /// that charge work must run in the order the fused kernel replays
+  /// them — the dist, the dist^1s, the elementwise members, the reduce —
+  /// with nothing but moves and constants between the dist and the root,
+  /// so costs, traps and errors come in the unfused order.
+  void try_fuse_segmented(std::size_t root, std::size_t lo) {
+    SegChain c;
+    if (!collect_segmented(root, lo, c)) return;
+    const std::size_t tp = c.tile;
+
+    // Every read of an absorbed value is in the chain.
+    const auto count_in = [](const std::vector<std::size_t>& pcs,
+                             auto&& pred) {
+      return static_cast<std::size_t>(
+          std::count_if(pcs.begin(), pcs.end(), pred));
+    };
+    const auto reads = [&](std::size_t def) {
+      const auto is_def = [&](std::size_t slot) {
+        return [&, slot](std::size_t pc) {
+          return reach_at(pc, slot) == static_cast<Value>(def);
+        };
+      };
+      return count_in(c.extracts, is_def(0)) +
+             count_in(c.pass_reads, is_def(0)) +
+             count_in(c.inserts, is_def(1));
+    };
+    if (uses(tp) != reads(tp) + c.splats.size()) return;
+    std::vector<std::size_t> chain{tp};
+    for (const std::size_t d : c.splats) {
+      if (uses(d) != reads(d)) return;
+      chain.push_back(d);
+      chain.push_back(static_cast<std::size_t>(reach_at(d, 1)));
+    }
+    for (const std::size_t x : c.passes) {
+      if (uses(x) != reads(x)) return;
+    }
+    // The replay order: the dists charge before any member. (Extracts and
+    // inserts charge nothing, and over a dist of a sequence, which is
+    // all typed code makes, they cannot fail.)
+    for (const std::size_t d : c.splats) {
+      if (d > c.parts.front()) return;
+    }
+    for (const auto* group : {&c.extracts, &c.passes, &c.pass_reads,
+                              &c.inserts, &c.parts}) {
+      chain.insert(chain.end(), group->begin(), group->end());
+    }
+    std::sort(chain.begin(), chain.end());
+    chain.erase(std::unique(chain.begin(), chain.end()), chain.end());
+    const auto in_chain = [&](std::size_t q) {
+      return std::binary_search(chain.begin(), chain.end(), q);
+    };
+    for (std::size_t q = tp + 1; q < root; ++q) {
+      const IInstr& ii = ir_[q];
+      if (ii.removed || in_chain(q)) continue;
+      if (ii.in.op != Op::kMove && ii.in.op != Op::kConst &&
+          ii.in.op != Op::kLoadFun) {
+        return;
+      }
+    }
+    // Operand registers still hold at the root what their readers read.
+    const auto holds = [&](std::uint16_t r, std::size_t reader) {
+      for (std::size_t q = reader + 1; q < root; ++q) {
+        const IInstr& ii = ir_[q];
+        if (!ii.removed && !in_chain(q) && writes_dst(ii.in.op) &&
+            ii.in.dst == r) {
+          return false;
+        }
+      }
+      return true;
+    };
+    if (!holds(ir_[tp].args[0], tp) || !holds(ir_[tp].args[1], tp)) return;
+    for (const std::size_t d : c.splats) {
+      if (!holds(ir_[d].args[0], d)) return;
+    }
+    std::size_t li = 0;
+    for (const std::size_t p : c.parts) {
+      for (std::size_t s = 0; s < ir_[p].args.size(); ++s, ++li) {
+        if (c.leaves[li].kind == SegLeaf::Kind::kBroadcast &&
+            !holds(ir_[p].args[s], p)) {
+          return;
+        }
+      }
+    }
+
+    // Emit: slot 0 the tile's v, slot 1 its n, then one slot per splat,
+    // then the broadcast operands in order.
+    FusedExpr fe;
+    fe.reduce = ir_[root].in.prim;
+    fe.extracts =
+        static_cast<std::uint8_t>(c.extracts.size() + c.pass_reads.size());
+    std::vector<std::uint16_t> slot_regs{ir_[tp].args[0], ir_[tp].args[1]};
+    fe.input_flags = {kernels::kFusedTile, kernels::kFusedCount};
+    std::map<std::size_t, std::uint8_t> splat_slot;
+    for (const std::size_t d : c.splats) {
+      splat_slot[d] = static_cast<std::uint8_t>(slot_regs.size());
+      slot_regs.push_back(ir_[d].args[0]);
+      fe.input_flags.push_back(kernels::kFusedSegSplat);
+    }
+    std::map<std::size_t, std::uint8_t> node_of;
+    li = 0;
+    for (const std::size_t p : c.parts) {
+      const IInstr& ii = ir_[p];
+      std::uint8_t children[2] = {0, 0};
+      for (std::size_t s = 0; s < ii.args.size(); ++s, ++li) {
+        const SegLeaf& lf = c.leaves[li];
+        if (lf.kind == SegLeaf::Kind::kInterior) {
+          children[s] = node_of.at(lf.node);
+          continue;
+        }
+        MicroOp leaf;
+        leaf.kind = MicroOp::Kind::kInput;
+        if (lf.kind == SegLeaf::Kind::kTile) {
+          leaf.input = 0;
+        } else if (lf.kind == SegLeaf::Kind::kSplat) {
+          leaf.input = splat_slot.at(lf.node);
+        } else {
+          leaf.input = static_cast<std::uint8_t>(slot_regs.size());
+          fe.input_flags.push_back(kernels::kFusedBroadcast);
+          slot_regs.push_back(ii.args[s]);
+        }
+        children[s] = static_cast<std::uint8_t>(fe.nodes.size());
+        fe.nodes.push_back(leaf);
+      }
+      MicroOp op;
+      op.kind = MicroOp::Kind::kPrim;
+      op.prim = ii.in.prim;
+      op.a = children[0];
+      op.b = children[1];
+      node_of[p] = static_cast<std::uint8_t>(fe.nodes.size());
+      fe.nodes.push_back(op);
+    }
+    // Each insert between two members charges after the last member
+    // before it.
+    for (const std::size_t x : c.passes) {
+      const auto before = std::lower_bound(c.parts.begin(), c.parts.end(), x);
+      fe.reinserts.push_back(node_of.at(*std::prev(before)));
+    }
+    std::sort(fe.reinserts.begin(), fe.reinserts.end());
+
+    for (const std::size_t q : chain) {
+      absorbed_[q] = 1;
+      ir_[q].removed = true;
+    }
+    absorbed_[root] = 1;
+    IInstr& ri = ir_[root];
+    ri.in.op = Op::kFusedMap;
+    ri.in.lifted = -1;
+    ri.in.aux = static_cast<std::int32_t>(fused_.size());
+    ri.in.aux2 = -1;
+    ri.args = std::move(slot_regs);
+    fused_.push_back(std::move(fe));
+    stats_.fused_chains += 1;
+    stats_.fused_prims += c.parts.size();
+    stats_.eliminated_instrs += chain.size();
   }
 
   /// True when the chain rooted at `root` may absorb the producer at `d`:
@@ -593,6 +1213,9 @@ class FunctionOptimizer {
       IInstr& ii = ir_[pc];
       if (ii.in.op != Op::kFusedMap) continue;
       FusedExpr& fe = fused_[static_cast<std::size_t>(ii.in.aux)];
+      for (std::uint8_t& f : fe.input_flags) {
+        f = static_cast<std::uint8_t>(f & ~kernels::kFusedLastUse);
+      }
       for (std::size_t s = 0; s < ii.args.size(); ++s) {
         const std::uint16_t r = ii.args[s];
         bool last = true;
@@ -608,9 +1231,21 @@ class FunctionOptimizer {
     }
   }
 
+  /// One def pass 2 moved to a fresh register, and the next def of its
+  /// original register in the block.
+  struct Rename {
+    std::size_t def;
+    std::uint16_t original;
+    std::uint16_t fresh;
+    std::size_t killer;
+  };
+
   Function& fn_;
   std::span<const std::uint8_t> frames_;
+  std::span<const Function* const> leaves_;
   FuseStats& stats_;
+  std::uint16_t base_regs_;  ///< registers before inlining and renaming
+  std::vector<Rename> renames_;
   std::vector<IInstr> ir_;
   std::vector<FusedExpr> fused_;
   std::vector<std::uint8_t> absorbed_;
@@ -619,6 +1254,7 @@ class FunctionOptimizer {
   std::vector<Value> src_value_;         ///< per move: its source's value
   std::vector<std::uint8_t> killed_;     ///< def overwritten in its block
   std::vector<std::size_t> use_count_;
+  std::vector<std::size_t> dead_move_reads_;
   std::vector<std::uint8_t> escape_;
 };
 
@@ -645,11 +1281,23 @@ std::shared_ptr<const Module> optimize_module(
   auto out = std::make_shared<Module>(m);
   FuseStats local;
   FuseStats& tally = stats != nullptr ? *stats : local;
-  for (std::size_t i = 0; i < out->functions.size(); ++i) {
+  const auto optimize = [&](std::size_t i,
+                            std::span<const Function* const> leaves) {
     const std::span<const std::uint8_t> record =
         i < frames.size() ? std::span<const std::uint8_t>(frames[i])
                           : std::span<const std::uint8_t>();
-    FunctionOptimizer(out->functions[i], record, tally).run();
+    FunctionOptimizer(out->functions[i], record, leaves, tally).run();
+  };
+  // Functions that call nothing first, so the callers inline their
+  // optimized code; the second round never modifies them.
+  std::vector<const Function*> leaves(out->functions.size(), nullptr);
+  for (std::size_t i = 0; i < out->functions.size(); ++i) {
+    if (calls_out(out->functions[i])) continue;
+    optimize(i, {});
+    if (inlinable(out->functions[i])) leaves[i] = &out->functions[i];
+  }
+  for (std::size_t i = 0; i < out->functions.size(); ++i) {
+    if (calls_out(out->functions[i])) optimize(i, leaves);
   }
   return out;
 }

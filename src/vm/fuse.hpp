@@ -1,6 +1,13 @@
 // fuse.hpp — the VCODE optimizer: per-function dataflow over assembled
-// bytecode. Its passes, in order:
+// bytecode. Functions without calls are optimized first; every other
+// function then runs these passes, in order:
 //
+//   0. inlining each call of a leaf: a function whose optimized code is
+//      straight-line (no branch, no call) and at most kInlineLimit
+//      instructions. The body is copied in over fresh registers, its
+//      parameters become moves from the arguments and its ret a write of
+//      the call's destination. An inlined call is no frame: it counts in
+//      neither vm.calls nor the call-depth limit;
 //   1. one forward reaching-definitions pass over the CFG of vm/cfg.hpp
 //      that, as it goes, (a) turns identity gathers into moves and
 //      (b) propagates copies across blocks. The identity gathers are the
@@ -16,7 +23,13 @@
 //      block overwrites to a fresh register when a chain member reads
 //      it, so register reuse by the assembler cannot cut a fusion chain;
 //   3. collapsing chains of depth-1 elementwise instructions over a
-//      common frame into single-pass kFusedMap superinstructions;
+//      common frame into single-pass kFusedMap superinstructions, and a
+//      chain that ends in insert + a segmented reduce over a depth-0
+//      `dist(v, n)` into one that never builds the dist: the dist, the
+//      length^1/dist^1 pairs that spread a scalar per segment over it,
+//      the extracts reading both and the insert are absorbed (see
+//      kernels/fused.hpp). A rename of pass 2 that no chain needed is
+//      then undone;
 //   4. removing the moves, constants and length/range1 instructions left
 //      dead;
 //   5. marking each fused operand's last use so the VM can move a dying
@@ -32,6 +45,7 @@
 // one per instruction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,6 +65,7 @@ struct FuseStats {
   std::uint64_t eliminated_instrs = 0; ///< instructions removed outright
   std::uint64_t eliminated_moves = 0;  ///< of which register moves
   std::uint64_t elided_gathers = 0;    ///< identity gathers made moves
+  std::uint64_t inlined_calls = 0;     ///< leaf calls replaced by the body
 };
 
 /// The frame record of one function: flag k is set when parameter k is
@@ -68,6 +83,10 @@ using FrameParams = std::vector<std::uint8_t>;
 /// functions of `m` = compile_module(program).
 [[nodiscard]] std::vector<FrameParams> extension_frames(
     const lang::Program& program, const Module& m);
+
+/// Largest optimized leaf, in instructions (its ret included), that pass
+/// 0 inlines.
+inline constexpr std::size_t kInlineLimit = 16;
 
 /// Optimizes every function of `m` and returns the rewritten module (the
 /// input is not modified; unoptimized callers can keep running it).

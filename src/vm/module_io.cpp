@@ -211,6 +211,13 @@ void write_function(Writer& w, const Function& f) {
     if (!e.input_flags.empty()) {
       w.bytes(e.input_flags.data(), e.input_flags.size());
     }
+    w.u8(e.reduce ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(e.reduce.value_or(Prim::kAdd)));
+    w.u8(e.extracts);
+    w.u8(static_cast<std::uint8_t>(e.reinserts.size()));
+    if (!e.reinserts.empty()) {
+      w.bytes(e.reinserts.data(), e.reinserts.size());
+    }
   }
 }
 
@@ -530,6 +537,33 @@ bool read_function(Reader& r, Function& f) {
     }
     for (const MicroOp& n : e.nodes) {
       if (n.kind == MicroOp::Kind::kInput && n.input >= e.input_flags.size()) {
+        r.fail();
+        return false;
+      }
+    }
+    for (const std::uint8_t flags : e.input_flags) {
+      if ((flags & ~kernels::kFusedSlotFlags) != 0) {
+        r.fail();
+        return false;
+      }
+    }
+    const std::uint8_t has_reduce = r.u8();
+    const std::uint8_t reduce = r.u8();
+    if (has_reduce > 1 || reduce > kMaxPrim ||
+        (has_reduce == 1 &&
+         !kernels::fusible_reduce(static_cast<Prim>(reduce)))) {
+      r.fail();
+      return false;
+    }
+    if (has_reduce == 1) e.reduce = static_cast<Prim>(reduce);
+    e.extracts = r.u8();
+    e.reinserts.resize(r.ok() ? r.u8() : 0);
+    if (!e.reinserts.empty()) {
+      r.bytes(e.reinserts.data(), e.reinserts.size());
+    }
+    for (const std::uint8_t after : e.reinserts) {
+      if (!e.reduce || after >= e.nodes.size() ||
+          e.nodes[after].kind != MicroOp::Kind::kPrim) {
         r.fail();
         return false;
       }

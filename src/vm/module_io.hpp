@@ -52,8 +52,9 @@ inline constexpr std::uint32_t kModuleMagic = 0x4D435650u;
 /// Bump on any layout change; the loader rejects other versions (B216).
 /// v2 added a memory-plan section after the entry index; v3 dropped its
 /// register-to-slot coloring; v4 dropped the section (the loader derives
-/// the plan from the bytecode).
-inline constexpr std::uint32_t kModuleVersion = 4;
+/// the plan from the bytecode); v5 gave each fused expression its
+/// optional segmented reduce.
+inline constexpr std::uint32_t kModuleVersion = 5;
 
 /// FNV-1a 64-bit over `source` and an options tag: the cache key of the
 /// module caches. Stable across processes and platforms, so on-disk cache

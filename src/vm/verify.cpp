@@ -387,12 +387,33 @@ class Verifier {
           pc);
       return;
     }
+    if (fe.reduce && !kernels::fusible_reduce(*fe.reduce)) {
+      err("B213",
+          std::string("prim '") + lang::prim_name(*fe.reduce) +
+              "' as the segmented reduce of a fused expression",
+          pc);
+    }
     bool any_frame = false;
-    for (const std::uint8_t flags : fe.input_flags) {
+    for (std::size_t s = 0; s < fe.input_flags.size(); ++s) {
+      const std::uint8_t flags = fe.input_flags[s];
       if ((flags & kernels::kFusedBroadcast) == 0) any_frame = true;
+      check_slot_flags(fe, s, pc);
     }
     if (!any_frame) {
       err("B214", "fused expression with every operand broadcast", pc);
+    }
+    if (fe.reduce && fe.input_flags.size() < 2) {
+      err("B214", "segmented fused expression without its tile operands",
+          pc);
+    }
+    for (const std::uint8_t after : fe.reinserts) {
+      if (!fe.reduce || after >= fe.nodes.size() ||
+          fe.nodes[after].kind != kernels::MicroOp::Kind::kPrim) {
+        err("B213",
+            "insert after micro-op " + std::to_string(after) +
+                ", not an elementwise node of a segmented expression",
+            pc);
+      }
     }
     for (std::size_t k = 0; k < fe.nodes.size(); ++k) {
       const kernels::MicroOp& mo = fe.nodes[k];
@@ -402,6 +423,11 @@ class Verifier {
               "micro-op " + std::to_string(k) + " reads operand slot " +
                   std::to_string(mo.input) + " of " +
                   std::to_string(fe.input_flags.size()),
+              pc);
+        } else if ((fe.input_flags[mo.input] & kernels::kFusedCount) != 0) {
+          err("B214",
+              "micro-op " + std::to_string(k) +
+                  " reads the tile count as an element",
               pc);
         }
         continue;
@@ -421,6 +447,35 @@ class Verifier {
                 " reads a node at or after itself",
             pc);
       }
+    }
+  }
+
+  /// B214: the flags of operand slot `s` name known roles, and the
+  /// segment roles sit where the evaluator reads them: the tile in slot 0
+  /// and its count in slot 1 of a reduce-rooted expression, splats only
+  /// there, and no role combined with a broadcast.
+  void check_slot_flags(const kernels::FusedExpr& fe, std::size_t s,
+                        std::size_t pc) {
+    const std::uint8_t flags = fe.input_flags[s];
+    const auto has = [flags](std::uint8_t f) { return (flags & f) != 0; };
+    const bool segmented = fe.reduce.has_value();
+    std::string bad;
+    if ((flags & ~kernels::kFusedSlotFlags) != 0) {
+      bad = "unknown flag bits";
+    } else if (has(kernels::kFusedTile) != (segmented && s == 0)) {
+      bad = segmented ? "tile flag off slot 0" : "tile flag without a reduce";
+    } else if (has(kernels::kFusedCount) != (segmented && s == 1)) {
+      bad = segmented ? "count flag off slot 1"
+                      : "count flag without a reduce";
+    } else if (has(kernels::kFusedSegSplat) && (!segmented || s < 2)) {
+      bad = "segment-splat flag outside the splat slots of a reduce";
+    } else if (has(kernels::kFusedBroadcast) &&
+               has(kernels::kFusedTile | kernels::kFusedCount |
+                   kernels::kFusedSegSplat)) {
+      bad = "broadcast flag on a segment operand";
+    }
+    if (!bad.empty()) {
+      err("B214", "operand slot " + std::to_string(s) + ": " + bad, pc);
     }
   }
 
@@ -512,10 +567,23 @@ class Verifier {
         // slot would make every constituent instruction fail.
         const auto& fe =
             fn.fused[static_cast<std::size_t>(in.aux)];
+        // A reduce-rooted one has the reduce^1's result kind; its tile
+        // count must be a scalar (the dist reads it with as_int).
         int d = -1;
         for (std::size_t i = 0; i < in.args_count; ++i) {
-          if ((fe.input_flags[i] & kernels::kFusedBroadcast) != 0) continue;
+          const std::uint8_t flags = fe.input_flags[i];
+          if ((flags & kernels::kFusedBroadcast) != 0) continue;
           const Kind v = state[a[i]];
+          if ((flags & kernels::kFusedCount) != 0) {
+            if (v.tag == Kind::kSeq || v.tag == Kind::kTuple ||
+                v.tag == Kind::kFun) {
+              err("B211",
+                  "fused tile count r" + std::to_string(a[i]) +
+                      " is not a scalar",
+                  pc);
+            }
+            continue;
+          }
           if (v.tag == Kind::kScalar || v.tag == Kind::kTuple ||
               v.tag == Kind::kFun) {
             err("B211",
@@ -525,7 +593,7 @@ class Verifier {
           }
           if (d < 0 && v.tag == Kind::kSeq && v.depth > 0) d = v.depth;
         }
-        out = Kind::seq(d);
+        out = Kind::seq(fe.reduce ? -1 : d);
         break;
       }
       case Op::kBuild:

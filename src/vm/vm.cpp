@@ -260,14 +260,12 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
             vals.push_back(regs[a[i]]);
           }
         }
-        // Every constituent prim still counts as one application, exactly
-        // as the unfused chain would have reported.
-        for (const kernels::MicroOp& mo : fe.nodes) {
-          if (mo.kind == kernels::MicroOp::Kind::kPrim) {
-            stats_.prim_applications += 1;
-            stats_.per_prim[mo.prim] += 1;
-          }
-        }
+        // Every instruction the chain replaced still counts as one
+        // application, exactly as the unfused chain would have reported.
+        kernels::for_each_application(fe, [&](lang::Prim p) {
+          stats_.prim_applications += 1;
+          stats_.per_prim[p] += 1;
+        });
         out = kernels::eval_fused(fe, std::move(vals));
         break;
       }

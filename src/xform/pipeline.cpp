@@ -197,6 +197,7 @@ Compiled compile(std::string_view program_source,
     span.counter("fused_prims", out.fusion.fused_prims);
     span.counter("eliminated_instrs", out.fusion.eliminated_instrs);
     span.counter("elided_gathers", out.fusion.elided_gathers);
+    span.counter("inlined_calls", out.fusion.inlined_calls);
   }
 
   if (options.verify_vcode) {

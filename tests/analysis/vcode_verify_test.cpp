@@ -242,6 +242,77 @@ Module fused_module() {
   return m;
 }
 
+/// fun g(v: seq, n: int, s: seq) = any^1(==(tile(v, n), splat(s))) as one
+/// segmented fused superinstruction.
+Module segmented_module() {
+  Module m;
+  Function f;
+  f.name = "g";
+  f.n_params = 3;
+  f.n_regs = 4;
+  f.arg_pool = {0, 1, 2, 3};
+  kernels::FusedExpr fe;
+  fe.nodes = {
+      kernels::MicroOp{.kind = kernels::MicroOp::Kind::kInput, .input = 0},
+      kernels::MicroOp{.kind = kernels::MicroOp::Kind::kInput, .input = 2},
+      kernels::MicroOp{.kind = kernels::MicroOp::Kind::kPrim,
+                       .prim = Prim::kEq,
+                       .a = 0,
+                       .b = 1},
+  };
+  fe.input_flags = {kernels::kFusedTile, kernels::kFusedCount,
+                    kernels::kFusedSegSplat};
+  fe.reduce = Prim::kAnyV;
+  fe.extracts = 2;
+  f.fused.push_back(std::move(fe));
+  f.code = {
+      Instr{.op = Op::kFusedMap,
+            .depth = 1,
+            .dst = 3,
+            .args_count = 3,
+            .args_off = 0,
+            .aux = 0},
+      Instr{.op = Op::kRet, .args_count = 1, .args_off = 3},
+  };
+  m.functions.push_back(std::move(f));
+  m.fn_index["g"] = 0;
+  return m;
+}
+
+TEST(VcodeVerify, AcceptsHandAssembledSegmentedModule) {
+  Report r = verify_module(segmented_module());
+  EXPECT_TRUE(r.ok()) << r.to_text();
+}
+
+TEST(VcodeVerify, B213_SegmentedReduceRootAndInserts) {
+  Module m = segmented_module();
+  m.functions[0].fused[0].reduce = Prim::kAdd;
+  EXPECT_TRUE(verify_module(m).has("B213"));
+
+  Module m2 = segmented_module();
+  m2.functions[0].fused[0].reinserts = {0};  // a leaf, not a member
+  EXPECT_TRUE(verify_module(m2).has("B213"));
+}
+
+TEST(VcodeVerify, B214_SegmentSlotFlags) {
+  Module m = segmented_module();
+  std::swap(m.functions[0].fused[0].input_flags[0],
+            m.functions[0].fused[0].input_flags[1]);
+  EXPECT_TRUE(verify_module(m).has("B214"));
+
+  Module m2 = segmented_module();
+  m2.functions[0].fused[0].reduce.reset();  // tile and splat need a reduce
+  EXPECT_TRUE(verify_module(m2).has("B214"));
+
+  Module m3 = segmented_module();
+  m3.functions[0].fused[0].nodes[1].input = 1;  // reads the count
+  EXPECT_TRUE(verify_module(m3).has("B214"));
+
+  Module m4 = segmented_module();
+  m4.functions[0].fused[0].input_flags[2] |= 0x80;
+  EXPECT_TRUE(verify_module(m4).has("B214"));
+}
+
 TEST(VcodeVerify, AcceptsHandAssembledFusedModule) {
   Report r = verify_module(fused_module());
   EXPECT_TRUE(r.ok()) << r.to_text();

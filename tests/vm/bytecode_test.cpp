@@ -18,6 +18,14 @@ std::shared_ptr<const Module> module_of(std::string_view program,
   return xform::compile(program, entry).module;
 }
 
+/// The assembler's own output: -O0, so no call is inlined away.
+std::shared_ptr<const Module> assembled(std::string_view program,
+                                        std::string_view entry = {}) {
+  xform::PipelineOptions options;
+  options.optimize_vcode = false;
+  return xform::compile(program, entry, options).module;
+}
+
 const Function& fn(const Module& m, const std::string& name) {
   const Function* f = m.find(name);
   EXPECT_NE(f, nullptr) << name;
@@ -37,7 +45,7 @@ TEST(Compile, PipelineAlwaysProducesAModule) {
 }
 
 TEST(Compile, EntryCompilesAsDedicatedFunction) {
-  auto m = module_of("fun inc(x: int): int = x + 1", "inc(41)");
+  auto m = assembled("fun inc(x: int): int = x + 1", "inc(41)");
   ASSERT_GE(m->entry, 0);
   const Function& e =
       m->functions[static_cast<std::size_t>(m->entry)];
@@ -57,7 +65,7 @@ TEST(Compile, ConstantsAreInterned) {
 }
 
 TEST(Compile, DirectCallsResolveAtCompileTime) {
-  auto m = module_of(
+  auto m = assembled(
       "fun inc(x: int): int = x + 1\n"
       "fun twice(x: int): int = inc(inc(x))");
   const Function& f = fn(*m, "twice");

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -643,6 +645,88 @@ TEST(VmFuse, FusionStatsRideThePipelineSpans) {
   const vm::FuseStats& fs = s.compiled().fusion;
   EXPECT_GE(fs.fused_prims, fs.fused_chains * 2);
   EXPECT_GE(fs.eliminated_instrs, fs.fused_prims - fs.fused_chains);
+}
+
+TEST(VmFuse, ReachFromNeverBuildsDist) {
+  // graph.p's reach_from asks member(i, nbrs) of every vertex. -O1 inlines
+  // member^1 and fuses each dist(nbrs, #visited) with the dist^1, ==^1
+  // and any^1 that read it: no dist is built and no call is left.
+  std::ifstream in(std::string(PROTEUS_SOURCE_DIR) +
+                   "/examples/programs/graph.p");
+  std::ostringstream source;
+  source << in.rdbuf();
+  Session s(source.str());
+  const vm::Module& m = *s.compiled().module;
+  const vm::Function* f = m.find("reach_from");
+  ASSERT_NE(f, nullptr);
+  const std::string listing = vm::to_text(m, *f);
+  EXPECT_EQ(listing, R"(fun reach_from (params 3, regs 15, code 25):
+// memory plan: 11 static allocs
+   0  reduce       r3 <- length(r2)
+   1  const        r4 <- 0
+   2  scalar       r3 <- ==(r3, r4)
+   3  jfalse       r3 -> @6
+   4  move         r3 <- r1
+   5  jump         -> @24
+   6  gather       r7 <- seq_index^1(r0, r2) lifted=01
+   7  segment      r4 <- flatten(r7)
+   8  const        r6 <- 1
+   9  reduce       r7 <- length(r1)
+  10  build        r6 <- range(r6, r7)
+  11  reduce       r8 <- length(r6)
+  12  build        r9 <- range1(r8)
+  13  gather       r14 <- seq_index^1(r1, r6) lifted=01
+  14  reduce       r13 <- length(r9)
+  15  fused        r11 <- any^1(==(tile(r4!, r13!), splat(r6)))  ; 8 prims
+  16  fused        r7 <- and(not(r14!), r11!)  ; 2 prims
+  17  pack         r5 <- restrict(r6, r7)
+  18  reduce       r7 <- length(r1)
+  19  build        r8 <- range1(r7)
+  20  reduce       r11 <- length(r8)
+  21  fused        r9 <- any^1(==(tile(r5, r11!), splat(r8!)))  ; 8 prims
+  22  elementwise  r6 <- or^1(r1, r9) lifted=11
+  23  call         r3 <- reach_from(r0, r6, r5)
+  24  ret          r3
+)");
+  std::istringstream lines(listing);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_FALSE(line.find("build") != std::string::npos &&
+                 line.find("dist(") != std::string::npos)
+        << line;
+    EXPECT_EQ(line.find("member^1"), std::string::npos) << line;
+  }
+  testing::expect_both(s, "count_reachable",
+                       {val("[[2,3],[4],[1],[],[5]]"), val("1")}, "4");
+}
+
+TEST(VmFuse, InlinedLeafCallIsNoFrame) {
+  // -O1 inlines inc into twice: the run makes one call, not three, and
+  // the inlined calls do not count toward the call-depth limit (T003).
+  const char* program = R"(
+    fun inc(x: int): int = x + 1
+    fun twice(x: int): int = inc(inc(x))
+  )";
+  Session fused(program);
+  Session unfused(program, {}, unfused_options());
+  EXPECT_EQ(fused.compiled().fusion.inlined_calls, 2u);
+  EXPECT_EQ(count_op(*fused.compiled().module, vm::Op::kCall), 0u);
+  const interp::ValueList args = {val("40")};
+  EXPECT_EQ(fused.run_vm("twice", args), val("42"));
+  EXPECT_EQ(fused.last_cost().vm_ops.calls, 1u);
+  EXPECT_EQ(unfused.run_vm("twice", args), val("42"));
+  EXPECT_EQ(unfused.last_cost().vm_ops.calls, 3u);
+
+  rt::ExecBudget budget;
+  budget.max_depth = 1;
+  fused.set_budget(budget);
+  unfused.set_budget(budget);
+  EXPECT_EQ(fused.run_vm("twice", args), val("42"));
+  try {
+    (void)unfused.run_vm("twice", args);
+    FAIL() << "expected the -O0 call of inc to exceed the depth limit";
+  } catch (const rt::RuntimeTrap& trap) {
+    EXPECT_EQ(std::string(trap.code()), "T003");
+  }
 }
 
 }  // namespace

@@ -23,14 +23,29 @@ namespace {
 
 // A program that exercises most of the encoder's surface: several
 // functions (so signatures and the function table matter), nested
-// sequences, tuples, reals, conditionals, recursion, and an entry.
+// sequences, tuples, reals, conditionals, recursion, an entry, and
+// segmented fused expressions (dots: a reduce root, a tile, a splat and
+// an insert between two members).
 constexpr const char* kProgram = R"(
   fun sq(n: int): int = n * n
   fun sqs(n: int): seq(int) = [i <- [1 .. n] : sq(i)]
   fun total(xs: seq(seq(int))): int = sum([x <- xs : sum(x)])
   fun mix(p: (int, real)): real = real(p.1) + p.2
   fun fact(n: int): int = if n <= 1 then 1 else n * fact(n - 1)
+  fun dot(x: int, v: seq(int)): int = sum([y <- v : y * x + 1])
+  fun dots(v: seq(int), n: int): seq(int) = [i <- [1 .. n] : dot(i, v)]
 )";
+
+/// True when `m` carries a segmented fused expression with an insert
+/// between two members, so the image sweeps reach every v5 field.
+bool has_segmented_chain(const Module& m) {
+  for (const Function& f : m.functions) {
+    for (const kernels::FusedExpr& fe : f.fused) {
+      if (fe.reduce && !fe.reinserts.empty()) return true;
+    }
+  }
+  return false;
+}
 
 std::shared_ptr<const Module> compile_program(
     std::string_view source, std::string_view entry = "sqs(4)") {
@@ -125,6 +140,7 @@ TEST(ModuleIO, BadMagicAndVersionAreB216) {
 
 TEST(ModuleIO, EveryTruncationFailsCleanly) {
   auto module = compile_program(kProgram);
+  ASSERT_TRUE(has_segmented_chain(*module));
   const std::string bytes = module_bytes(*module);
   ASSERT_GT(bytes.size(), 16u);
 
@@ -146,6 +162,7 @@ TEST(ModuleIO, EveryTruncationFailsCleanly) {
 
 TEST(ModuleIO, EveryCorruptedByteIsHandled) {
   auto module = compile_program(kProgram);
+  ASSERT_TRUE(has_segmented_chain(*module));
   const std::string bytes = module_bytes(*module);
 
   // Flip every byte in turn. The contract is not that every flip is

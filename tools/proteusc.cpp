@@ -581,7 +581,8 @@ int main(int argc, char** argv) {
                   << " fused chains (" << f.fused_prims << " prims), "
                   << f.eliminated_instrs << " instrs eliminated ("
                   << f.eliminated_moves << " moves), " << f.elided_gathers
-                  << " identity gathers elided\n";
+                  << " identity gathers elided, " << f.inlined_calls
+                  << " calls inlined\n";
       }
       proteus::print_histograms_text(std::cerr, timing);
     }
@@ -618,6 +619,7 @@ int main(int argc, char** argv) {
                   << ",\"eliminated_instrs\":" << f.eliminated_instrs
                   << ",\"eliminated_moves\":" << f.eliminated_moves
                   << ",\"elided_gathers\":" << f.elided_gathers
+                  << ",\"inlined_calls\":" << f.inlined_calls
                   << "}}}\n";
       }
     }
