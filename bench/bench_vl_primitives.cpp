@@ -122,6 +122,31 @@ void BM_combine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/// Mask density sweep: range(1) sixteenths of the lanes are true (0, 1, 8
+/// and 16). The all-false and all-true masks are the predictable cases a
+/// data-dependent branch handles well; 1/2 is the one it mispredicts.
+void BM_pack_density(benchmark::State& state) {
+  IntVec a = data(state.range(0));
+  const auto sixteenths = static_cast<int>(state.range(1));
+  vl::BoolVec m = seq::random_mask(5, state.range(0), sixteenths, 16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vl::pack(a, m));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_combine_density(benchmark::State& state) {
+  const auto sixteenths = static_cast<int>(state.range(1));
+  vl::BoolVec m = seq::random_mask(5, state.range(0), sixteenths, 16);
+  Size trues = vl::count(m);
+  IntVec t = data(trues);
+  IntVec f = data(state.range(0) - trues);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vl::combine(m, t, f));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 void BM_seg_iota1(benchmark::State& state) {
   IntVec lens = segments(state.range(0));
   for (auto _ : state) {
@@ -214,6 +239,8 @@ BENCHMARK(BM_seg_reduce_add)->Range(kLo, kHi);
 BENCHMARK(BM_gather)->Range(kLo, kHi);
 BENCHMARK(BM_pack)->Range(kLo, kHi);
 BENCHMARK(BM_combine)->Range(kLo, kHi);
+BENCHMARK(BM_pack_density)->ArgsProduct({{1 << 18}, {0, 1, 8, 16}});
+BENCHMARK(BM_combine_density)->ArgsProduct({{1 << 18}, {0, 1, 8, 16}});
 BENCHMARK(BM_seg_iota1)->Range(kLo, kHi);
 BENCHMARK(BM_seg_dist)->Range(kLo, kHi);
 

@@ -814,30 +814,20 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
 
   const Size n_items =
       segmented ? nseg : n == 0 ? 0 : (n + kBlock - 1) / kBlock;
-  // Governor check points: throwing across an OpenMP region would
-  // terminate the process, so inside the parallel loop threads only
-  // *observe* a deferred trip and skip their remaining blocks; the
-  // serial polls before/after the region raise the trap.
+  // Governor check points: inside a threaded region poll() is a no-op and
+  // the governor defers its trips, so threads only *observe* a deferred
+  // trip and skip their remaining items; the serial polls raise the trap.
+  // A kernel error (division by zero) is rethrown by for_blocks.
   rt::poll("fused");
-#ifdef _OPENMP
-  if (vl::detail::use_threads(n)) {
-#pragma omp parallel
-    {
-      std::vector<std::byte> arena(arena_bytes);
-#pragma omp for schedule(static)
-      for (Size b = 0; b < n_items; ++b) {
-        if (!rt::tripped()) run_item(b, arena.data());
-      }
-    }
-  } else
-#endif
-  {
-    std::vector<std::byte> arena(arena_bytes);
-    for (Size b = 0; b < n_items; ++b) {
-      rt::poll("fused");
-      run_item(b, arena.data());
-    }
-  }
+  vl::detail::for_blocks(
+      n_items, vl::detail::block_count(n), [&](Size, Size lo, Size hi) {
+        std::vector<std::byte> arena(arena_bytes);
+        for (Size b = lo; b < hi; ++b) {
+          rt::poll("fused");
+          if (rt::tripped()) return;
+          run_item(b, arena.data());
+        }
+      });
   rt::poll("fused");
 
   if (segmented) {

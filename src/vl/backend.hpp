@@ -7,7 +7,8 @@
 //               choice for the "sequential execution" measurements of the
 //               paper's Section 6.
 //   * OpenMP  — a work-partitioned loop (blocked two-pass algorithms for
-//               scans); stands in for the SIMD/vector machines CVL targeted.
+//               scans and packs, which the serial backend runs as one
+//               block); stands in for the SIMD/vector machines CVL targeted.
 //
 // The active backend is a process-global setting (kernels are pure, so the
 // choice only affects performance, never results). Per-call work counters

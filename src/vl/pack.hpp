@@ -7,6 +7,25 @@
 //     restrict(combine(M,V,U), not M) == U
 // These two primitives are how rule R2d routes data into the then/else
 // branches of a flattened conditional and reassembles the results.
+//
+// One algorithm per kernel, on both backends: count the mask, then compact
+// with no data-dependent branch. The input is cut into the blocks of
+// detail::block_count (one on the serial backend, one per thread on the
+// OpenMP backend); a first pass counts each block's true lanes, an
+// exclusive prefix over the blocks places each block's output, and a
+// second pass fills the blocks. pack and pack_indices store every lane at
+// a cursor that advances by the mask and stop at the block's last
+// survivor. combine advances a cursor into each of V and U and reads
+// through the one the mask selects (a pointer select, not a branch); an
+// all-true or all-false block of combine is a plain copy.
+//
+// No rank vector is built, but the kernels charge the records of the
+// compositions they stand for, in order (n = #M):
+//   pack              n (rank scan), n (pass)
+//   combine           n (rank scan), the true-count check, n (pass)
+//   pack_indices      n (index vector), n (rank scan), n (pass)
+//   seg_pack_lengths  the descriptor check (#lengths, #lengths segments),
+//                     n (0/1 vector), n and #lengths segments (the sum)
 #pragma once
 
 #include "vl/vec.hpp"

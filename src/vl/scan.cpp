@@ -2,10 +2,6 @@
 
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace proteus::vl {
 
 namespace detail {
@@ -27,8 +23,10 @@ void require_segments_cover(Size values, const IntVec& seg_lengths,
 
 namespace {
 
-/// Blocked two-pass parallel scan; falls back to a serial loop whenever the
-/// serial backend is active or the vector is short.
+/// Blocked two-pass scan: each block of block_count(n) scans its range from
+/// the identity, an exclusive scan over the block totals gives each block
+/// its carry-in, and a second pass folds the carry into every block after
+/// the first. The serial backend runs it as one block, with no second pass.
 template <typename T, typename Op, bool Inclusive>
 Vec<T> scan_blocked(const Vec<T>& in, T* total) {
   const Size n = in.size();
@@ -36,60 +34,36 @@ Vec<T> scan_blocked(const Vec<T>& in, T* total) {
   const T* ip = in.data();
   T* op = out.data();
 
-#ifdef _OPENMP
-  if (use_threads(n)) {
-    const int threads = omp_get_max_threads();
-    const Size block = (n + threads - 1) / threads;
-    std::vector<T> block_sum(static_cast<std::size_t>(threads),
-                             Op::identity());
-#pragma omp parallel num_threads(threads)
-    {
-      const int t = omp_get_thread_num();
-      const Size lo = static_cast<Size>(t) * block;
-      const Size hi = lo + block < n ? lo + block : n;
-      T acc = Op::identity();
-      for (Size i = lo; i < hi; ++i) {
-        if constexpr (Inclusive) {
-          acc = Op::combine(acc, ip[i]);
-          op[i] = acc;
-        } else {
-          op[i] = acc;
-          acc = Op::combine(acc, ip[i]);
-        }
-      }
-      block_sum[static_cast<std::size_t>(t)] = acc;
-#pragma omp barrier
-#pragma omp single
-      {
-        T run = Op::identity();
-        for (int b = 0; b < threads; ++b) {
-          T s = block_sum[static_cast<std::size_t>(b)];
-          block_sum[static_cast<std::size_t>(b)] = run;
-          run = Op::combine(run, s);
-        }
-        if (total != nullptr) *total = run;
-      }
-      const T offset = block_sum[static_cast<std::size_t>(t)];
-      for (Size i = lo; i < hi; ++i) {
-        op[i] = Op::combine(offset, op[i]);
+  const Size blocks = block_count(n);
+  T one = Op::identity();
+  std::vector<T> many(blocks > 1 ? static_cast<std::size_t>(blocks) : 0);
+  T* carry = blocks > 1 ? many.data() : &one;
+  for_blocks(n, blocks, [&](Size b, Size lo, Size hi) {
+    T acc = Op::identity();
+    for (Size i = lo; i < hi; ++i) {
+      if constexpr (Inclusive) {
+        acc = Op::combine(acc, ip[i]);
+        op[i] = acc;
+      } else {
+        op[i] = acc;
+        acc = Op::combine(acc, ip[i]);
       }
     }
-    stats().record(n);
-    return out;
+    carry[b] = acc;
+  });
+  T run = Op::identity();
+  for (Size b = 0; b < blocks; ++b) {
+    const T sum = carry[b];
+    carry[b] = run;
+    run = Op::combine(run, sum);
   }
-#endif
-
-  T acc = Op::identity();
-  for (Size i = 0; i < n; ++i) {
-    if constexpr (Inclusive) {
-      acc = Op::combine(acc, ip[i]);
-      op[i] = acc;
-    } else {
-      op[i] = acc;
-      acc = Op::combine(acc, ip[i]);
-    }
+  if (total != nullptr) *total = run;
+  if (blocks > 1) {
+    for_blocks(n, blocks, [&](Size b, Size lo, Size hi) {
+      if (b == 0) return;  // its carry-in is the identity
+      for (Size i = lo; i < hi; ++i) op[i] = Op::combine(carry[b], op[i]);
+    });
   }
-  if (total != nullptr) *total = acc;
   stats().record(n);
   return out;
 }
@@ -101,7 +75,6 @@ Vec<T> scan_blocked(const Vec<T>& in, T* total) {
 /// load-balance property the paper claims for flattened execution).
 template <typename T, typename Op, bool Inclusive>
 Vec<T> seg_scan_flat(const Vec<T>& in, const IntVec& seg_lengths) {
-#ifdef _OPENMP
   const Size n = in.size();
   Vec<T> out(n);
   const T* ip = in.data();
@@ -117,17 +90,12 @@ Vec<T> seg_scan_flat(const Vec<T>& in, const IntVec& seg_lengths) {
     }
   }
 
-  const int threads = omp_get_max_threads();
-  const Size block = (n + threads - 1) / threads;
-  std::vector<T> carry_val(static_cast<std::size_t>(threads), Op::identity());
-  std::vector<std::uint8_t> carry_flag(static_cast<std::size_t>(threads), 0);
+  const Size blocks = block_count(n);
+  std::vector<T> carry_val(static_cast<std::size_t>(blocks), Op::identity());
+  std::vector<std::uint8_t> carry_flag(static_cast<std::size_t>(blocks), 0);
 
-#pragma omp parallel num_threads(threads)
-  {
-    const int t = omp_get_thread_num();
-    const Size lo = static_cast<Size>(t) * block;
-    const Size hi = lo + block < n ? lo + block : n;
-    // Pass 1: per-block inclusive pair-scan; remember the block's summary.
+  // Pass 1: per-block inclusive pair-scan; remember the block's summary.
+  for_blocks(n, blocks, [&](Size b, Size lo, Size hi) {
     T acc = Op::identity();
     std::uint8_t flagged = 0;
     for (Size i = lo; i < hi; ++i) {
@@ -139,40 +107,37 @@ Vec<T> seg_scan_flat(const Vec<T>& in, const IntVec& seg_lengths) {
       }
       op[i] = acc;
     }
-    carry_val[std::size_t(t)] = acc;
-    carry_flag[std::size_t(t)] = flagged;
-#pragma omp barrier
-#pragma omp single
-    {
-      // Exclusive pair-scan of the block summaries.
-      T run = Op::identity();
-      std::uint8_t run_flag = 0;
-      for (int b = 0; b < threads; ++b) {
-        T v = carry_val[std::size_t(b)];
-        std::uint8_t f = carry_flag[std::size_t(b)];
-        carry_val[std::size_t(b)] = run;
-        carry_flag[std::size_t(b)] = run_flag;
-        run = f ? v : Op::combine(run, v);
-        run_flag = std::uint8_t(run_flag | f);
-      }
-    }
-    // Pass 2: fold the incoming carry into positions before the block's
-    // first segment head.
-    const T carry = carry_val[std::size_t(t)];
+    carry_val[std::size_t(b)] = acc;
+    carry_flag[std::size_t(b)] = flagged;
+  });
+  // Exclusive pair-scan of the block summaries.
+  T run = Op::identity();
+  std::uint8_t run_flag = 0;
+  for (Size b = 0; b < blocks; ++b) {
+    T v = carry_val[std::size_t(b)];
+    std::uint8_t f = carry_flag[std::size_t(b)];
+    carry_val[std::size_t(b)] = run;
+    carry_flag[std::size_t(b)] = run_flag;
+    run = f ? v : Op::combine(run, v);
+    run_flag = std::uint8_t(run_flag | f);
+  }
+  // Pass 2: fold the incoming carry into positions before the block's
+  // first segment head.
+  for_blocks(n, blocks, [&](Size b, Size lo, Size hi) {
+    const T carry = carry_val[std::size_t(b)];
     for (Size i = lo; i < hi; ++i) {
       if (head[std::size_t(i)]) break;
       op[i] = Op::combine(carry, op[i]);
     }
-  }
+  });
 
   if constexpr (!Inclusive) {
     // Exclusive from inclusive: shift within segments.
     Vec<T> excl(n);
     T* ep = excl.data();
-#pragma omp parallel for schedule(static)
-    for (Size i = 0; i < n; ++i) {
+    parallel_for(n, [&](Size i) {
       ep[i] = head[std::size_t(i)] ? Op::identity() : op[i - 1];
-    }
+    });
     stats().record(in.size());
     stats().record_segments(seg_lengths.size());
     return excl;
@@ -180,10 +145,6 @@ Vec<T> seg_scan_flat(const Vec<T>& in, const IntVec& seg_lengths) {
   stats().record(in.size());
   stats().record_segments(seg_lengths.size());
   return out;
-#else
-  (void)seg_lengths;
-  return in;  // unreachable: caller guards with use_threads()
-#endif
 }
 
 /// Segmented scan. Serial backend (and short vectors): one pass per

@@ -37,6 +37,29 @@ TEST(Errors, DivisionByZeroInsideIterator) {
   testing::expect_both(g, "f", {val("[1,0,2]")}, "[10,0,5]");
 }
 
+// A kernel error raised inside a threaded loop (the elementwise divide at
+// -O0, the fused chain at -O1) surfaces as the same EvalError the serial
+// loop raises, instead of escaping the OpenMP region and terminating the
+// process. 5,000 lanes is past the threaded grain; lane 0 divides by zero.
+TEST(Errors, DivisionByZeroInThreadedLoopRaises) {
+  if (!vl::openmp_available()) GTEST_SKIP();
+  constexpr const char* kDivz =
+      "fun f(n: int): seq(int) = [i <- [0 .. n] : 100 / i]";
+  for (const bool optimize : {false, true}) {
+    SCOPED_TRACE(optimize ? "-O1" : "-O0");
+    xform::PipelineOptions options;
+    options.optimize_vcode = optimize;
+    Session s(kDivz, {}, options);
+    testing::expect_both_fail(s, "f", {val("5000")}, "division by zero");
+    testing::ThreadedBackend threaded(2);
+    testing::expect_both_fail(s, "f", {val("5000")}, "division by zero");
+    // A failing lane in the last block alone surfaces too.
+    Session late("fun g(n: int): seq(int) = [i <- [1 .. n] : 100 / (i - n)]",
+                 {}, options);
+    testing::expect_both_fail(late, "g", {val("5000")}, "division by zero");
+  }
+}
+
 TEST(Errors, MaxvalOfEmptyInsideIterator) {
   Session s("fun f(m: seq(seq(int))): seq(int) = [row <- m : maxval(row)]");
   EXPECT_THROW((void)s.run_reference("f", {val("[[1],([] : seq(int))]")}),

@@ -16,6 +16,7 @@
 
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
+#include "testing.hpp"
 
 namespace proteus::serve {
 namespace {
@@ -448,6 +449,24 @@ TEST(ServeServer, StdioLoopServesUntilShutdown) {
   EXPECT_NE(text.find("\"stopping\":true"), std::string::npos) << text;
   // The ping after shutdown was never served.
   EXPECT_EQ(text.find("\"id\":2"), std::string::npos) << text;
+}
+
+// A kernel error inside a threaded loop is one request's error reply: the
+// daemon answers the ping queued behind it.
+TEST(ServeServer, ThreadedKernelErrorIsAReplyNotACrash) {
+  if (!vl::openmp_available()) GTEST_SKIP();
+  testing::ThreadedBackend threaded(2);
+  Server server;
+  std::istringstream in(
+      "{\"op\":\"eval\",\"id\":1,\"source\":"
+      "\"fun f(n: int): seq(int) = [i <- [0 .. n] : 100 / i]\","
+      "\"fun\":\"f\",\"args\":[\"5000\"]}\n"
+      "{\"op\":\"ping\",\"id\":2}\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.serve_stdio(in, out), 0);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("division by zero"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"pong\":true"), std::string::npos) << text;
 }
 
 // --- ISSUE 7 telemetry: request ids, latency histograms, the metrics

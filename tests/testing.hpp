@@ -8,6 +8,11 @@
 #include <vector>
 
 #include "core/proteus.hpp"
+#include "vl/backend.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace proteus::testing {
 
@@ -54,5 +59,31 @@ inline void expect_both_fail(Session& session, const std::string& fn,
     }
   }
 }
+
+/// The OpenMP vl backend on `threads` threads for a scope (a no-op backend
+/// switch in builds without OpenMP; check vl::openmp_available()).
+class ThreadedBackend {
+ public:
+  explicit ThreadedBackend(int threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~ThreadedBackend() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_threads_);
+#endif
+  }
+  ThreadedBackend(const ThreadedBackend&) = delete;
+  ThreadedBackend& operator=(const ThreadedBackend&) = delete;
+
+ private:
+  vl::BackendGuard backend_{vl::Backend::kOpenMP};
+#ifdef _OPENMP
+  int saved_threads_ = omp_get_max_threads();
+#endif
+};
 
 }  // namespace proteus::testing

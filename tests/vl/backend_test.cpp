@@ -3,8 +3,10 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <string_view>
 
+#include "vl/kernel.hpp"
 #include "vl/vl.hpp"
 
 namespace proteus::vl {
@@ -43,6 +45,47 @@ TEST(Backend, OpenMPFallsBackWhenUnavailable) {
 
 TEST(Backend, ThreadCountPositive) {
   EXPECT_GE(backend_threads(), 1);
+}
+
+// A throwing body inside a threaded loop: every block catches its own
+// exception and the one of the lowest failing iteration is rethrown after
+// the region, the error the serial loop raises. Without that the exception
+// would leave the OpenMP region and terminate the process.
+TEST(Backend, ThreadedLoopRaisesLowestFailingIteration) {
+  constexpr Size n = 4 * kParallelGrain;
+  const auto body = [](Size i) {
+    if (i == 9 || i == n / 2 || i == n - 1) {
+      throw VectorError("lane " + std::to_string(i));
+    }
+    return i;
+  };
+  for (const Backend b : {Backend::kSerial, Backend::kOpenMP}) {
+    BackendGuard guard(b);
+    try {
+      detail::parallel_for(n, [&](Size i) { (void)body(i); });
+      ADD_FAILURE() << "parallel_for did not throw";
+    } catch (const VectorError& e) {
+      EXPECT_STREQ(e.what(), "lane 9");
+    }
+    try {
+      (void)detail::parallel_reduce(
+          n, Size{0}, body, [](Size x, Size y) { return x + y; });
+      ADD_FAILURE() << "parallel_reduce did not throw";
+    } catch (const VectorError& e) {
+      EXPECT_STREQ(e.what(), "lane 9");
+    }
+  }
+}
+
+TEST(Backend, ParallelReduceFoldsEveryBlock) {
+  constexpr Size n = 3 * kParallelGrain + 7;
+  for (const Backend b : {Backend::kSerial, Backend::kOpenMP}) {
+    BackendGuard guard(b);
+    EXPECT_EQ(detail::parallel_reduce(
+                  n, Size{0}, [](Size i) { return i; },
+                  [](Size x, Size y) { return x + y; }),
+              n * (n - 1) / 2);
+  }
 }
 
 TEST(Stats, AccumulateAndReset) {
