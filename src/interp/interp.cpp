@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <utility>
@@ -292,13 +293,22 @@ class Eval {
                         [](Real x, Real y) { return x * y; });
       case Prim::kDiv:
         if (a[0].is_int()) {
-          if (a[1].as_int() == 0) eval_fail("division by zero");
-          return Value::ints(a[0].as_int() / a[1].as_int());
+          const Int y = a[1].as_int();
+          if (y == 0) eval_fail("division by zero");
+          // x / -1 is -x, negated unsigned so INT64_MIN wraps to itself.
+          if (y == -1) {
+            return Value::ints(static_cast<Int>(
+                0 - static_cast<std::uint64_t>(a[0].as_int())));
+          }
+          return Value::ints(a[0].as_int() / y);
         }
         return Value::reals(a[0].as_real() / a[1].as_real());
-      case Prim::kMod:
-        if (a[1].as_int() == 0) eval_fail("mod by zero");
-        return Value::ints(a[0].as_int() % a[1].as_int());
+      case Prim::kMod: {
+        const Int y = a[1].as_int();
+        if (y == 0) eval_fail("mod by zero");
+        if (y == -1) return Value::ints(0);  // INT64_MIN % -1 overflows
+        return Value::ints(a[0].as_int() % y);
+      }
       case Prim::kNeg:
         return a[0].is_int() ? Value::ints(-a[0].as_int())
                              : Value::reals(-a[0].as_real());

@@ -1,12 +1,12 @@
 #include "kernels/fused.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
+#include "kernels/lanes.hpp"
 #include "kernels/prims.hpp"
 #include "rt/governor.hpp"
 #include "seq/extract_insert.hpp"
@@ -33,107 +33,7 @@ namespace {
 
 [[noreturn]] void eval_fail(const std::string& msg) { throw EvalError(msg); }
 
-/// Scalar kinds flowing through a chain; kOther marks values the unfused
-/// kernels would reject at dispatch (tuples, nested frames, broadcast
-/// aggregates) so the same "no depth-1 ... kernel" diagnostic fires.
-enum class K : std::uint8_t { kInt, kReal, kBool, kOther };
-
 constexpr Size kBlock = 2048;
-
-constexpr std::size_t elem_size(K k) {
-  return k == K::kBool ? sizeof(Bool) : sizeof(Int);
-}
-
-/// The typed per-lane kernels, one per (prim, operand-kind) pair the
-/// unfused ew_unary/ew_binary tables accept.
-enum class Kern : std::uint8_t {
-  kAddI, kSubI, kMulI, kDivI, kModI, kMinI, kMaxI,
-  kEqI, kNeI, kLtI, kLeI, kGtI, kGeI,
-  kAddR, kSubR, kMulR, kDivR, kMinR, kMaxR,
-  kEqR, kNeR, kLtR, kLeR, kGtR, kGeR,
-  kAndB, kOrB, kEqB, kNeB,
-  kNegI, kNegR, kToReal, kToInt, kSqrtR, kNotB,
-};
-
-struct KernSel {
-  Kern kern{};
-  K out = K::kOther;
-  const char* len_name = nullptr;  ///< vl kernel name for the length check
-  bool two_records = false;        ///< Bool eq = not(xor): two vl records
-};
-
-bool select_binary(Prim p, K ka, K kb, KernSel& sel) {
-  if (ka == K::kInt && kb == K::kInt) {
-    switch (p) {
-      case Prim::kAdd: sel = {Kern::kAddI, K::kInt, "add", false}; return true;
-      case Prim::kSub: sel = {Kern::kSubI, K::kInt, "sub", false}; return true;
-      case Prim::kMul: sel = {Kern::kMulI, K::kInt, "mul", false}; return true;
-      case Prim::kDiv: sel = {Kern::kDivI, K::kInt, "div", false}; return true;
-      case Prim::kMod: sel = {Kern::kModI, K::kInt, "mod", false}; return true;
-      case Prim::kMin: sel = {Kern::kMinI, K::kInt, "min", false}; return true;
-      case Prim::kMax: sel = {Kern::kMaxI, K::kInt, "max", false}; return true;
-      case Prim::kEq: sel = {Kern::kEqI, K::kBool, "eq", false}; return true;
-      case Prim::kNe: sel = {Kern::kNeI, K::kBool, "ne", false}; return true;
-      case Prim::kLt: sel = {Kern::kLtI, K::kBool, "lt", false}; return true;
-      case Prim::kLe: sel = {Kern::kLeI, K::kBool, "le", false}; return true;
-      case Prim::kGt: sel = {Kern::kGtI, K::kBool, "gt", false}; return true;
-      case Prim::kGe: sel = {Kern::kGeI, K::kBool, "ge", false}; return true;
-      default: return false;
-    }
-  }
-  if (ka == K::kReal && kb == K::kReal) {
-    switch (p) {
-      case Prim::kAdd: sel = {Kern::kAddR, K::kReal, "add", false}; return true;
-      case Prim::kSub: sel = {Kern::kSubR, K::kReal, "sub", false}; return true;
-      case Prim::kMul: sel = {Kern::kMulR, K::kReal, "mul", false}; return true;
-      case Prim::kDiv: sel = {Kern::kDivR, K::kReal, "div", false}; return true;
-      case Prim::kMin: sel = {Kern::kMinR, K::kReal, "min", false}; return true;
-      case Prim::kMax: sel = {Kern::kMaxR, K::kReal, "max", false}; return true;
-      case Prim::kEq: sel = {Kern::kEqR, K::kBool, "eq", false}; return true;
-      case Prim::kNe: sel = {Kern::kNeR, K::kBool, "ne", false}; return true;
-      case Prim::kLt: sel = {Kern::kLtR, K::kBool, "lt", false}; return true;
-      case Prim::kLe: sel = {Kern::kLeR, K::kBool, "le", false}; return true;
-      case Prim::kGt: sel = {Kern::kGtR, K::kBool, "gt", false}; return true;
-      case Prim::kGe: sel = {Kern::kGeR, K::kBool, "ge", false}; return true;
-      default: return false;
-    }
-  }
-  if (ka == K::kBool && kb == K::kBool) {
-    switch (p) {
-      case Prim::kAnd: sel = {Kern::kAndB, K::kBool, "and", false}; return true;
-      case Prim::kOr: sel = {Kern::kOrB, K::kBool, "or", false}; return true;
-      // Unfused Bool eq/ne route through logical_xor (length-checked as
-      // "xor"); eq adds the logical_not pass on top.
-      case Prim::kEq: sel = {Kern::kEqB, K::kBool, "xor", true}; return true;
-      case Prim::kNe: sel = {Kern::kNeB, K::kBool, "xor", false}; return true;
-      default: return false;
-    }
-  }
-  return false;
-}
-
-bool select_unary(Prim p, K ka, KernSel& sel) {
-  switch (p) {
-    case Prim::kNeg:
-      if (ka == K::kInt) { sel = {Kern::kNegI, K::kInt, nullptr, false}; return true; }
-      if (ka == K::kReal) { sel = {Kern::kNegR, K::kReal, nullptr, false}; return true; }
-      return false;
-    case Prim::kToReal:
-      if (ka == K::kInt) { sel = {Kern::kToReal, K::kReal, nullptr, false}; return true; }
-      return false;
-    case Prim::kToInt:
-      if (ka == K::kReal) { sel = {Kern::kToInt, K::kInt, nullptr, false}; return true; }
-      return false;
-    case Prim::kSqrt:
-      if (ka == K::kReal) { sel = {Kern::kSqrtR, K::kReal, nullptr, false}; return true; }
-      return false;
-    case Prim::kNot:
-      if (ka == K::kBool) { sel = {Kern::kNotB, K::kBool, nullptr, false}; return true; }
-      return false;
-    default:
-      return false;
-  }
-}
 
 /// How a kernel operand is addressed inside a block.
 struct OpRef {
@@ -182,101 +82,8 @@ struct Blk {
   Size len = 0;
 };
 
-/// The kernels' lane loops; an operand flagged SA/SB is one value every
-/// lane reads (a broadcast or a segment splat).
-template <bool SA, bool SB, typename T, typename R, typename F>
-inline void loop2(const void* a, const void* b, void* d, Size len, F&& f) {
-  const T* x = static_cast<const T*>(a);
-  const T* y = static_cast<const T*>(b);
-  R* r = static_cast<R*>(d);
-  for (Size i = 0; i < len; ++i) r[i] = f(x[SA ? 0 : i], y[SB ? 0 : i]);
-}
-
-template <bool SA, typename T, typename R, typename F>
-inline void loop1(const void* a, void* d, Size len, F&& f) {
-  const T* x = static_cast<const T*>(a);
-  R* r = static_cast<R*>(d);
-  for (Size i = 0; i < len; ++i) r[i] = f(x[SA ? 0 : i]);
-}
-
-template <bool SA, bool SB>
-void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
-  using vl::detail::checked_div;
-  using vl::detail::checked_mod;
-  switch (k) {
-    case Kern::kAddI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return;
-    case Kern::kSubI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return;
-    case Kern::kMulI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return;
-    case Kern::kDivI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_div(x, y); }); return;
-    case Kern::kModI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_mod(x, y); }); return;
-    case Kern::kMinI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return;
-    case Kern::kMaxI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? y : x; }); return;
-    case Kern::kEqI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeI: loop2<SA, SB, Int, Bool>(a, b, d, len, [](Int x, Int y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAddR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x + y; }); return;
-    case Kern::kSubR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x - y; }); return;
-    case Kern::kMulR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x * y; }); return;
-    case Kern::kDivR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x / y; }); return;
-    case Kern::kMinR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? x : y; }); return;
-    case Kern::kMaxR: loop2<SA, SB, Real, Real>(a, b, d, len, [](Real x, Real y) { return x < y ? y : x; }); return;
-    case Kern::kEqR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x == y ? 1 : 0); }); return;
-    case Kern::kNeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x != y ? 1 : 0); }); return;
-    case Kern::kLtR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x < y ? 1 : 0); }); return;
-    case Kern::kLeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x <= y ? 1 : 0); }); return;
-    case Kern::kGtR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x > y ? 1 : 0); }); return;
-    case Kern::kGeR: loop2<SA, SB, Real, Bool>(a, b, d, len, [](Real x, Real y) { return Bool(x >= y ? 1 : 0); }); return;
-    case Kern::kAndB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x && y) ? 1 : 0); }); return;
-    case Kern::kOrB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return;
-    case Kern::kEqB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return;
-    case Kern::kNeB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return;
-    case Kern::kNegI: loop1<SA, Int, Int>(a, d, len, [](Int x) { return -x; }); return;
-    case Kern::kNegR: loop1<SA, Real, Real>(a, d, len, [](Real x) { return -x; }); return;
-    case Kern::kToReal: loop1<SA, Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return;
-    case Kern::kToInt: loop1<SA, Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return;
-    case Kern::kSqrtR: loop1<SA, Real, Real>(a, d, len, [](Real x) { return std::sqrt(x); }); return;
-    case Kern::kNotB: loop1<SA, Bool, Bool>(a, d, len, [](Bool x) { return Bool(x ? 0 : 1); }); return;
-  }
-}
-
-/// run_kern with the operands' scalar flags as template arguments. (A
-/// node may read two: a segment splat times a broadcast.)
-void run_kern(Kern k, const OpRef& ra, const void* a, const OpRef& rb,
-              const void* b, void* d, Size len) {
-  if (ra.scalar() && rb.scalar()) {
-    run_kern<true, true>(k, a, b, d, len);
-  } else if (ra.scalar()) {
-    run_kern<true, false>(k, a, b, d, len);
-  } else if (rb.scalar()) {
-    run_kern<false, true>(k, a, b, d, len);
-  } else {
-    run_kern<false, false>(k, a, b, d, len);
-  }
-}
-
 [[noreturn]] void corrupt() {
   eval_fail("fused: malformed micro-expression (verifier bypassed?)");
-}
-
-K leaf_kind(Array::Kind k) {
-  switch (k) {
-    case Array::Kind::kInt: return K::kInt;
-    case Array::Kind::kReal: return K::kReal;
-    case Array::Kind::kBool: return K::kBool;
-    default: return K::kOther;
-  }
-}
-
-const void* leaf_data(const Array& a) {
-  switch (a.kind()) {
-    case Array::Kind::kInt: return a.int_values().data();
-    case Array::Kind::kReal: return a.real_values().data();
-    case Array::Kind::kBool: return a.bool_values().data();
-    default: return nullptr;
-  }
 }
 
 /// The array of a sequence of scalars, or null for anything else.
@@ -594,10 +401,7 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
       }
       const Size la = info[ca].is_vec ? info[ca].len : n_frame;
       const Size lb = info[cb].is_vec ? info[cb].len : n_frame;
-      PROTEUS_REQUIRE(VectorError, la == lb,
-                      std::string(sel.len_name) +
-                          ": operand lengths differ (" + std::to_string(la) +
-                          " vs " + std::to_string(lb) + ")");
+      check_lane_lengths(sel, la, lb);
       st.record(la);
       if (sel.two_records) st.record(la);
       info[k] = NodeInfo{};
@@ -786,7 +590,7 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
                            static_cast<std::byte*>(out_base) +
                            static_cast<std::size_t>(at.flat) * out_esize)
                      : static_cast<void*>(arena + np.dst_off);
-      run_kern(np.kern, np.a, pa, np.b, pb, pd, at.len);
+      run_kern(np.kern, np.a.scalar(), pa, np.b.scalar(), pb, pd, at.len);
     }
   };
   // One work item: a block of the flat chain, or every block of one
@@ -814,17 +618,15 @@ VValue eval_fused(const FusedExpr& e, std::vector<VValue> inputs) {
 
   const Size n_items =
       segmented ? nseg : n == 0 ? 0 : (n + kBlock - 1) / kBlock;
-  // Governor check points: inside a threaded region poll() is a no-op and
-  // the governor defers its trips, so threads only *observe* a deferred
-  // trip and skip their remaining items; the serial polls raise the trap.
-  // A kernel error (division by zero) is rethrown by for_blocks.
+  // Governor check points, one per work item: a trap raised inside a
+  // threaded block leaves the region like a kernel error (division by
+  // zero), rethrown by for_blocks.
   rt::poll("fused");
   vl::detail::for_blocks(
       n_items, vl::detail::block_count(n), [&](Size, Size lo, Size hi) {
         std::vector<std::byte> arena(arena_bytes);
         for (Size b = lo; b < hi; ++b) {
           rt::poll("fused");
-          if (rt::tripped()) return;
           run_item(b, arena.data());
         }
       });

@@ -122,8 +122,8 @@ void for_each_application(const FusedExpr& e, F&& f) {
 /// arena stays cache-sized.
 inline constexpr std::size_t kMaxFusedNodes = 64;
 
-/// True when `p` belongs to the fusible elementwise family (the depth-1
-/// kernels of ew_unary/ew_binary in prims.cpp).
+/// True when `p` belongs to the fusible elementwise family (the prims of
+/// the lane table, kernels/lanes.hpp).
 [[nodiscard]] bool fusible_prim(lang::Prim p);
 
 /// Evaluates the chain over `inputs` (one VValue per operand slot; slots

@@ -1,10 +1,11 @@
 #include "kernels/prims.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
 #include <functional>
 #include <utility>
 
+#include "kernels/lanes.hpp"
 #include "rt/governor.hpp"
 #include "vl/vl.hpp"
 
@@ -37,219 +38,92 @@ void check_combine(const vl::Bool* m, Size nm, Size nt, Size nf) {
   }
 }
 
-// --- depth-0 scalar primitives -------------------------------------------------
+// --- elementwise primitives: the lane table at depth 0 and depth 1 ----------
 
-VValue scalar2(Prim op, const VValue& a, const VValue& b) {
-  if (a.is_int() && b.is_int()) {
-    Int x = a.as_int();
-    Int y = b.as_int();
-    switch (op) {
-      case Prim::kAdd:
-        return VValue::ints(x + y);
-      case Prim::kSub:
-        return VValue::ints(x - y);
-      case Prim::kMul:
-        return VValue::ints(x * y);
-      case Prim::kDiv:
-        if (y == 0) eval_fail("division by zero");
-        return VValue::ints(x / y);
-      case Prim::kMod:
-        if (y == 0) eval_fail("mod by zero");
-        return VValue::ints(x % y);
-      case Prim::kMin:
-        return VValue::ints(x < y ? x : y);
-      case Prim::kMax:
-        return VValue::ints(x < y ? y : x);
-      case Prim::kEq:
-        return VValue::bools(x == y);
-      case Prim::kNe:
-        return VValue::bools(x != y);
-      case Prim::kLt:
-        return VValue::bools(x < y);
-      case Prim::kLe:
-        return VValue::bools(x <= y);
-      case Prim::kGt:
-        return VValue::bools(x > y);
-      case Prim::kGe:
-        return VValue::bools(x >= y);
-      default:
-        break;
+/// A depth-0 elementwise primitive: its lane kernel on one lane.
+VValue lane0(Prim op, const std::vector<VValue>& args) {
+  struct Lane {
+    Int i = 0;
+    Real r = 0;
+    Bool b = 0;
+    void* at(K k) {
+      if (k == K::kInt) return &i;
+      if (k == K::kReal) return &r;
+      return &b;
     }
-  } else if (a.is_real() && b.is_real()) {
-    Real x = a.as_real();
-    Real y = b.as_real();
-    switch (op) {
-      case Prim::kAdd:
-        return VValue::reals(x + y);
-      case Prim::kSub:
-        return VValue::reals(x - y);
-      case Prim::kMul:
-        return VValue::reals(x * y);
-      case Prim::kDiv:
-        return VValue::reals(x / y);
-      case Prim::kMin:
-        return VValue::reals(x < y ? x : y);
-      case Prim::kMax:
-        return VValue::reals(x < y ? y : x);
-      case Prim::kEq:
-        return VValue::bools(x == y);
-      case Prim::kNe:
-        return VValue::bools(x != y);
-      case Prim::kLt:
-        return VValue::bools(x < y);
-      case Prim::kLe:
-        return VValue::bools(x <= y);
-      case Prim::kGt:
-        return VValue::bools(x > y);
-      case Prim::kGe:
-        return VValue::bools(x >= y);
-      default:
-        break;
-    }
-  } else if (a.is_bool() && b.is_bool()) {
-    switch (op) {
-      case Prim::kAnd:
-        return VValue::bools(a.as_bool() && b.as_bool());
-      case Prim::kOr:
-        return VValue::bools(a.as_bool() || b.as_bool());
-      case Prim::kEq:
-        return VValue::bools(a.as_bool() == b.as_bool());
-      case Prim::kNe:
-        return VValue::bools(a.as_bool() != b.as_bool());
-      default:
-        break;
-    }
+  } x, y, out;
+  const auto load = [](const VValue& v, Lane& l) {
+    if (v.is_int()) { l.i = v.as_int(); return K::kInt; }
+    if (v.is_real()) { l.r = v.as_real(); return K::kReal; }
+    if (v.is_bool()) { l.b = v.as_bool() ? 1 : 0; return K::kBool; }
+    return K::kOther;
+  };
+  const bool binary = args.size() == 2;
+  const K ka = load(args[0], x);
+  const K kb = binary ? load(args[1], y) : K::kOther;
+  KernSel sel;
+  if (binary ? !select_binary(op, ka, kb, sel) : !select_unary(op, ka, sel)) {
+    eval_fail(std::string("no scalar overload of '") + prim_name(op) + "'");
   }
-  eval_fail(std::string("no scalar overload of '") + prim_name(op) + "'");
+  run_kern(sel.kern, true, x.at(ka), true, y.at(kb), out.at(sel.out), 1);
+  switch (sel.out) {
+    case K::kInt: return VValue::ints(out.i);
+    case K::kReal: return VValue::reals(out.r);
+    default: return VValue::bools(out.b != 0);
+  }
 }
 
-// --- depth-1 elementwise kernels ------------------------------------------------
-
-Array ew_unary(Prim op, const Array& a) {
-  switch (a.kind()) {
-    case Array::Kind::kInt: {
-      const IntVec& v = a.int_values();
-      switch (op) {
-        case Prim::kNeg:
-          return Array::ints(vl::neg(v));
-        case Prim::kToReal:
-          return Array::reals(vl::to_real(v));
-        default:
-          break;
-      }
-      break;
-    }
-    case Array::Kind::kReal: {
-      const RealVec& v = a.real_values();
-      switch (op) {
-        case Prim::kNeg:
-          return Array::reals(vl::neg(v));
-        case Prim::kToInt:
-          return Array::ints(vl::to_int(v));
-        case Prim::kSqrt:
-          return Array::reals(vl::sqrt(v));
-        default:
-          break;
-      }
-      break;
-    }
-    case Array::Kind::kBool:
-      if (op == Prim::kNot) {
-        return Array::bools(vl::logical_not(a.bool_values()));
-      }
-      break;
-    default:
-      break;
+/// The depth-1 extension of an elementwise primitive: its lane kernel over
+/// the frames, block by block, with the length check, output buffer and
+/// records of the vl map it stands for (Bool == charges logical_xor's
+/// record and then logical_not's, into one buffer).
+Array lanes1(Prim op, const std::vector<Array>& frames) {
+  const bool binary = frames.size() == 2;
+  const K ka = leaf_kind(frames[0].kind());
+  const K kb = binary ? leaf_kind(frames[1].kind()) : K::kOther;
+  KernSel sel;
+  if (binary ? !select_binary(op, ka, kb, sel) : !select_unary(op, ka, sel)) {
+    eval_fail(std::string("no depth-1 ") + (binary ? "binary" : "unary") +
+              " kernel for '" + prim_name(op) + "'");
   }
-  eval_fail(std::string("no depth-1 unary kernel for '") + prim_name(op) +
-            "'");
-}
-
-Array ew_binary(Prim op, const Array& a, const Array& b) {
-  if (a.kind() == Array::Kind::kInt && b.kind() == Array::Kind::kInt) {
-    const IntVec& x = a.int_values();
-    const IntVec& y = b.int_values();
-    switch (op) {
-      case Prim::kAdd:
-        return Array::ints(vl::add(x, y));
-      case Prim::kSub:
-        return Array::ints(vl::sub(x, y));
-      case Prim::kMul:
-        return Array::ints(vl::mul(x, y));
-      case Prim::kDiv:
-        return Array::ints(vl::div(x, y));
-      case Prim::kMod:
-        return Array::ints(vl::mod(x, y));
-      case Prim::kMin:
-        return Array::ints(vl::min(x, y));
-      case Prim::kMax:
-        return Array::ints(vl::max(x, y));
-      case Prim::kEq:
-        return Array::bools(vl::eq(x, y));
-      case Prim::kNe:
-        return Array::bools(vl::ne(x, y));
-      case Prim::kLt:
-        return Array::bools(vl::lt(x, y));
-      case Prim::kLe:
-        return Array::bools(vl::le(x, y));
-      case Prim::kGt:
-        return Array::bools(vl::gt(x, y));
-      case Prim::kGe:
-        return Array::bools(vl::ge(x, y));
-      default:
-        break;
+  const Size n = frames[0].length();
+  if (binary) check_lane_lengths(sel, n, frames[1].length());
+  const auto* a = static_cast<const std::byte*>(leaf_data(frames[0]));
+  const auto* b =
+      binary ? static_cast<const std::byte*>(leaf_data(frames[1])) : nullptr;
+  const auto fill = [&](void* out) {
+    auto* d = static_cast<std::byte*>(out);
+    const auto at = [](auto* base, K k, Size lo) {
+      return base == nullptr ? nullptr
+                             : base + static_cast<std::size_t>(lo) * elem_size(k);
+    };
+    vl::detail::for_blocks(
+        n, vl::detail::block_count(n), [&](Size, Size lo, Size hi) {
+          run_kern(sel.kern, false, at(a, ka, lo), false, at(b, kb, lo),
+                   at(d, sel.out, lo), hi - lo);
+        });
+    vl::VectorStats& st = vl::stats();
+    st.record(n);
+    if (sel.two_records) st.record(n);
+    st.record_alloc();
+  };
+  switch (sel.out) {
+    case K::kInt: {
+      IntVec out(n);
+      fill(out.data());
+      return Array::ints(std::move(out));
     }
-  } else if (a.kind() == Array::Kind::kReal &&
-             b.kind() == Array::Kind::kReal) {
-    const RealVec& x = a.real_values();
-    const RealVec& y = b.real_values();
-    switch (op) {
-      case Prim::kAdd:
-        return Array::reals(vl::add(x, y));
-      case Prim::kSub:
-        return Array::reals(vl::sub(x, y));
-      case Prim::kMul:
-        return Array::reals(vl::mul(x, y));
-      case Prim::kDiv:
-        return Array::reals(vl::div(x, y));
-      case Prim::kMin:
-        return Array::reals(vl::min(x, y));
-      case Prim::kMax:
-        return Array::reals(vl::max(x, y));
-      case Prim::kEq:
-        return Array::bools(vl::eq(x, y));
-      case Prim::kNe:
-        return Array::bools(vl::ne(x, y));
-      case Prim::kLt:
-        return Array::bools(vl::lt(x, y));
-      case Prim::kLe:
-        return Array::bools(vl::le(x, y));
-      case Prim::kGt:
-        return Array::bools(vl::gt(x, y));
-      case Prim::kGe:
-        return Array::bools(vl::ge(x, y));
-      default:
-        break;
+    case K::kReal: {
+      RealVec out(n);
+      fill(out.data());
+      return Array::reals(std::move(out));
     }
-  } else if (a.kind() == Array::Kind::kBool &&
-             b.kind() == Array::Kind::kBool) {
-    const BoolVec& x = a.bool_values();
-    const BoolVec& y = b.bool_values();
-    switch (op) {
-      case Prim::kAnd:
-        return Array::bools(vl::logical_and(x, y));
-      case Prim::kOr:
-        return Array::bools(vl::logical_or(x, y));
-      case Prim::kEq:
-        return Array::bools(vl::logical_not(vl::logical_xor(x, y)));
-      case Prim::kNe:
-        return Array::bools(vl::logical_xor(x, y));
-      default:
-        break;
+    default: {
+      BoolVec out(n);
+      fill(out.data());
+      return Array::bools(std::move(out));
     }
   }
-  eval_fail(std::string("no depth-1 binary kernel for '") + prim_name(op) +
-            "'");
 }
 
 // --- depth-1 sequence kernels ---------------------------------------------------
@@ -494,18 +368,12 @@ VValue apply_prim0(Prim op, const std::vector<VValue>& args) {
     case Prim::kGe:
     case Prim::kAnd:
     case Prim::kOr:
-      return scalar2(op, args[0], args[1]);
     case Prim::kNeg:
-      return args[0].is_int() ? VValue::ints(-args[0].as_int())
-                              : VValue::reals(-args[0].as_real());
     case Prim::kNot:
-      return VValue::bools(!args[0].as_bool());
     case Prim::kSqrt:
-      return VValue::reals(std::sqrt(args[0].as_real()));
     case Prim::kToReal:
-      return VValue::reals(static_cast<Real>(args[0].as_int()));
     case Prim::kToInt:
-      return VValue::ints(static_cast<Int>(args[0].as_real()));
+      return lane0(op, args);
     case Prim::kLength:
       return VValue::ints(args[0].as_seq().length());
     case Prim::kRange:
@@ -659,13 +527,12 @@ VValue apply_prim1(Prim op, const std::vector<VValue>& args,
     case Prim::kGe:
     case Prim::kAnd:
     case Prim::kOr:
-      return VValue::seq(ew_binary(op, frames[0], frames[1]));
     case Prim::kNeg:
     case Prim::kNot:
     case Prim::kToReal:
     case Prim::kToInt:
     case Prim::kSqrt:
-      return VValue::seq(ew_unary(op, frames[0]));
+      return VValue::seq(lanes1(op, frames));
     case Prim::kLength:
       return VValue::seq(Array::ints(frames[0].lengths()));
     case Prim::kRange:

@@ -30,10 +30,9 @@
 // Fast-path cost with no budget installed on this thread, no cancellation
 // requested, and no faults armed is one thread-local load, one relaxed
 // atomic load, and a predictable branch (see bench_rt_overhead).
-// Violations throw rt::RuntimeTrap — except inside an OpenMP parallel
-// region, where throwing would terminate the process; there the trip is
-// recorded and re-raised at the next serial poll point (cooperative
-// deferral).
+// Violations throw rt::RuntimeTrap, inside a threaded kernel block too:
+// vl::detail::for_blocks catches it in its block and rethrows it after
+// the region, like any kernel error.
 #pragma once
 
 #include <atomic>
@@ -89,11 +88,10 @@ struct GovernorState {
 extern constinit thread_local GovernorState* t_state;
 
 /// `g_active` gates the process-global slow-path causes: cancellation
-/// pending, faults armed, or a trip deferred from a parallel region.
+/// pending or faults armed.
 extern std::atomic<bool> g_active;
 extern std::atomic<std::uint64_t> g_resident;
 extern std::atomic<std::uint64_t> g_peak;  // resident-byte high watermark
-extern std::atomic<int> g_tripped;  // deferred Trap code; 0 = none
 
 void charge_bytes_slow(std::uint64_t bytes);
 void charge_work_slow(std::uint64_t elements);
@@ -132,22 +130,15 @@ inline void charge_work(std::uint64_t elements) {
   detail::charge_work_slow(elements);
 }
 
-/// Cooperative check point: observes cancellation, the deadline, and
-/// trips deferred from parallel regions. Engines pass their dispatch
-/// site; the VM also passes the current pc for trap attribution.
+/// Cooperative check point: observes cancellation and the deadline.
+/// Engines pass their dispatch site; the VM also passes the current pc
+/// for trap attribution.
 inline void poll(const char* site, std::int64_t pc = -1) {
   if (detail::t_state == nullptr &&
       !detail::g_active.load(std::memory_order_relaxed)) {
     return;
   }
   detail::poll_slow(site, pc);
-}
-
-/// True while a deferred trip is pending (set inside parallel regions
-/// where throwing is impossible); blockwise kernels use it to skip
-/// remaining work until a serial poll can raise the trap.
-[[nodiscard]] inline bool tripped() noexcept {
-  return detail::g_tripped.load(std::memory_order_relaxed) != 0;
 }
 
 /// Live vl vector bytes currently charged (process-wide, always counted).
@@ -205,9 +196,7 @@ class NestingGuard {
 /// RAII scope installing a budget on the calling thread: pushes a fresh
 /// per-thread budget state (step counter at 0, deadline armed) and
 /// restores the enclosing scope on exit. Resident bytes are NOT reset —
-/// they track live allocations, which outlive any one scope. Each scope
-/// also clears (and on exit restores) any parallel-region trip deferral,
-/// so a stale deferral cannot leak into an unrelated execution.
+/// they track live allocations, which outlive any one scope.
 class GovernorScope {
  public:
   explicit GovernorScope(const ExecBudget& budget);
@@ -217,7 +206,6 @@ class GovernorScope {
 
  private:
   detail::GovernorState state_;
-  int previous_tripped_;
 };
 
 }  // namespace proteus::rt

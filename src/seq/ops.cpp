@@ -154,19 +154,23 @@ Array combine(const BoolVec& mask, const Array& t, const Array& f) {
     vl::stats().record(mask.size());
     return out;
   }
-  // Source index into concat(t, f): true positions take the i-th true
-  // element of t, false positions the i-th false element of f.
-  IntVec ones(mask.size());
-  Int* op = ones.data();
-  for (Size i = 0; i < mask.size(); ++i) op[i] = mask[i] ? 1 : 0;
-  IntVec true_rank = vl::scan_add(ones);  // #true before i
-  IntVec pos(mask.size());
+  // Source index into concat(t, f), in one branch-free pass with two
+  // cursors: a true lane takes t's next element (at `rank`, the true
+  // lanes before it), a false lane f's (at #t + the false lanes before
+  // it). The model charges the rank scan and then the position pass.
+  const Size n = mask.size();
+  const Bool* mp = mask.data();
+  IntVec pos(n);
   Int* pp = pos.data();
-  const Int* tr = true_rank.data();
-  for (Size i = 0; i < mask.size(); ++i) {
-    pp[i] = mask[i] ? tr[i] : t.length() + (i - tr[i]);
+  vl::stats().record(n);
+  Int rank = 0;
+  for (Size i = 0; i < n; ++i) {
+    const Int m = mp[i] != 0 ? 1 : 0;
+    const Int from_f = t.length() + (i - rank);
+    pp[i] = from_f + m * (rank - from_f);
+    rank += m;
   }
-  vl::stats().record(mask.size());
+  vl::stats().record(n);
   return gather(concat(t, f), pos);
 }
 

@@ -629,7 +629,7 @@ Json Server::do_eval(const Json& req) {
     return Json(std::move(reply));
   } catch (const rt::RuntimeTrap& trap) {
     // The request exhausted ITS budget; the daemon is healthy and the
-    // reply says exactly what tripped (docs/ROBUSTNESS.md trap table).
+    // reply says exactly which trap fired (docs/ROBUSTNESS.md trap table).
     count(std::string("serve.trap.") + trap.code());
     count("serve.errors.trap");
     Json::Object e;

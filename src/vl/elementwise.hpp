@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 
 #include "vl/kernel.hpp"
@@ -67,13 +68,22 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
 [[noreturn]] void throw_div_by_zero();
 [[noreturn]] void throw_mod_by_zero();
 
+/// a / b, truncating. INT64_MIN / -1 wraps to INT64_MIN, as the other
+/// overflowing Int operations do; the negation is done unsigned, so the
+/// one overflowing quotient is never computed in signed arithmetic.
 inline Int checked_div(Int a, Int b) {
   if (b == 0) throw_div_by_zero();
+  if (b == -1) {
+    return static_cast<Int>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
+  }
   return a / b;
 }
 
+/// a mod b, with the sign of a. Any a mod -1 is exactly 0 (INT64_MIN % -1
+/// would overflow the implied quotient).
 inline Int checked_mod(Int a, Int b) {
   if (b == 0) throw_mod_by_zero();
+  if (b == -1) return 0;
   return a % b;
 }
 

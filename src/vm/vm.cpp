@@ -93,9 +93,9 @@ VValue VM::run(const Function& fn, std::vector<VValue> regs,
   };
   std::size_t pc = 0;
   for (;;) {
-    // One cooperative governor check per instruction: cancellation,
-    // deadline, and trips deferred from parallel kernel regions surface
-    // here with the current pc. Inactive cost is one relaxed load.
+    // One cooperative governor check per instruction: cancellation and
+    // the deadline surface here with the current pc. Inactive cost is one
+    // relaxed load.
     rt::poll("vm", static_cast<std::int64_t>(pc));
     const Instr& in = code[pc];
     const std::size_t at = pc;

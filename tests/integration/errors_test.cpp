@@ -60,6 +60,29 @@ TEST(Errors, DivisionByZeroInThreadedLoopRaises) {
   }
 }
 
+// INT64_MIN / -1 wraps to INT64_MIN and INT64_MIN mod -1 is 0, on both
+// engines, at depth 0, at depth 1 (-O0) and in a fused chain (-O1),
+// instead of a SIGFPE.
+TEST(Errors, IntMinByMinusOneWrapsInsteadOfTrapping) {
+  constexpr const char* kSource =
+      "fun d(a: int, b: int): int = a / b\n"
+      "fun m(a: int, b: int): int = a mod b\n"
+      "fun dv(a: int, n: int): seq(int) = [i <- [1 .. n] : (a / (0 - i)) + 1]\n"
+      "fun mv(a: int, n: int): seq(int) = [i <- [1 .. n] : (a mod (0 - i)) + 1]";
+  const interp::Value lo = val("0 - 9223372036854775807 - 1");
+  for (const bool optimize : {false, true}) {
+    SCOPED_TRACE(optimize ? "-O1" : "-O0");
+    xform::PipelineOptions options;
+    options.optimize_vcode = optimize;
+    Session s(kSource, {}, options);
+    testing::expect_both(s, "d", {lo, val("0 - 1")}, "0 - 9223372036854775807 - 1");
+    testing::expect_both(s, "m", {lo, val("0 - 1")}, "0");
+    testing::expect_both(s, "dv", {lo, val("2")},
+                         "[0 - 9223372036854775807, 4611686018427387905]");
+    testing::expect_both(s, "mv", {lo, val("2")}, "[1, 1]");
+  }
+}
+
 TEST(Errors, MaxvalOfEmptyInsideIterator) {
   Session s("fun f(m: seq(seq(int))): seq(int) = [row <- m : maxval(row)]");
   EXPECT_THROW((void)s.run_reference("f", {val("[[1],([] : seq(int))]")}),

@@ -7,9 +7,14 @@
 // everything else.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
 
+#include "kernels/fused.hpp"
 #include "rt/rt.hpp"
+#include "testing.hpp"
 #include "vl/vec.hpp"
 
 namespace proteus::rt {
@@ -168,6 +173,71 @@ TEST(Governor, RaiseCapturesCounters) {
     EXPECT_EQ(e.trap(), Trap::kCancelled);
     EXPECT_EQ(e.steps_at_trip(), 3u);
     EXPECT_EQ(e.pc(), 7);
+  }
+}
+
+// --- a trap inside a threaded fused chain ---------------------------------
+
+/// A fused chain of 63 sqrt nodes over 2M reals: long enough (tens of
+/// milliseconds) for a cancel or deadline to land while it runs.
+std::optional<RuntimeTrap> run_long_chain(bool cancel_midway,
+                                          std::uint32_t deadline_ms) {
+  kernels::FusedExpr fe;
+  fe.input_flags = {0};
+  fe.nodes.emplace_back();  // the input
+  for (std::uint8_t k = 1; k < kernels::kMaxFusedNodes; ++k) {
+    kernels::MicroOp op;
+    op.kind = kernels::MicroOp::Kind::kPrim;
+    op.prim = lang::Prim::kSqrt;
+    op.a = static_cast<std::uint8_t>(k - 1);
+    fe.nodes.push_back(op);
+  }
+  const vl::Size n = vl::Size{1} << 21;
+  const kernels::VValue input =
+      kernels::VValue::seq(seq::Array::reals(vl::RealVec(n, 2.0)));
+  ExecBudget budget;
+  budget.deadline_ms = deadline_ms;
+  GovernorScope scope(budget);
+  std::thread canceller([cancel_midway] {
+    if (!cancel_midway) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    request_cancel();
+  });
+  std::optional<RuntimeTrap> trap;
+  try {
+    (void)kernels::eval_fused(fe, {input});
+  } catch (const RuntimeTrap& t) {
+    trap = t;
+  }
+  canceller.join();
+  clear_cancel();
+  return trap;
+}
+
+// A cancel or a deadline that lands during a threaded fused chain leaves
+// the region through for_blocks like a kernel error: the trap code and
+// site are the serial backend's, and the process does not terminate.
+TEST(Governor, TrapDuringThreadedFusedChainRaisesLikeSerial) {
+  if (!vl::openmp_available()) GTEST_SKIP();
+  for (const bool cancel : {true, false}) {
+    SCOPED_TRACE(cancel ? "cancel" : "deadline");
+    const std::uint32_t deadline_ms = cancel ? 0 : 5;
+    std::optional<RuntimeTrap> serial;
+    {
+      vl::BackendGuard guard(vl::Backend::kSerial);
+      serial = run_long_chain(cancel, deadline_ms);
+    }
+    std::optional<RuntimeTrap> threaded;
+    {
+      testing::ThreadedBackend two(2);
+      threaded = run_long_chain(cancel, deadline_ms);
+    }
+    ASSERT_TRUE(serial.has_value());
+    ASSERT_TRUE(threaded.has_value());
+    EXPECT_EQ(serial->trap(), cancel ? Trap::kCancelled : Trap::kDeadline);
+    EXPECT_EQ(threaded->trap(), serial->trap());
+    EXPECT_EQ(serial->site(), "fused");
+    EXPECT_EQ(threaded->site(), serial->site());
   }
 }
 

@@ -469,6 +469,20 @@ TEST(ServeServer, ThreadedKernelErrorIsAReplyNotACrash) {
   EXPECT_NE(text.find("\"pong\":true"), std::string::npos) << text;
 }
 
+TEST(ServeServer, IntMinByMinusOneIsAReplyNotACrash) {
+  Server server;
+  std::istringstream in(
+      "{\"op\":\"eval\",\"id\":1,\"source\":"
+      "\"fun f(a: int, b: int): int = a / b\","
+      "\"fun\":\"f\",\"args\":[\"0 - 9223372036854775807 - 1\",\"0 - 1\"]}\n"
+      "{\"op\":\"ping\",\"id\":2}\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.serve_stdio(in, out), 0);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("-9223372036854775808"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"pong\":true"), std::string::npos) << text;
+}
+
 // --- ISSUE 7 telemetry: request ids, latency histograms, the metrics
 // --- exposition ops, and the trace flight recorder.
 
