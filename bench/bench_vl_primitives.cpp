@@ -9,10 +9,14 @@
 //
 // The BM_seq_* cases time the structural kernels of seq/ops one layer up
 // (the nested gather, dist^1, dist of a sequence, restrict, combine), each
-// producing n elements. Their counters are the vector-model element work
-// and the output buffers allocated per call.
+// producing n elements. The BM_prim1_* cases time depth-1 structural
+// kernels of kernels/prims another layer up (concat^1, seq_cons^1,
+// reverse^1, range^1) on quicksort-like frames: many slots, n elements in
+// all. Their counters are the vector-model element work and the output
+// buffers allocated per call.
 #include <benchmark/benchmark.h>
 
+#include "kernels/prims.hpp"
 #include "seq/seq.hpp"
 #include "vl/vl.hpp"
 
@@ -227,6 +231,61 @@ void BM_seq_combine(benchmark::State& state) {
   report_counters(state, op);
 }
 
+// --- kernels layer: depth-1 structural kernels ----------------------------------
+
+kernels::VValue frame(const seq::Array& a) { return kernels::VValue::seq(a); }
+
+/// concat^1 of two frames of rows averaging 8 elements, n elements in all
+/// (quicksort's segment opcode joins the lesser and greater parts so).
+void BM_prim1_concat(benchmark::State& state) {
+  const seq::Array a = rows(state.range(0) / 2);
+  IntVec lens = seq::random_ints(8, a.length(), 0, 15);
+  Size total = 0;
+  for (const Int l : lens) total += l;
+  const seq::Array b =
+      seq::Array::nested(std::move(lens), seq::Array::ints(data(total)));
+  const std::vector<kernels::VValue> args{frame(a), frame(b)};
+  auto op = [&] {
+    return kernels::apply_prim1(lang::Prim::kConcat, args, {});
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+/// seq_cons^1 of three frames of n / 3 Ints ([a, b, c] in an iterator).
+void BM_prim1_seq_cons(benchmark::State& state) {
+  const Size m = state.range(0) / 3;
+  const std::vector<kernels::VValue> elems{
+      frame(seq::Array::ints(seq::random_ints(1, m, -9, 9))),
+      frame(seq::Array::ints(seq::random_ints(2, m, -9, 9))),
+      frame(seq::Array::ints(seq::random_ints(3, m, -9, 9)))};
+  auto op = [&] { return kernels::seq_cons1(elems); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+void BM_prim1_reverse(benchmark::State& state) {
+  const std::vector<kernels::VValue> args{frame(rows(state.range(0)))};
+  auto op = [&] {
+    return kernels::apply_prim1(lang::Prim::kReverse, args, {});
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
+/// range^1 over slots whose ranges average 8 elements, n in all.
+void BM_prim1_range(benchmark::State& state) {
+  const IntVec lens = segments(state.range(0));
+  const IntVec lo = seq::random_ints(4, lens.size(), -100, 100);
+  IntVec hi(lens.size());
+  for (Size s = 0; s < lens.size(); ++s) hi[s] = lo[s] + lens[s] - 1;
+  const std::vector<kernels::VValue> args{frame(seq::Array::ints(lo)),
+                                          frame(seq::Array::ints(hi))};
+  auto op = [&] { return kernels::apply_prim1(lang::Prim::kRange, args, {}); };
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  report_counters(state, op);
+}
+
 constexpr int kLo = 1 << 10;
 constexpr int kHi = 1 << 21;
 
@@ -249,6 +308,10 @@ BENCHMARK(BM_seq_seg_broadcast)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_seq_broadcast_element)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_seq_pack)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_seq_combine)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_prim1_concat)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_prim1_seq_cons)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_prim1_reverse)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_prim1_range)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 

@@ -20,6 +20,12 @@ using lang::TypePtr;
 
 namespace {
 
+/// Int +, -, * and unary - wrap modulo 2^64 (two's complement), computed
+/// unsigned: signed overflow is undefined behaviour. Written here apart
+/// from vl's copies, so the interpreter stays an independent oracle.
+Int wrap(std::uint64_t x) { return static_cast<Int>(x); }
+std::uint64_t bits(Int x) { return static_cast<std::uint64_t>(x); }
+
 /// Lexically scoped environment: a simple binding stack.
 class Env {
  public:
@@ -283,23 +289,20 @@ class Eval {
     stats_.steps += 1;
     switch (op) {
       case Prim::kAdd:
-        return numeric2(a, [](Int x, Int y) { return x + y; },
+        return numeric2(a, [](Int x, Int y) { return wrap(bits(x) + bits(y)); },
                         [](Real x, Real y) { return x + y; });
       case Prim::kSub:
-        return numeric2(a, [](Int x, Int y) { return x - y; },
+        return numeric2(a, [](Int x, Int y) { return wrap(bits(x) - bits(y)); },
                         [](Real x, Real y) { return x - y; });
       case Prim::kMul:
-        return numeric2(a, [](Int x, Int y) { return x * y; },
+        return numeric2(a, [](Int x, Int y) { return wrap(bits(x) * bits(y)); },
                         [](Real x, Real y) { return x * y; });
       case Prim::kDiv:
         if (a[0].is_int()) {
           const Int y = a[1].as_int();
           if (y == 0) eval_fail("division by zero");
           // x / -1 is -x, negated unsigned so INT64_MIN wraps to itself.
-          if (y == -1) {
-            return Value::ints(static_cast<Int>(
-                0 - static_cast<std::uint64_t>(a[0].as_int())));
-          }
+          if (y == -1) return Value::ints(wrap(0 - bits(a[0].as_int())));
           return Value::ints(a[0].as_int() / y);
         }
         return Value::reals(a[0].as_real() / a[1].as_real());
@@ -310,7 +313,7 @@ class Eval {
         return Value::ints(a[0].as_int() % y);
       }
       case Prim::kNeg:
-        return a[0].is_int() ? Value::ints(-a[0].as_int())
+        return a[0].is_int() ? Value::ints(wrap(0 - bits(a[0].as_int())))
                              : Value::reals(-a[0].as_real());
       case Prim::kMin:
         return numeric2(a, [](Int x, Int y) { return x < y ? x : y; },
@@ -451,7 +454,7 @@ class Eval {
           return Value::reals(acc);
         }
         Int acc = 0;
-        for (const Value& x : v) acc += x.as_int();
+        for (const Value& x : v) acc = wrap(bits(acc) + bits(x.as_int()));
         return Value::ints(acc);
       }
       case Prim::kMaxVal:

@@ -106,12 +106,16 @@ inline void loop1(const void* a, void* d, Size len, F&& f) {
 
 template <bool SA, bool SB>
 void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
+  using vl::detail::add_wrap;
   using vl::detail::checked_div;
   using vl::detail::checked_mod;
+  using vl::detail::mul_wrap;
+  using vl::detail::neg_wrap;
+  using vl::detail::sub_wrap;
   switch (k) {
-    case Kern::kAddI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x + y; }); return;
-    case Kern::kSubI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x - y; }); return;
-    case Kern::kMulI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x * y; }); return;
+    case Kern::kAddI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return add_wrap(x, y); }); return;
+    case Kern::kSubI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return sub_wrap(x, y); }); return;
+    case Kern::kMulI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return mul_wrap(x, y); }); return;
     case Kern::kDivI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_div(x, y); }); return;
     case Kern::kModI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return checked_mod(x, y); }); return;
     case Kern::kMinI: loop2<SA, SB, Int, Int>(a, b, d, len, [](Int x, Int y) { return x < y ? x : y; }); return;
@@ -138,7 +142,7 @@ void run_kern(Kern k, const void* a, const void* b, void* d, Size len) {
     case Kern::kOrB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((x || y) ? 1 : 0); }); return;
     case Kern::kEqB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 0 : 1); }); return;
     case Kern::kNeB: loop2<SA, SB, Bool, Bool>(a, b, d, len, [](Bool x, Bool y) { return Bool((!x != !y) ? 1 : 0); }); return;
-    case Kern::kNegI: loop1<SA, Int, Int>(a, d, len, [](Int x) { return -x; }); return;
+    case Kern::kNegI: loop1<SA, Int, Int>(a, d, len, [](Int x) { return neg_wrap(x); }); return;
     case Kern::kNegR: loop1<SA, Real, Real>(a, d, len, [](Real x) { return -x; }); return;
     case Kern::kToReal: loop1<SA, Int, Real>(a, d, len, [](Int x) { return static_cast<Real>(x); }); return;
     case Kern::kToInt: loop1<SA, Real, Int>(a, d, len, [](Real x) { return static_cast<Int>(x); }); return;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <utility>
 
 #include "kernels/lanes.hpp"
@@ -16,16 +17,20 @@ using vl::Bool;
 using vl::BoolVec;
 using vl::IntVec;
 using vl::RealVec;
+using vl::detail::add_wrap;
+using vl::detail::sub_wrap;
 
 namespace {
 
 [[noreturn]] void eval_fail(const std::string& msg) { throw EvalError(msg); }
 
+[[noreturn]] void index_out_of_range(Int i, Int n) {
+  eval_fail("seq_index: index " + std::to_string(i) +
+            " out of range for sequence of length " + std::to_string(n));
+}
+
 Int checked_index0(Int i, Size n) {
-  if (i < 1 || i > n) {
-    eval_fail("seq_index: index " + std::to_string(i) +
-              " out of range for sequence of length " + std::to_string(n));
-  }
+  if (i < 1 || i > n) index_out_of_range(i, n);
   return i - 1;
 }
 
@@ -127,42 +132,101 @@ Array lanes1(Prim op, const std::vector<Array>& frames) {
 }
 
 // --- depth-1 sequence kernels ---------------------------------------------------
+//
+// The vector model defines each structural kernel below as a composition
+// of vl primitives (index and offset vectors built with segment_ids,
+// segment_ranks, gathers and elementwise arithmetic, then one gather of
+// the data). Each kernel moves its data once instead, computing the
+// offsets it needs locally, and charges that composition's vl::stats()
+// records (same sizes, order and segment counts) as it goes, so element
+// work, primitive calls, step budgets and injected kernel faults are
+// unchanged; only buffer_allocs falls. The compositions are the test
+// oracle in tests/kernels/prims_reference.hpp.
 
-/// Non-negative clamp of per-slot counts ([1..n] is empty when n < 1).
-IntVec clamp_counts(const IntVec& counts) {
-  BoolVec negative = vl::lt(counts, Int{0});
-  return vl::select(negative, IntVec(counts.size(), Int{0}), counts);
+/// Records one primitive call per size, in order.
+void charge(std::initializer_list<Size> sizes) {
+  vl::VectorStats& st = vl::stats();
+  for (const Size n : sizes) st.record(n);
 }
 
-void check_index_frame(const IntVec& idx, const IntVec& limits) {
-  if (idx.empty()) return;
-  BoolVec ok = vl::logical_and(vl::ge(idx, Int{1}), vl::le(idx, limits));
-  if (!vl::all(ok)) {
-    for (Size k = 0; k < idx.size(); ++k) {
-      if (idx[k] < 1 || idx[k] > limits[k]) {
-        eval_fail("seq_index: index " + std::to_string(idx[k]) +
-                  " out of range for sequence of length " +
-                  std::to_string(limits[k]));
-      }
-    }
-  }
+/// vl::segment_ranks (or segment_ids) over `n` lengths summing to `total`:
+/// lengths_total, the offsets scan, then the pass.
+void charge_segment_ranks(Size n, Size total) {
+  vl::VectorStats& st = vl::stats();
+  st.record(n);
+  st.record_segments(n);
+  st.record(n);
+  st.record(total);
+  st.record_segments(n);
+}
+
+/// check_index_frame's records over `m` indices: ge(idx, 1), le(idx,
+/// limits), their and, then all. The test itself runs in the caller's
+/// pass, which raises index_out_of_range at the first bad index.
+void charge_index_check(Size m) {
+  if (m > 0) charge({m, m, m, m});
+}
+
+/// Non-negative clamp of per-slot counts ([1..n] is empty when n < 1),
+/// charged as lt(counts, 0) and a select.
+IntVec clamp_counts(const IntVec& counts) {
+  IntVec out(counts.size());
+  const Int* cp = counts.data();
+  Int* op = out.data();
+  vl::detail::parallel_for(counts.size(),
+                           [&](Size i) { op[i] = cp[i] < 0 ? 0 : cp[i]; });
+  charge({counts.size(), counts.size()});
+  return out;
+}
+
+/// The values of range^1 and range1^1: slot s counts up from first(s),
+/// lens[s] values at off[s].
+template <typename First>
+IntVec count_up(const IntVec& lens, const IntVec& off, First first) {
+  IntVec values(off[lens.size()]);
+  Int* vp = values.data();
+  const Int* lp = lens.data();
+  const Int* op = off.data();
+  vl::detail::parallel_for(lens.size(), [&](Size s) {
+    const Int base = first(s);
+    for (Int r = 0; r < lp[s]; ++r) vp[op[s] + r] = add_wrap(base, r);
+  });
+  return values;
 }
 
 Array range1_1(const Array& ns) {
   const IntVec& raw = ns.int_values();
+  const Size n = raw.size();
   IntVec lens = clamp_counts(raw);
-  return Array::nested(std::move(lens), Array::ints(vl::seg_iota1(raw)));
+  const IntVec off = vl::detail::exclusive_offsets(lens);
+  charge({n});  // seg_iota1 clamps the counts again
+  charge_segment_ranks(n, off[n]);
+  IntVec values = count_up(lens, off, [](Size) { return Int{1}; });
+  return Array::nested(std::move(lens), Array::ints(std::move(values)));
 }
 
 Array range_1(const Array& lo, const Array& hi) {
   const IntVec& l = lo.int_values();
   const IntVec& h = hi.int_values();
-  IntVec span = vl::add(vl::sub(h, l), Int{1});
-  IntVec lens = clamp_counts(span);
-  // value at 1-origin rank r within slot s is l[s] + r - 1
-  IntVec ranks = vl::segment_ranks(lens);
-  IntVec base = vl::seg_dist(l, lens);
-  IntVec values = vl::sub(vl::add(base, ranks), Int{1});
+  vl::require_same_length(h, l, "sub");
+  const Size n = l.size();
+  // span = h - l + 1, clamped; slot s holds l[s], l[s] + 1, ..
+  IntVec lens(n);
+  const Int* lp = l.data();
+  const Int* hp = h.data();
+  Int* sp = lens.data();
+  vl::detail::parallel_for(n, [&](Size s) {
+    const Int span = add_wrap(sub_wrap(hp[s], lp[s]), Int{1});
+    sp[s] = span < 0 ? 0 : span;
+  });
+  const IntVec off = vl::detail::exclusive_offsets(lens);
+  const Size total = off[n];
+  charge({n, n, n, n});  // sub, add 1, clamp (lt, select)
+  charge_segment_ranks(n, total);
+  vl::stats().record(n);  // seg_dist(l, lens): lengths_total
+  vl::stats().record_segments(n);
+  charge({n, total, total, total});  // its offsets and pass, + ranks, - 1
+  IntVec values = count_up(lens, off, [&](Size s) { return lp[s]; });
   return Array::nested(std::move(lens), Array::ints(std::move(values)));
 }
 
@@ -175,17 +239,36 @@ Array seq_index_1_frame(const Array& s, const Array& idx) {
   const IntVec& lens = s.lengths();
   const IntVec& i = idx.int_values();
   vl::require_same_length(lens, i, "seq_index^1");
-  check_index_frame(i, lens);
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec positions = vl::add(offsets, vl::sub(i, Int{1}));
+  const Size n = i.size();
+  charge_index_check(n);
+  const IntVec off = vl::detail::exclusive_offsets(lens);
+  IntVec positions(n);
+  const Int* ip = i.data();
+  const Int* lp = lens.data();
+  const Int* op = off.data();
+  Int* pp = positions.data();
+  vl::detail::parallel_for(n, [&](Size k) {
+    if (ip[k] < 1 || ip[k] > lp[k]) index_out_of_range(ip[k], lp[k]);
+    pp[k] = op[k] + ip[k] - 1;
+  });
+  charge({n, n, n});  // lengths_to_offsets, i - 1, offsets + ...
   return seq::gather(s.inner(), positions);
 }
 
 Array seq_index_1_shared(const Array& source, const Array& idx) {
   const IntVec& i = idx.int_values();
-  IntVec limits(i.size(), source.length());
-  check_index_frame(i, limits);
-  return seq::gather(source, vl::sub(i, Int{1}));
+  const Size m = i.size();
+  const Size limit = source.length();
+  charge_index_check(m);
+  IntVec positions(m);
+  const Int* ip = i.data();
+  Int* pp = positions.data();
+  vl::detail::parallel_for(m, [&](Size k) {
+    if (ip[k] < 1 || ip[k] > limit) index_out_of_range(ip[k], limit);
+    pp[k] = ip[k] - 1;
+  });
+  charge({m});  // i - 1
+  return seq::gather(source, positions);
 }
 
 /// seq_index_inner^1: per-slot gather from each slot's own row, without
@@ -195,11 +278,26 @@ Array seq_index_inner_1(const Array& v, const Array& idx) {
   const IntVec& per_slot = idx.lengths();
   vl::require_same_length(rows, per_slot, "seq_index_inner^1");
   const IntVec& i = idx.inner().int_values();
-  IntVec ids = vl::segment_ids(per_slot);
-  IntVec limits = vl::gather(rows, ids);
-  check_index_frame(i, limits);
-  IntVec base = vl::gather(vl::lengths_to_offsets(rows), ids);
-  IntVec positions = vl::add(base, vl::sub(i, Int{1}));
+  const Size n = rows.size();
+  const Size m = i.size();
+  charge_segment_ranks(n, m);  // segment_ids(per_slot)
+  charge({m});                 // the per-index limits: gather(rows, ids)
+  charge_index_check(m);
+  const IntVec first = vl::detail::exclusive_offsets(per_slot);
+  const IntVec base = vl::detail::exclusive_offsets(rows);
+  IntVec positions(m);
+  const Int* ip = i.data();
+  const Int* rp = rows.data();
+  const Int* fp = first.data();
+  const Int* bp = base.data();
+  Int* pp = positions.data();
+  vl::detail::parallel_for(n, [&](Size s) {
+    for (Int k = fp[s]; k < fp[s + 1]; ++k) {
+      if (ip[k] < 1 || ip[k] > rp[s]) index_out_of_range(ip[k], rp[s]);
+      pp[k] = bp[s] + ip[k] - 1;
+    }
+  });
+  charge({n, m, m, m});  // row offsets, their gather, i - 1, base + ...
   return Array::nested(per_slot, seq::gather(v.inner(), positions));
 }
 
@@ -226,49 +324,99 @@ Array combine_1(const Array& m, const Array& t, const Array& f) {
   return Array::nested(m.lengths(), seq::combine(mask, t.inner(), f.inner()));
 }
 
+/// update^1: slot g keeps its elements before and after index i[g] and
+/// takes x[g] at i[g] — three ranges of concat(s.inner(), x) per slot.
 Array update_1(const Array& s, const Array& idx, const Array& x) {
   const IntVec& lens = s.lengths();
   const IntVec& i = idx.int_values();
   vl::require_same_length(lens, i, "update^1");
-  check_index_frame(i, lens);
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec targets = vl::add(offsets, vl::sub(i, Int{1}));
+  const Size n = i.size();
   const Size n_inner = s.inner().length();
-  IntVec own = vl::iota(n_inner, 0);
-  IntVec replacement = vl::iota(lens.size(), n_inner);
-  IntVec map = vl::scatter(own, targets, replacement);
-  return Array::nested(lens, seq::gather(seq::concat(s.inner(), x), map));
+  charge_index_check(n);
+  const IntVec off = vl::detail::exclusive_offsets(lens);
+  seq::Ranges r{{0, 1, 0}, IntVec(3 * n), IntVec(3 * n)};
+  const Int* ip = i.data();
+  const Int* lp = lens.data();
+  const Int* op = off.data();
+  Int* sp = r.start.data();
+  Int* np = r.len.data();
+  vl::detail::parallel_for(n, [&](Size g) {
+    if (ip[g] < 1 || ip[g] > lp[g]) index_out_of_range(ip[g], lp[g]);
+    const Int target = op[g] + ip[g] - 1;
+    sp[3 * g] = op[g];
+    np[3 * g] = ip[g] - 1;
+    sp[3 * g + 1] = g;
+    np[3 * g + 1] = 1;
+    sp[3 * g + 2] = target + 1;
+    np[3 * g + 2] = op[g + 1] - target - 1;
+  });
+  // the targets (offsets, i - 1, + ..), the identity and replacement
+  // iotas, the scatter that builds the gather map
+  charge({n, n, n, n_inner, n, n});
+  const std::vector<const Array*> bases{&s.inner(), &x};
+  seq::charge_concat(bases);
+  if (x.length() < n) {
+    // The map reads past concat(s.inner(), x) first at slot #x's target.
+    vl::detail::require_gather_index(n_inner + x.length(),
+                                     n_inner + x.length());
+  }
+  return Array::nested(lens, seq::gather_ranges(bases, r));
 }
 
+/// concat^1: slot s is a's segment s followed by b's.
 Array concat_1(const Array& a, const Array& b) {
   const IntVec& la = a.lengths();
   const IntVec& lb = b.lengths();
   vl::require_same_length(la, lb, "concat^1");
-  IntVec out_lens = vl::add(la, lb);
-  IntVec ids = vl::segment_ids(out_lens);
-  IntVec ranks0 = vl::sub(vl::segment_ranks(out_lens), Int{1});
-  IntVec la_of = vl::gather(la, ids);
-  IntVec aoff = vl::gather(vl::lengths_to_offsets(la), ids);
-  IntVec boff = vl::gather(vl::lengths_to_offsets(lb), ids);
-  BoolVec in_a = vl::lt(ranks0, la_of);
-  IntVec pos_a = vl::add(aoff, ranks0);
-  IntVec pos_b = vl::add(vl::add(boff, vl::sub(ranks0, la_of)),
-                         IntVec(ranks0.size(), a.inner().length()));
-  IntVec pos = vl::select(in_a, pos_a, pos_b);
-  return Array::nested(std::move(out_lens),
-                       seq::gather(seq::concat(a.inner(), b.inner()), pos));
+  const Size n = la.size();
+  const Size total = a.inner().length() + b.inner().length();
+  charge({n});  // out_lens = la + lb
+  charge_segment_ranks(n, total);  // segment_ids(out_lens)
+  charge_segment_ranks(n, total);  // segment_ranks(out_lens)
+  // ranks - 1, la by slot, a's and b's offsets by slot, rank < la, the
+  // a-side positions, the b-side positions (three passes), the select
+  charge({total, total, n, total, n, total, total, total, total, total,
+          total, total});
+  const std::vector<const Array*> bases{&a.inner(), &b.inner()};
+  seq::charge_concat(bases);
+  const IntVec aoff = vl::detail::exclusive_offsets(la);
+  const IntVec boff = vl::detail::exclusive_offsets(lb);
+  IntVec out_lens(n);
+  seq::Ranges r{{0, 1}, IntVec(2 * n), IntVec(2 * n)};
+  const Int* ap = la.data();
+  const Int* bp = lb.data();
+  Int* op = out_lens.data();
+  Int* sp = r.start.data();
+  Int* np = r.len.data();
+  vl::detail::parallel_for(n, [&](Size s) {
+    op[s] = ap[s] + bp[s];
+    sp[2 * s] = aoff[s];
+    np[2 * s] = ap[s];
+    sp[2 * s + 1] = boff[s];
+    np[2 * s + 1] = bp[s];
+  });
+  return Array::nested(std::move(out_lens), seq::gather_ranges(bases, r));
 }
 
 /// reverse^1: per-slot reversal (positions: mirror within each segment).
 Array reverse_1(const Array& v) {
   const IntVec& lens = v.lengths();
-  IntVec offsets = vl::lengths_to_offsets(lens);
-  IntVec ids = vl::segment_ids(lens);
-  IntVec ranks = vl::segment_ranks(lens);
+  const Size n = lens.size();
+  const Size total = v.inner().length();
+  charge({n});                     // lengths_to_offsets(lens)
+  charge_segment_ranks(n, total);  // segment_ids(lens)
+  charge_segment_ranks(n, total);  // segment_ranks(lens)
+  charge({total, total, total, total});  // offsets and lens by slot, +, -
+  const IntVec off = vl::detail::exclusive_offsets(lens);
+  IntVec positions(total);
+  const Int* lp = lens.data();
+  const Int* op = off.data();
+  Int* pp = positions.data();
   // element at 1-origin rank r of slot s reads offset[s] + len[s] - r
-  IntVec pos = vl::sub(
-      vl::add(vl::gather(offsets, ids), vl::gather(lens, ids)), ranks);
-  return Array::nested(lens, seq::gather(v.inner(), pos));
+  vl::detail::parallel_for(n, [&](Size s) {
+    for (Int r = 0; r < lp[s]; ++r) pp[op[s] + r] = op[s] + lp[s] - 1 - r;
+  });
+  return Array::nested(lens, seq::gather(v.inner(), positions));
 }
 
 /// zip^1: per-slot zip — same descriptor, tuple of the inner arrays.
@@ -286,18 +434,50 @@ Array flatten_1(const Array& v) {
   return Array::nested(std::move(new_lens), inner.inner());
 }
 
+/// seq_cons^1: slot g is [e_0[g], .., e_{k-1}[g]], one single-element
+/// range of each frame per slot. Charged as the gather of the
+/// concatenated frames by the transposing index (p mod k) * n + p / k.
 Array seq_cons_1(const std::vector<Array>& elems) {
   PROTEUS_REQUIRE(EvalError, !elems.empty(),
                   "seq_cons^1 with no element frames");
   const Size n = elems[0].length();
   const Size k = static_cast<Size>(elems.size());
-  Array all = elems[0];
-  for (std::size_t c = 1; c < elems.size(); ++c) {
-    all = seq::concat(all, elems[c]);
+  for (const Array& e : elems) {
+    PROTEUS_REQUIRE(EvalError, e.length() == n,
+                    "seq_cons^1: element frames differ in length");
   }
-  IntVec p = vl::iota(n * k, 0);
-  IntVec idx = vl::add(vl::mul(vl::mod(p, k), n), vl::div(p, k));
-  return Array::nested(IntVec(n, k), seq::gather(all, idx));
+  std::vector<const Array*> bases;
+  bases.reserve(elems.size());
+  for (const Array& e : elems) {
+    bases.push_back(&e);
+    if (bases.size() > 1) seq::charge_concat(bases);
+  }
+  charge({n * k, n * k, n * k, n * k, n * k});  // iota, mod, mul, div, add
+  seq::Ranges r{{}, IntVec(n * k), IntVec(n * k, 1)};
+  r.from.reserve(elems.size());
+  for (std::size_t c = 0; c < elems.size(); ++c) r.from.push_back(c);
+  Int* sp = r.start.data();
+  vl::detail::parallel_for(n, [&](Size g) {
+    for (Size c = 0; c < k; ++c) sp[g * k + c] = g;
+  });
+  return Array::nested(IntVec(n, k), seq::gather_ranges(bases, r));
+}
+
+/// materialize(e, 1) without copying a sequence element: its one-element
+/// frame shares e's array, and the broadcast that would copy it is charged.
+Array materialize_one(const VValue& e) {
+  if (e.is_seq()) {
+    Array one = Array::nested(IntVec{e.as_seq().length()}, e.as_seq());
+    vl::stats().record(1);  // broadcast_element(one, 0, 1): dist(0, 1)
+    seq::charge_gather_each(one);
+    return one;
+  }
+  if (e.is_tuple()) {
+    std::vector<Array> comps;
+    for (const VValue& c : e.as_tuple()) comps.push_back(materialize_one(c));
+    return Array::tuple(std::move(comps));
+  }
+  return materialize(e, 1);
 }
 
 Array reduce_1(Prim op, const Array& v) {
@@ -404,13 +584,9 @@ VValue apply_prim0(Prim op, const std::vector<VValue>& args) {
       Int i = checked_index0(args[1].as_int(), s.length());
       return element_value(s, i);
     }
-    case Prim::kSeqIndexInner: {
-      const Array& s = args[0].as_seq();
-      const IntVec& i = args[1].as_seq().int_values();
-      IntVec limits(i.size(), s.length());
-      check_index_frame(i, limits);
-      return VValue::seq(seq::gather(s, vl::sub(i, Int{1})));
-    }
+    case Prim::kSeqIndexInner:
+      return VValue::seq(
+          seq_index_1_shared(args[0].as_seq(), args[1].as_seq()));
     case Prim::kSeqUpdate: {
       const Array& s = args[0].as_seq();
       Int i = checked_index0(args[1].as_int(), s.length());
@@ -603,11 +779,19 @@ VValue seq_cons0(const std::vector<VValue>& elems,
                     "seq_cons: empty literal without an element type");
     return VValue::seq(empty_array_of(elem_type));
   }
-  Array all = materialize(elems[0], 1);
-  for (std::size_t i = 1; i < elems.size(); ++i) {
-    all = seq::concat(all, materialize(elems[i], 1));
+  // The literal is defined as the chain concat(..concat(m0, m1).., m_k-1)
+  // of the one-element frames m_i = materialize(e_i, 1); every step but the
+  // last is charged, the last moves all the elements once.
+  std::vector<Array> parts;
+  parts.reserve(elems.size());
+  std::vector<const Array*> chain;
+  chain.reserve(elems.size());
+  for (std::size_t i = 0; i < elems.size(); ++i) {
+    parts.push_back(materialize_one(elems[i]));
+    chain.push_back(&parts.back());
+    if (i > 0 && i + 1 < elems.size()) seq::charge_concat(chain);
   }
-  return VValue::seq(std::move(all));
+  return VValue::seq(chain.size() == 1 ? parts.front() : seq::concat(chain));
 }
 
 VValue tuple_cons(std::vector<VValue> elems, int depth) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "vl/kernel.hpp"
 #include "vl/vl.hpp"
 
 namespace proteus::seq {
@@ -60,40 +61,113 @@ void charge_gather_positions(Size n, Size total) {
   st.record(total);  // base + ...
 }
 
-Array gather_ranges(const Array& a, const IntVec& starts, const IntVec& lens);
-
-/// One sequence level of a gather: the selected segments have lengths
-/// `lens` and start at `starts` in `inner`.
-Array gather_level(const Array& inner, IntVec lens, const IntVec& starts) {
-  const Size total = std::accumulate(lens.begin(), lens.end(), Size{0});
-  charge_gather_positions(lens.size(), total);
-  Array elems = gather_ranges(inner, starts, lens);
-  return Array::nested(std::move(lens), std::move(elems));
+/// The same part (a tuple component, the inner array) of each of `arrays`.
+template <typename Part>
+std::vector<const Array*> each_part(const std::vector<const Array*>& arrays,
+                                    Part part) {
+  std::vector<const Array*> out;
+  out.reserve(arrays.size());
+  for (const Array* a : arrays) out.push_back(&part(*a));
+  return out;
 }
 
-/// Elements [starts[i], starts[i] + lens[i]) of `a`, concatenated: the
-/// composed gather(a, positions) with those ranges as its positions, and
-/// charged as that gather.
-Array gather_ranges(const Array& a, const IntVec& starts, const IntVec& lens) {
-  switch (a.kind()) {
+const Array& inner_of(const Array& a) { return a.inner(); }
+
+/// The ranges' elements of the scalar leaves values(base), in output
+/// order: one copy per range (off[i] is where range i starts in the
+/// output), the ranges of a group on one thread.
+template <typename T, typename Values>
+vl::Vec<T> copy_ranges(const std::vector<const Array*>& bases,
+                       const Ranges& r, const IntVec& off, Values values) {
+  std::vector<const T*> src;
+  src.reserve(bases.size());
+  for (const Array* b : bases) src.push_back(values(*b).data());
+  const Size k = static_cast<Size>(r.from.size());
+  vl::Vec<T> out(off[r.len.size()]);
+  const Int* sp = r.start.data();
+  const Int* lp = r.len.data();
+  const Int* op = off.data();
+  T* dst = out.data();
+  vl::detail::parallel_for(r.len.size() / k, [&](Size g) {
+    for (Size j = 0; j < k; ++j) {
+      const Size at = g * k + j;
+      const T* from = src[r.from[static_cast<std::size_t>(j)]] + sp[at];
+      if (lp[at] == 1) {  // single elements skip the library call
+        dst[op[at]] = *from;
+      } else {
+        std::copy_n(from, lp[at], dst + op[at]);
+      }
+    }
+  });
+  return out;
+}
+
+/// The elements of `parts` (one element structure), concatenated and
+/// charged as one binary seq::concat of that many elements: the inner
+/// level first, then the lengths and their descriptor check.
+Array concat_parts(const std::vector<const Array*>& parts) {
+  Size total = 0;
+  for (const Array* p : parts) total += p->length();
+  const auto copy = [&](auto values) {
+    std::decay_t<decltype(values(*parts.front()))> out(total);
+    Size at = 0;
+    for (const Array* p : parts) {
+      const auto* vp = values(*p).data();
+      auto* dst = out.data() + at;
+      vl::detail::parallel_for(p->length(), [&](Size i) { dst[i] = vp[i]; });
+      at += p->length();
+    }
+    vl::stats().record(total);
+    return out;
+  };
+  switch (parts.front()->kind()) {
     case Array::Kind::kTuple: {
       std::vector<Array> comps;
-      comps.reserve(a.components().size());
-      for (const Array& c : a.components()) {
-        comps.push_back(gather_ranges(c, starts, lens));
+      const std::size_t arity = parts.front()->components().size();
+      comps.reserve(arity);
+      for (std::size_t c = 0; c < arity; ++c) {
+        comps.push_back(concat_parts(each_part(
+            parts, [c](const Array& p) -> const Array& {
+              return p.components()[c];
+            })));
       }
       return Array::tuple(std::move(comps));
     }
     case Array::Kind::kNested: {
-      IntVec inner_lens = vl::gather_segments(a.lengths(), starts, lens);
-      IntVec inner_starts = vl::gather_segments(
-          vl::lengths_to_offsets(a.lengths()), starts, lens);
-      return gather_level(a.inner(), std::move(inner_lens), inner_starts);
+      Array inner = concat_parts(each_part(parts, inner_of));
+      IntVec lens = copy([](const Array& p) -> const IntVec& {
+        return p.lengths();
+      });
+      return Array::nested(std::move(lens), std::move(inner));
     }
     default:
-      return on_leaf(a.kind(), [&](auto values) {
-        return vl::gather_segments(values(a), starts, lens);
-      });
+      return on_leaf(parts.front()->kind(), copy);
+  }
+}
+
+/// concat_parts's records, with no data moved.
+void charge_concat_parts(const std::vector<const Array*>& parts) {
+  Size total = 0;
+  for (const Array* p : parts) total += p->length();
+  vl::VectorStats& st = vl::stats();
+  switch (parts.front()->kind()) {
+    case Array::Kind::kTuple:
+      for (std::size_t c = 0; c < parts.front()->components().size(); ++c) {
+        charge_concat_parts(
+            each_part(parts, [c](const Array& p) -> const Array& {
+              return p.components()[c];
+            }));
+      }
+      return;
+    case Array::Kind::kNested:
+      charge_concat_parts(each_part(parts, inner_of));
+      st.record(total);  // the lengths
+      st.record(total);  // Array::nested checks them
+      st.record_segments(total);
+      return;
+    default:
+      st.record(total);
+      return;
   }
 }
 
@@ -115,12 +189,100 @@ Array gather(const Array& a, const IntVec& idx) {
     case Array::Kind::kNested: {
       // Select whole segments: their lengths and source starts, then copy.
       IntVec lens = vl::gather(a.lengths(), idx);
-      IntVec starts = vl::gather(vl::lengths_to_offsets(a.lengths()), idx);
-      return gather_level(a.inner(), std::move(lens), starts);
+      Ranges r{{0}, vl::gather(vl::lengths_to_offsets(a.lengths()), idx), lens};
+      charge_gather_positions(lens.size(),
+                              std::accumulate(lens.begin(), lens.end(), Size{0}));
+      Array elems = gather_ranges({&a.inner()}, r);
+      return Array::nested(std::move(lens), std::move(elems));
     }
     default:
       return on_leaf(a.kind(),
                      [&](auto values) { return vl::gather(values(a), idx); });
+  }
+}
+
+Array gather_ranges(const std::vector<const Array*>& bases, const Ranges& r) {
+  const Array& a = *bases.front();
+  switch (a.kind()) {
+    case Array::Kind::kTuple: {
+      std::vector<Array> comps;
+      comps.reserve(a.components().size());
+      for (std::size_t c = 0; c < a.components().size(); ++c) {
+        comps.push_back(gather_ranges(
+            each_part(bases, [c](const Array& b) -> const Array& {
+              return b.components()[c];
+            }),
+            r));
+      }
+      return Array::tuple(std::move(comps));
+    }
+    case Array::Kind::kNested: {
+      // The selected segments' lengths, then the ranges they cover one
+      // level down: range [s, s + n) of a base spans its inner elements
+      // [offsets[s], offsets[s + n]).
+      const IntVec off = vl::detail::exclusive_offsets(r.len);
+      const Size sel = off[r.len.size()];
+      Size source = 0;
+      for (const Array* b : bases) source += b->length();
+      vl::VectorStats& st = vl::stats();
+      st.record(sel);     // the selected lengths
+      st.record(source);  // lengths_to_offsets(lengths)
+      st.record(sel);     // the selected starts
+      IntVec lens = copy_ranges<Int>(
+          bases, r, off,
+          [](const Array& b) -> const IntVec& { return b.lengths(); });
+      std::vector<IntVec> starts;
+      starts.reserve(bases.size());
+      for (const Array* b : bases) {
+        starts.push_back(vl::detail::exclusive_offsets(b->lengths()));
+      }
+      const Size k = static_cast<Size>(r.from.size());
+      Ranges next{r.from, IntVec(r.len.size()), IntVec(r.len.size())};
+      vl::detail::parallel_for(r.len.size() / k, [&](Size g) {
+        for (Size j = 0; j < k; ++j) {
+          const Size at = g * k + j;
+          const Int* o = starts[r.from[static_cast<std::size_t>(j)]].data();
+          const Int lo = o[r.start[at]];
+          next.start[at] = lo;
+          next.len[at] = o[r.start[at] + r.len[at]] - lo;
+        }
+      });
+      charge_gather_positions(
+          sel, std::accumulate(lens.begin(), lens.end(), Size{0}));
+      Array elems = gather_ranges(each_part(bases, inner_of), next);
+      return Array::nested(std::move(lens), std::move(elems));
+    }
+    default: {
+      const IntVec off = vl::detail::exclusive_offsets(r.len);
+      Array out = on_leaf(a.kind(), [&](auto values) {
+        using V = std::decay_t<decltype(values(a))>;
+        return copy_ranges<typename V::value_type>(bases, r, off, values);
+      });
+      vl::stats().record(out.length());
+      return out;
+    }
+  }
+}
+
+void charge_gather_each(const Array& a) {
+  const Size n = a.length();
+  vl::VectorStats& st = vl::stats();
+  switch (a.kind()) {
+    case Array::Kind::kTuple:
+      for (const Array& c : a.components()) charge_gather_each(c);
+      return;
+    case Array::Kind::kNested:
+      st.record(n);  // the selected lengths
+      st.record(n);  // lengths_to_offsets(lengths)
+      st.record(n);  // the selected starts
+      charge_gather_positions(n, a.inner().length());
+      charge_gather_each(a.inner());
+      st.record(n);  // Array::nested checks the lengths
+      st.record_segments(n);
+      return;
+    default:
+      st.record(n);
+      return;
   }
 }
 
@@ -174,28 +336,18 @@ Array combine(const BoolVec& mask, const Array& t, const Array& f) {
   return gather(concat(t, f), pos);
 }
 
-Array concat(const Array& a, const Array& b) {
-  require_same_structure(a, b, "concat");
-  switch (a.kind()) {
-    case Array::Kind::kInt:
-      return Array::ints(vl::concat(a.int_values(), b.int_values()));
-    case Array::Kind::kReal:
-      return Array::reals(vl::concat(a.real_values(), b.real_values()));
-    case Array::Kind::kBool:
-      return Array::bools(vl::concat(a.bool_values(), b.bool_values()));
-    case Array::Kind::kTuple: {
-      std::vector<Array> comps;
-      comps.reserve(a.components().size());
-      for (std::size_t c = 0; c < a.components().size(); ++c) {
-        comps.push_back(concat(a.components()[c], b.components()[c]));
-      }
-      return Array::tuple(std::move(comps));
-    }
-    case Array::Kind::kNested:
-      return Array::nested(vl::concat(a.lengths(), b.lengths()),
-                           concat(a.inner(), b.inner()));
+Array concat(const Array& a, const Array& b) { return concat({&a, &b}); }
+
+Array concat(const std::vector<const Array*>& parts) {
+  for (const Array* p : parts) {
+    require_same_structure(*parts.front(), *p, "concat");
   }
-  throw RepresentationError("concat: corrupt array kind");
+  return concat_parts(parts);
+}
+
+void charge_concat(const std::vector<const Array*>& parts) {
+  require_same_structure(*parts.front(), *parts.back(), "concat");
+  charge_concat_parts(parts);
 }
 
 Array empty_like(const Array& a) {
@@ -233,7 +385,7 @@ void charge_broadcast_row(Size len, Size n) {
   st.record(1);  // lengths_to_offsets(lengths)
   st.record(n);  // gather(offsets, idx)
   charge_gather_positions(n, n * len);
-  st.record(n * len);  // gather_segments
+  st.record(n * len);  // the selected elements
   st.record(n);        // Array::nested checks the n lengths
   st.record_segments(n);
 }

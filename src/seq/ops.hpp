@@ -11,7 +11,7 @@
 // and gathers the level below by it; restrict gathers by pack_indices,
 // combine gathers from concat(V, U), dist^1 gathers by a distributed iota.
 // The data moves in one pass over each output level instead: whole
-// segments are copied level by level (vl::gather_segments), and scalar
+// segments are copied level by level as ranges (gather_ranges), and scalar
 // leaves run vl::pack, vl::combine and vl::seg_dist directly. The work is
 // still charged as the composed definition: the same vl::stats() records
 // in the same order, with the same sizes and segment counts, so the
@@ -19,6 +19,8 @@
 // are those of the vector model; only buffer_allocs is lower. The
 // compositions are kept as the test oracle in tests/seq/ops_reference.hpp.
 #pragma once
+
+#include <vector>
 
 #include "seq/nested.hpp"
 
@@ -39,6 +41,41 @@ namespace proteus::seq {
 
 /// Concatenation of two conformable (same element structure) arrays.
 [[nodiscard]] Array concat(const Array& a, const Array& b);
+
+/// Concatenation of one or more conformable arrays in one pass, charged
+/// as the last step of the pairwise chain concat(concat(p0, p1), ..): one
+/// binary concat of all their elements.
+[[nodiscard]] Array concat(const std::vector<const Array*>& parts);
+
+/// Charges concat(concat(parts[0..k-2]), parts[k-1]) without building it:
+/// the structure check of the last part and one binary concat of all the
+/// parts' elements.
+void charge_concat(const std::vector<const Array*>& parts);
+
+/// Whole ranges of one or more arrays of one element structure (the
+/// bases), in output order: for group g and pattern slot j in [0, k), with
+/// k = from.size(), the elements [start[g*k + j], start[g*k + j] +
+/// len[g*k + j]) of bases[from[j]].
+struct Ranges {
+  std::vector<std::size_t> from;
+  IntVec start;
+  IntVec len;
+};
+
+/// The elements the ranges select, concatenated, moved once: scalar
+/// leaves copy each range, a tuple copies its components by the same
+/// ranges, and a sequence level copies the selected lengths and recurses
+/// with the ranges they span one level down. Charged as the composed
+/// gather of those elements from the concatenation of the bases (by the
+/// positions the ranges expand to); building the positions and the
+/// concatenation is for the caller to charge. Ranges must lie inside
+/// their bases (not checked).
+[[nodiscard]] Array gather_ranges(const std::vector<const Array*>& bases,
+                                  const Ranges& r);
+
+/// Charges gather(a, p) for an index vector p that selects every element
+/// of `a` once, without building it.
+void charge_gather_each(const Array& a);
 
 /// The empty array with the same element structure as `a` (rule R2d's
 /// empty_frame on representations).

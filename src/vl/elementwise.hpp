@@ -65,6 +65,46 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
   return out;
 }
 
+/// Int +, -, * and unary - wrap modulo 2^64 (two's complement), as
+/// INT64_MIN / -1 does. They are computed unsigned: signed overflow is
+/// undefined behaviour, and the unsigned operation is the same machine
+/// instruction. Other types use the plain operator.
+template <typename T>
+constexpr T add_wrap(T a, T b) {
+  if constexpr (std::is_same_v<T, Int>) {
+    return static_cast<Int>(static_cast<std::uint64_t>(a) +
+                            static_cast<std::uint64_t>(b));
+  } else {
+    return a + b;
+  }
+}
+template <typename T>
+constexpr T sub_wrap(T a, T b) {
+  if constexpr (std::is_same_v<T, Int>) {
+    return static_cast<Int>(static_cast<std::uint64_t>(a) -
+                            static_cast<std::uint64_t>(b));
+  } else {
+    return a - b;
+  }
+}
+template <typename T>
+constexpr T mul_wrap(T a, T b) {
+  if constexpr (std::is_same_v<T, Int>) {
+    return static_cast<Int>(static_cast<std::uint64_t>(a) *
+                            static_cast<std::uint64_t>(b));
+  } else {
+    return a * b;
+  }
+}
+template <typename T>
+constexpr T neg_wrap(T a) {
+  if constexpr (std::is_same_v<T, Int>) {
+    return static_cast<Int>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
+  } else {
+    return -a;
+  }
+}
+
 [[noreturn]] void throw_div_by_zero();
 [[noreturn]] void throw_mod_by_zero();
 
@@ -73,9 +113,7 @@ Vec<R> zip_sv(T a, const Vec<U>& b, F&& f) {
 /// one overflowing quotient is never computed in signed arithmetic.
 inline Int checked_div(Int a, Int b) {
   if (b == 0) throw_div_by_zero();
-  if (b == -1) {
-    return static_cast<Int>(std::uint64_t{0} - static_cast<std::uint64_t>(a));
-  }
+  if (b == -1) return neg_wrap(a);
   return a / b;
 }
 
@@ -95,33 +133,33 @@ inline Real checked_div(Real a, Real b) { return a / b; }
 
 template <typename T>
 Vec<T> add(const Vec<T>& a, const Vec<T>& b) {
-  return detail::zip<T>(a, b, "add", [](T x, T y) { return x + y; });
+  return detail::zip<T>(a, b, "add", [](T x, T y) { return detail::add_wrap(x, y); });
 }
 template <typename T>
 Vec<T> add(const Vec<T>& a, T b) {
-  return detail::zip_vs<T>(a, b, [](T x, T y) { return x + y; });
+  return detail::zip_vs<T>(a, b, [](T x, T y) { return detail::add_wrap(x, y); });
 }
 
 template <typename T>
 Vec<T> sub(const Vec<T>& a, const Vec<T>& b) {
-  return detail::zip<T>(a, b, "sub", [](T x, T y) { return x - y; });
+  return detail::zip<T>(a, b, "sub", [](T x, T y) { return detail::sub_wrap(x, y); });
 }
 template <typename T>
 Vec<T> sub(const Vec<T>& a, T b) {
-  return detail::zip_vs<T>(a, b, [](T x, T y) { return x - y; });
+  return detail::zip_vs<T>(a, b, [](T x, T y) { return detail::sub_wrap(x, y); });
 }
 template <typename T>
 Vec<T> sub(T a, const Vec<T>& b) {
-  return detail::zip_sv<T>(a, b, [](T x, T y) { return x - y; });
+  return detail::zip_sv<T>(a, b, [](T x, T y) { return detail::sub_wrap(x, y); });
 }
 
 template <typename T>
 Vec<T> mul(const Vec<T>& a, const Vec<T>& b) {
-  return detail::zip<T>(a, b, "mul", [](T x, T y) { return x * y; });
+  return detail::zip<T>(a, b, "mul", [](T x, T y) { return detail::mul_wrap(x, y); });
 }
 template <typename T>
 Vec<T> mul(const Vec<T>& a, T b) {
-  return detail::zip_vs<T>(a, b, [](T x, T y) { return x * y; });
+  return detail::zip_vs<T>(a, b, [](T x, T y) { return detail::mul_wrap(x, y); });
 }
 
 template <typename T>
@@ -146,12 +184,12 @@ inline IntVec mod(const IntVec& a, Int b) {
 
 template <typename T>
 Vec<T> neg(const Vec<T>& a) {
-  return detail::map<T>(a, [](T x) { return -x; });
+  return detail::map<T>(a, [](T x) { return detail::neg_wrap(x); });
 }
 
 template <typename T>
 Vec<T> abs(const Vec<T>& a) {
-  return detail::map<T>(a, [](T x) { return x < 0 ? -x : x; });
+  return detail::map<T>(a, [](T x) { return x < 0 ? detail::neg_wrap(x) : x; });
 }
 
 template <typename T>

@@ -37,6 +37,12 @@ namespace proteus::vl::detail {
 void run_blocks(Size n, Size blocks, void (*block)(void*, Size, Size, Size),
                 void* ctx);
 
+/// The exclusive prefix sums of `lens`, with the total appended (#lens + 1
+/// entries): a blocked two-pass scan, as the scans of vl run. It records
+/// no work; kernels that need offsets the vector model does not charge
+/// (or charges in an order of its own) compute them with it.
+[[nodiscard]] IntVec exclusive_offsets(const IntVec& lens);
+
 /// Runs body(b, lo, hi) for every block b of [0, n) cut into `blocks`
 /// equal contiguous ranges [lo, hi) (trailing ones may be empty), one
 /// thread per block when there is more than one. One block is a plain call

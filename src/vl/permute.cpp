@@ -18,10 +18,7 @@ Vec<T> gather_impl(const Vec<T>& values, const IntVec& indices) {
   T* op = out.data();
   parallel_for(n, [&](Size i) {
     const Int j = ip[i];
-    PROTEUS_REQUIRE(EvalError, j >= 0 && j < m,
-                    "gather index " + std::to_string(j) +
-                        " out of range for vector of length " +
-                        std::to_string(m));
+    require_gather_index(j, m);
     op[i] = vp[j];
   });
   stats().record(n);
@@ -78,37 +75,6 @@ Vec<T> scatter_impl(const Vec<T>& into, const IntVec& positions,
   return out;
 }
 
-template <typename T>
-Vec<T> gather_segments_impl(const Vec<T>& values, const IntVec& starts,
-                            const IntVec& lengths) {
-  require_same_length(starts, lengths, "gather_segments");
-  const Size n = starts.size();
-  const Size m = values.size();
-  const Int* sp = starts.data();
-  const Int* lp = lengths.data();
-  // Serial pass over the n ranges: bounds and output offsets, so the
-  // copy below can run each range independently.
-  IntVec offsets(n);
-  Int* fp = offsets.data();
-  Size total = 0;
-  for (Size i = 0; i < n; ++i) {
-    PROTEUS_REQUIRE(VectorError,
-                    sp[i] >= 0 && lp[i] >= 0 && sp[i] <= m - lp[i],
-                    "gather_segments: range [" + std::to_string(sp[i]) +
-                        ", " + std::to_string(sp[i] + lp[i]) +
-                        ") out of range for vector of length " +
-                        std::to_string(m));
-    fp[i] = total;
-    total += lp[i];
-  }
-  Vec<T> out(total);
-  const T* vp = values.data();
-  T* op = out.data();
-  parallel_for(n, [&](Size i) { std::copy_n(vp + sp[i], lp[i], op + fp[i]); });
-  stats().record(total);
-  return out;
-}
-
 template IntVec gather_impl<Int>(const IntVec&, const IntVec&);
 template RealVec gather_impl<Real>(const RealVec&, const IntVec&);
 template BoolVec gather_impl<Bool>(const BoolVec&, const IntVec&);
@@ -120,12 +86,6 @@ template RealVec scatter_impl<Real>(const RealVec&, const IntVec&,
                                     const RealVec&);
 template BoolVec scatter_impl<Bool>(const BoolVec&, const IntVec&,
                                     const BoolVec&);
-template IntVec gather_segments_impl<Int>(const IntVec&, const IntVec&,
-                                          const IntVec&);
-template RealVec gather_segments_impl<Real>(const RealVec&, const IntVec&,
-                                            const IntVec&);
-template BoolVec gather_segments_impl<Bool>(const BoolVec&, const IntVec&,
-                                            const IntVec&);
 
 }  // namespace detail
 

@@ -1,10 +1,8 @@
-// permute.hpp — data-movement primitives: permute, gather, scatter, and
-// their segmented forms.
+// permute.hpp — data-movement primitives: permute, gather, scatter,
+// reverse and rotate.
 //
 // gather implements seq_index^1 with a *fixed* (depth-0) source — the
-// Section 4.5 optimization — while gather_segments copies whole source
-// segments, which is how the structural kernels of seq/ select sequence
-// elements one level down. Indices follow the language's 1-origin
+// Section 4.5 optimization. Indices follow the language's 1-origin
 // convention at the call sites in kernels/; the vl layer is 0-origin like
 // CVL.
 #pragma once
@@ -15,6 +13,14 @@ namespace proteus::vl {
 
 namespace detail {
 
+/// gather's index check: index j of a gather from `m` values.
+inline void require_gather_index(Int j, Size m) {
+  PROTEUS_REQUIRE(EvalError, j >= 0 && j < m,
+                  "gather index " + std::to_string(j) +
+                      " out of range for vector of length " +
+                      std::to_string(m));
+}
+
 template <typename T>
 Vec<T> gather_impl(const Vec<T>& values, const IntVec& indices);
 
@@ -24,10 +30,6 @@ Vec<T> permute_impl(const Vec<T>& values, const IntVec& positions);
 template <typename T>
 Vec<T> scatter_impl(const Vec<T>& into, const IntVec& positions,
                     const Vec<T>& values);
-
-template <typename T>
-Vec<T> gather_segments_impl(const Vec<T>& values, const IntVec& starts,
-                            const IntVec& lengths);
 
 }  // namespace detail
 
@@ -50,17 +52,6 @@ template <typename T>
 Vec<T> scatter(const Vec<T>& into, const IntVec& positions,
                const Vec<T>& values) {
   return detail::scatter_impl(into, positions, values);
-}
-
-/// Whole-segment gather: the concatenation of the ranges
-/// values[starts[i], starts[i] + lengths[i]) in order of i — the gather
-/// whose index vector is those ranges written out, done as one pass over
-/// the output and charged as that gather (work = output length). Every
-/// range must lie inside `values` (checked).
-template <typename T>
-Vec<T> gather_segments(const Vec<T>& values, const IntVec& starts,
-                       const IntVec& lengths) {
-  return detail::gather_segments_impl(values, starts, lengths);
 }
 
 /// reverse of a vector (a permute with positions n-1-i).

@@ -13,6 +13,7 @@
 
 #include <limits>
 
+#include "vl/elementwise.hpp"
 #include "vl/kernel.hpp"
 #include "vl/vec.hpp"
 
@@ -23,7 +24,7 @@ namespace detail {
 template <typename T>
 struct AddOp {
   static constexpr T identity() { return T{0}; }
-  static T combine(T a, T b) { return a + b; }
+  static T combine(T a, T b) { return add_wrap(a, b); }
 };
 
 template <typename T>

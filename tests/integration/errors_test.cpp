@@ -83,6 +83,42 @@ TEST(Errors, IntMinByMinusOneWrapsInsteadOfTrapping) {
   }
 }
 
+// Int +, -, * and unary - wrap in two's complement, and so does an Int
+// sum, on both engines, at depth 0, at depth 1 (-O0) and in a fused chain
+// (-O1); none of them is a signed overflow.
+TEST(Errors, IntOverflowWrapsOnBothEngines) {
+  constexpr const char* kSource =
+      "fun add(a: int, b: int): int = a + b\n"
+      "fun sub(a: int, b: int): int = a - b\n"
+      "fun mul(a: int, b: int): int = a * b\n"
+      "fun flip(a: int): int = -a\n"
+      "fun total(v: seq(int)): int = sum(v)\n"
+      "fun addv(a: int, n: int): seq(int) = [i <- [1 .. n] : (a + i) * 2]\n"
+      "fun negv(a: int, n: int): seq(int) = [i <- [1 .. n] : -(a - i) - 2]\n"
+      "fun rows(m: seq(seq(int))): seq(int) = [r <- m : sum(r)]";
+  const interp::Value hi = val("9223372036854775807");
+  const interp::Value lo = val("0 - 9223372036854775807 - 1");
+  const char* const kLo = "0 - 9223372036854775807 - 1";
+  for (const bool optimize : {false, true}) {
+    SCOPED_TRACE(optimize ? "-O1" : "-O0");
+    xform::PipelineOptions options;
+    options.optimize_vcode = optimize;
+    Session s(kSource, {}, options);
+    testing::expect_both(s, "add", {hi, val("1")}, kLo);
+    testing::expect_both(s, "sub", {lo, val("1")}, "9223372036854775807");
+    testing::expect_both(s, "mul", {hi, val("2")}, "0 - 2");
+    testing::expect_both(s, "flip", {lo}, kLo);
+    testing::expect_both(s, "total", {val("[9223372036854775807, 1, 1]")},
+                         "0 - 9223372036854775807");
+    testing::expect_both(s, "addv", {hi, val("2")}, "[0, 2]");
+    testing::expect_both(s, "negv", {lo, val("2")},
+                         "[9223372036854775807, 0 - 9223372036854775807 - 1]");
+    testing::expect_both(
+        s, "rows", {val("[[9223372036854775807, 1], [], [0 - 1, 0 - 9223372036854775807, 0 - 1]]")},
+        "[0 - 9223372036854775807 - 1, 0, 9223372036854775807]");
+  }
+}
+
 TEST(Errors, MaxvalOfEmptyInsideIterator) {
   Session s("fun f(m: seq(seq(int))): seq(int) = [row <- m : maxval(row)]");
   EXPECT_THROW((void)s.run_reference("f", {val("[[1],([] : seq(int))]")}),

@@ -138,19 +138,16 @@ std::vector<Lane> lanes_of(const Array& a) {
 constexpr Int kIntMin = std::numeric_limits<Int>::min();
 constexpr Int kIntMax = std::numeric_limits<Int>::max();
 
-/// Edge operands of kind `k` for `op`. Int add, sub, mul and neg overflow
-/// on the extremes, which is undefined in every engine, so only the other
-/// Int kernels get them (INT64_MIN with -1 included); real to int takes
-/// only values in range.
+/// Edge operands of kind `k` for `op`. Every Int kernel gets the extremes
+/// (INT64_MIN with -1 included): +, -, * and unary - wrap in two's
+/// complement on every engine. Real to int takes only values in range.
 std::vector<Lane> edge_operands(Prim op, K k) {
   std::vector<Lane> out;
   switch (k) {
     case K::kInt: {
-      for (const Int v : {0, 1, -1, 3, -3, 7, -7}) out.push_back(int_lane(v));
-      if (op != Prim::kAdd && op != Prim::kSub && op != Prim::kMul &&
-          op != Prim::kNeg) {
-        out.push_back(int_lane(kIntMin));
-        out.push_back(int_lane(kIntMax));
+      for (const Int v : std::initializer_list<Int>{0, 1, -1, 3, -3, 7, -7,
+                                                    kIntMin, kIntMax}) {
+        out.push_back(int_lane(v));
       }
       break;
     }

@@ -53,23 +53,6 @@ TEST(Scatter, PositionOutOfRangeThrows) {
   EXPECT_THROW((void)scatter(IntVec{0}, IntVec{1}, IntVec{5}), EvalError);
 }
 
-TEST(GatherSegments, CopiesWholeSegments) {
-  // ranges [2,4), [0,0), [0,1), [2,4) of [10,20,30,40]
-  EXPECT_EQ(gather_segments(IntVec{10, 20, 30, 40}, IntVec{2, 0, 0, 2},
-                            IntVec{2, 0, 1, 2}),
-            (IntVec{30, 40, 10, 30, 40}));
-  EXPECT_EQ(gather_segments(IntVec{}, IntVec{}, IntVec{}), IntVec{});
-}
-
-TEST(GatherSegments, RangeBeyondSourceThrows) {
-  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{1}, IntVec{2}),
-               VectorError);
-  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{-1}, IntVec{1}),
-               VectorError);
-  EXPECT_THROW((void)gather_segments(IntVec{1, 2}, IntVec{0}, IntVec{-1}),
-               VectorError);
-}
-
 TEST(Reverse, Basic) {
   EXPECT_EQ(reverse(IntVec{1, 2, 3}), (IntVec{3, 2, 1}));
   EXPECT_EQ(reverse(IntVec{}), IntVec{});

@@ -42,7 +42,9 @@
 //   proteusc examples/programs/sort.p --entry '[k <- [1..5] : sqs(k)]' --dump vec
 //   proteusc examples/programs/sort.p --call quicksort '[3,1,2]' --engine vm --stats
 //   proteusc sort.p --call quicksort '[3,1,2]' --trace-json t.json --stats=json
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -156,6 +158,29 @@ void write_rule_counts_json(std::ostream& os,
     os << '"' << proteus::obs::json_escape(rule) << "\":" << count;
   }
   os << '}';
+}
+
+/// Whether the two engines returned the same result: reals must be
+/// bit-identical or both NaN (under Value ==, NaN never equals itself).
+bool same_result(const proteus::interp::Value& a,
+                 const proteus::interp::Value& b) {
+  if (a.is_real() && b.is_real()) {
+    const double x = a.as_real();
+    const double y = b.as_real();
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y) ||
+           (std::isnan(x) && std::isnan(y));
+  }
+  const bool seqs = a.is_seq() && b.is_seq();
+  if (seqs || (a.is_tuple() && b.is_tuple())) {
+    const auto& xs = seqs ? a.as_seq() : a.as_tuple();
+    const auto& ys = seqs ? b.as_seq() : b.as_tuple();
+    if (xs.size() != ys.size()) return false;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (!same_result(xs[i], ys[i])) return false;
+    }
+    return true;
+  }
+  return a == b;
 }
 
 }  // namespace
@@ -559,7 +584,7 @@ int main(int argc, char** argv) {
     if (engine == "both") {
       proteus::interp::Value ref = run("ref");
       proteus::interp::Value vmv = run("vm");
-      if (!(ref == vmv)) {
+      if (!same_result(ref, vmv)) {
         std::cerr << "proteusc: ENGINE MISMATCH\n  ref: " << ref
                   << "\n  vm:  " << vmv << '\n';
         return 1;
